@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, build_exact, build_problem, load_config, solve_options
-from .estimates import bounds_report, write_bounds_report
+from .estimates import _fmt_bool, bounds_report, write_bounds_report
 from .mesh import (
     ScalarField,
     read_field_bin,
@@ -53,10 +53,6 @@ from .symcone import (
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -183,7 +179,9 @@ def cmd_sweep(args) -> int:
     spec = build_problem(cfg)
     opts = solve_options(cfg)
 
-    entries = epsilon_sweep(spec, cfg.sweep.epsilons, opts)
+    records = []
+    entries = epsilon_sweep(spec, cfg.sweep.epsilons, opts, on_record=records.append)
+    _write_trace(records, os.path.join(outdir, "trace.csv"))
 
     measurements = []
     lines = [

@@ -21,13 +21,14 @@ import numpy as np
 
 from .mesh import (
     ScalarField,
+    _pad_edge,
     argmax_node,
     d_t,
     d_t_interior,
     gradient,
     laplacian,
 )
-from .operator import ProblemSpec, assemble_dQ, cone_quantities
+from .operator import ConeData, ProblemSpec, assemble_dQ, cone_quantities
 
 
 @dataclass
@@ -101,7 +102,7 @@ class WeakC2Report:
 class IdentityErrors:
     """Sup-norm defects of the three exact linearization identities.
 
-    For the assembled linearization at u with target rhs playing the role of
+    For the linearization at u with target rhs playing the role of
     f = Q(u):
 
         dQ(t) = 0,
@@ -109,7 +110,7 @@ class IdentityErrors:
         dQ(u) = 2 f - (a + b |grad u|^2) u_tt.
 
     All three hold exactly for the discrete stencils, so the defects sit at
-    the rounding floor of the assembly rather than at truncation size.
+    the rounding floor of the stencil arithmetic rather than at truncation size.
     """
 
     err_dq_t: float
@@ -288,9 +289,10 @@ def check_ut_bounds(u: ScalarField, spec: ProblemSpec, c: float) -> UtBoundsChec
     )
 
 
-def weak_c2_report(u: ScalarField, spec: ProblemSpec) -> WeakC2Report:
-    """Measure sup u_tt, sup |lap u|, sup |grad u_t| and sup |grad u|."""
-    cone = cone_quantities(u.values, spec)
+def weak_c2_report(u: ScalarField, spec: ProblemSpec, cone: ConeData | None = None) -> WeakC2Report:
+    """Sup-norms of u_tt, lap u, grad u_t and grad u; ``cone`` may hold the cone quantities of u."""
+    if cone is None:
+        cone = cone_quantities(u.values, spec)
     iu = argmax_node(cone.utt)
     lap_abs = np.abs(laplacian(u).values)
     il = argmax_node(lap_abs)
@@ -314,15 +316,19 @@ def weak_c2_report(u: ScalarField, spec: ProblemSpec) -> WeakC2Report:
     )
 
 
-def identity_suite(u: ScalarField, spec: ProblemSpec, rhs: ScalarField) -> IdentityErrors:
+def identity_suite(
+    u: ScalarField, spec: ProblemSpec, rhs: ScalarField, cone: ConeData | None = None
+) -> IdentityErrors:
     """Defects of the three structural identities of the linearization at u.
 
     ``rhs`` plays the role of f = Q(u); pass the operator value of u itself
-    to test the raw identities, or the solve target for a converged solution.
+    to test the raw identities, or the solve target for a converged solution;
+    ``cone`` may hold the cone quantities of u.
     """
     grid = spec.grid
-    ls = assemble_dQ(u, spec)
-    cone = cone_quantities(u.values, spec)
+    if cone is None:
+        cone = cone_quantities(u.values, spec)
+    ls = assemble_dQ(u, spec, cone=cone)
     t = np.broadcast_to(grid.time_column(), grid.field_shape).copy()
     e1 = float(np.max(np.abs(ls.apply(t))))
     t2 = t * t
@@ -403,16 +409,15 @@ def bounds_report(u: ScalarField, spec: ProblemSpec, c: float, rhs: ScalarField 
     ``rhs`` defaults to the operator value of u itself, which makes the
     identity defects pure stencil-algebra measurements.
     """
+    cone = cone_quantities(u.values, spec)
     if rhs is None:
-        from .operator import apply_Q
-
-        rhs = apply_Q(u, spec)
+        rhs = ScalarField(spec.grid, _pad_edge(cone.q))
     return BoundsReport(
         c_used=float(c),
         c0=check_c0(u, spec, c),
         ut=check_ut_bounds(u, spec, c),
-        weak_c2=weak_c2_report(u, spec),
-        identity=identity_suite(u, spec, rhs),
+        weak_c2=weak_c2_report(u, spec, cone=cone),
+        identity=identity_suite(u, spec, rhs, cone=cone),
         f_deps=f_dependencies(spec),
     )
 

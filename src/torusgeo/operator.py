@@ -13,8 +13,11 @@ The linearization of Q at u acting on a perturbation h is
 
     dQ(h) = u_tt * (lap h - 2 b <grad u, grad h>) + B_u * h_tt - 2 <grad h_t, grad u_t>,
 
-assembled here as a sparse matrix over the interior space-time nodes, with
-the two Dirichlet layers eliminated into separate boundary coupling blocks.
+applied here matrix-free as a space-time stencil whose weights are cached
+per Newton step. Newton corrections solve dQ(h) = g on the interior nodes by
+GMRES, preconditioned by the same stencil with each weight averaged over its
+time layer: FFT in space turns that operator into one tridiagonal system in
+t per Fourier mode, solved by a batched Thomas sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .mesh import (
@@ -297,86 +299,125 @@ def q_form(u: ScalarField, spec: ProblemSpec, dphi, dpsi) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# Linearization assembly.
+# Matrix-free linearization and its preconditioned Krylov solve.
 # ---------------------------------------------------------------------------
 
+# GMRES stops at relative residual GMRES_RTOL, restarting every GMRES_RESTART
+# iterations for at most GMRES_MAXITER cycles; answers above TRUE_RESIDUAL_TOL are rejected.
+GMRES_RTOL = 1e-12
+GMRES_RESTART = 40
+GMRES_MAXITER = 5
+TRUE_RESIDUAL_TOL = 1e-10
 
-def _neighbor_tables(grid: GridSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Flat spatial index of the +1 and -1 neighbor along each axis."""
-    n = grid.nodes_per_axis
-    if grid.spatial_dim == 1:
-        idx = np.arange(n)
-        return [(idx + 1) % n], [(idx - 1) % n]
-    ii, jj = np.divmod(np.arange(grid.num_spatial), n)
-    plus = [((ii + 1) % n) * n + jj, ii * n + (jj + 1) % n]
-    minus = [((ii - 1) % n) * n + jj, ii * n + (jj - 1) % n]
-    return plus, minus
+
+class LinearSolveError(RuntimeError):
+    """The Krylov solve of the linearization failed or returned a bad answer."""
+
+
+def _wrap_pad(vals: np.ndarray, dim: int) -> np.ndarray:
+    """Copy of ``vals`` with one periodic ghost node on both ends of each spatial axis."""
+    padded = np.empty((vals.shape[0],) + tuple(n + 2 for n in vals.shape[1:]))
+    padded[(slice(None),) + (slice(1, -1),) * dim] = vals
+    for ax in range(1, dim + 1):
+        lead = (slice(None),) * ax
+        padded[lead + (0,)] = padded[lead + (-2,)]
+        padded[lead + (-1,)] = padded[lead + (1,)]
+    return padded
+
+
+def _shifted(padded: np.ndarray, dim: int, ax: int, offset: int) -> np.ndarray:
+    """View of a padded array at spatial offset ``offset`` along axis ``ax``."""
+    index = [slice(None)] + [slice(1, -1)] * dim
+    index[ax] = slice(1 + offset, padded.shape[ax] - 1 + offset)
+    return padded[tuple(index)]
 
 
 @dataclass
 class LinearSystem:
-    """Sparse linearization over interior nodes with Dirichlet couplings.
+    """Matrix-free linearization of Q at a fixed field, with its preconditioner.
 
-    ``matrix`` couples interior unknowns, ordered time-major: the unknown at
-    interior layer k (full-axis index k in 1..Nt-2) and flat spatial node j
-    has row ``(k - 1) * num_spatial + j``. ``boundary0`` and ``boundary1``
-    hold the stencil entries reaching into the t = 0 and t = 1 layers, so the
-    action of the full stencil on a field h is
-
-        matrix @ h_interior + boundary0 @ h[0] + boundary1 @ h[-1].
-
-    ``rhs`` is a ready-to-solve right-hand side over interior nodes (zero
-    unless a target was supplied at assembly time).
+    The stencil weights live on the interior layers: ``center`` on the node,
+    ``tcoef`` = B_u / ht^2 on both time neighbors, and per spatial axis a the
+    triple ``spatial[a]`` = (weight on the +1 neighbor, on the -1 neighbor,
+    u_{x_a t} / (2 hx ht) on the (t, x_a) corners). ``apply`` evaluates the
+    stencil on a full-shape field, Dirichlet layers included.
+    ``solve_interior`` runs GMRES on the time-major interior unknowns,
+    preconditioned by the stencil with each weight averaged over its layer;
+    ``thomas`` holds that operator's per-Fourier-mode tridiagonal factors.
+    ``rhs`` is the right-hand side over interior nodes (zero unless a target
+    was given); ``iterations`` counts GMRES iterations of the latest solve.
     """
 
     grid: GridSpec
-    matrix: sps.csr_matrix
-    boundary0: sps.csr_matrix
-    boundary1: sps.csr_matrix
+    center: np.ndarray
+    tcoef: np.ndarray
+    spatial: list
+    thomas: tuple
     rhs: np.ndarray
+    iterations: int = 0
+
+    def _action(self, vals: np.ndarray) -> np.ndarray:
+        dim = self.grid.spatial_dim
+        padded = _wrap_pad(vals, dim)
+        inner = padded[1:-1]
+        dt = padded[2:] - padded[:-2]
+        out = self.center * vals[1:-1] + self.tcoef * (vals[2:] + vals[:-2])
+        for ax, (plus, minus, mixed) in enumerate(self.spatial, start=1):
+            out += plus * _shifted(inner, dim, ax, 1)
+            out += minus * _shifted(inner, dim, ax, -1)
+            out -= mixed * (_shifted(dt, dim, ax, 1) - _shifted(dt, dim, ax, -1))
+        return out
 
     def apply(self, h) -> np.ndarray:
         """Stencil action on a full-shape field, returned as interior layers."""
         vals = h.values if hasattr(h, "values") else np.asarray(h, dtype=float)
         if vals.shape != self.grid.field_shape:
             raise ValueError(f"expected full field shape {self.grid.field_shape}, got {vals.shape}")
-        m = self.grid.interior_layers
-        flat = self.matrix @ vals[1:-1].reshape(m * self.grid.num_spatial)
-        flat = flat + self.boundary0 @ vals[0].ravel()
-        flat = flat + self.boundary1 @ vals[-1].ravel()
-        return flat.reshape((m,) + self.grid.spatial_shape)
+        return self._action(vals)
+
+    def _embed(self, x: np.ndarray) -> np.ndarray:
+        full = np.zeros(self.grid.field_shape)
+        full[1:-1] = x.reshape(full[1:-1].shape)
+        return full
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        grid = self.grid
+        axes = tuple(range(1, 1 + grid.spatial_dim))
+        lower, upper_ratio, inv_pivot = self.thomas
+        y = np.fft.rfftn(r.reshape((grid.interior_layers,) + grid.spatial_shape), axes=axes)
+        y[0] *= inv_pivot[0]
+        for k in range(1, y.shape[0]):
+            y[k] = (y[k] - lower[k] * y[k - 1]) * inv_pivot[k]
+        for k in range(y.shape[0] - 2, -1, -1):
+            y[k] -= upper_ratio[k] * y[k + 1]
+        return np.fft.irfftn(y, s=grid.spatial_shape, axes=axes).ravel()
 
     def solve_interior(self, g=None) -> np.ndarray:
         """Solve for the interior correction with zero Dirichlet layers.
 
         ``g`` is an interior-layer array (defaults to ``rhs``). Returns a
-        full-shape array whose boundary layers are zero. Uses a sparse direct
-        factorization, falling back to preconditioned GMRES if the
-        factorization fails.
+        full-shape array whose boundary layers are zero. Raises
+        :class:`LinearSolveError` when GMRES does not converge or its answer
+        is not finite or has a true relative residual above ``TRUE_RESIDUAL_TOL``.
         """
         target = self.rhs if g is None else np.asarray(g, dtype=float).ravel()
-        try:
-            x = spla.spsolve(self.matrix.tocsc(), target)
-        except Exception:
-            ilu = spla.spilu(self.matrix.tocsc(), drop_tol=1e-12, fill_factor=40)
-            prec = spla.LinearOperator(self.matrix.shape, ilu.solve)
-            x, info = spla.lgmres(self.matrix, target, M=prec, atol=1e-14, rtol=1e-13, maxiter=2000)
-            if info != 0:
-                raise RuntimeError(f"iterative fallback failed with status {info}")
+        n = target.size
+        matvec = spla.LinearOperator((n, n), lambda x: self._action(self._embed(x)).ravel(), dtype=float)
+        precond = spla.LinearOperator((n, n), self._precondition, dtype=float)
+        residuals: list[float] = []
+        x, info = spla.gmres(
+            matvec, target, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
+            M=precond, callback=residuals.append, callback_type="pr_norm",
+        )
+        self.iterations = len(residuals)
         if not np.all(np.isfinite(x)):
-            raise RuntimeError("linear solve produced non-finite values")
-        out = np.zeros(self.grid.field_shape)
-        out[1:-1] = x.reshape((self.grid.interior_layers,) + self.grid.spatial_shape)
-        return out
-
-    def export_triplets(self, path) -> None:
-        """Write the interior matrix as 'row,col,value' text, row-major order."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w") as fh:
-            fh.write("row,col,value\n")
-            for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write(f"{int(r)},{int(c)},{v:.17g}\n")
+            raise LinearSolveError("linear solve produced non-finite values")
+        if info != 0:
+            raise LinearSolveError(f"GMRES did not converge in {self.iterations} iterations")
+        resid, scale = np.linalg.norm(target - matvec @ x), np.linalg.norm(target)
+        if resid > TRUE_RESIDUAL_TOL * scale:
+            raise LinearSolveError(f"GMRES true relative residual {resid / scale:.3g} exceeds {TRUE_RESIDUAL_TOL:g}")
+        return self._embed(x)
 
 
 def assemble_dQ(
@@ -385,111 +426,49 @@ def assemble_dQ(
     rhs: ScalarField | None = None,
     cone: ConeData | None = None,
 ) -> LinearSystem:
-    """Assemble the linearization of Q at u over the interior nodes.
+    """Linearization of Q at u: stencil weights and preconditioner factors, no matrix.
 
-    The stencil at interior node (k, i) couples the node itself, its two time
-    neighbors, its 2d spatial neighbors, and the 4d time-space corners coming
-    from the mixed term. Entries reaching the Dirichlet layers land in the
-    boundary blocks. When ``rhs`` is given, the system right-hand side is set
-    to ``rhs - Q(u)`` on the interior so that ``solve_interior()`` returns
-    the Newton correction toward ``Q = rhs``.
+    The weights come from ``cone`` (computed from u when not given). When
+    ``rhs`` is given, the system right-hand side is ``rhs - Q(u)`` on the
+    interior, so ``solve_interior()`` returns the Newton correction toward ``Q = rhs``.
     """
     grid = spec.grid
     if cone is None:
         cone = cone_quantities(u.values, spec)
-    m = grid.interior_layers
-    nsp = grid.num_spatial
-    n = m * nsp
-    hx, ht, b = grid.hx, grid.ht, spec.b
-    dim = grid.spatial_dim
+    hx, ht, dim = grid.hx, grid.ht, grid.spatial_dim
 
-    utt = cone.utt.reshape(m, nsp)
-    b_int = cone.b_interior.reshape(m, nsp)
-    grad_u = [g.reshape(m, nsp) for g in cone.grad_u]
-    grad_ut = [g.reshape(m, nsp) for g in cone.grad_ut]
+    tcoef = cone.b_interior / (ht * ht)
+    center = (-2.0 * dim / (hx * hx)) * cone.utt - 2.0 * tcoef
+    base = cone.utt / (hx * hx)
+    spatial = []
+    for g, gt in zip(cone.grad_u, cone.grad_ut):
+        drift = (spec.b / hx) * cone.utt * g
+        spatial.append((base - drift, base + drift, gt / (2.0 * hx * ht)))
 
-    rows_all = np.arange(n).reshape(m, nsp)
-    layer_base = (np.arange(m) * nsp)[:, None]
-    plus, minus = _neighbor_tables(grid)
+    # Symbol of the layer-averaged stencil at every rfft mode: a shift by
+    # +1 along axis a multiplies a mode by exp(i theta_a).
+    axes = tuple(range(1, 1 + dim))
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    b0_rows: list[np.ndarray] = []
-    b0_cols: list[np.ndarray] = []
-    b0_data: list[np.ndarray] = []
-    b1_rows: list[np.ndarray] = []
-    b1_cols: list[np.ndarray] = []
-    b1_data: list[np.ndarray] = []
+    def layer_mean(w: np.ndarray) -> np.ndarray:
+        return w.mean(axis=axes).reshape((-1,) + (1,) * dim)
 
-    def put(r: np.ndarray, c: np.ndarray, v: np.ndarray) -> None:
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        data.append(v.ravel())
+    n = grid.nodes_per_axis
+    thetas = [2.0 * np.pi * np.fft.fftfreq(n)] * (dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(n)]
+    diag = layer_mean(center) + 0j
+    skew = 0j
+    for theta, (plus, minus, mixed) in zip(np.meshgrid(*thetas, indexing="ij"), spatial):
+        diag = diag + layer_mean(plus) * np.exp(1j * theta) + layer_mean(minus) * np.exp(-1j * theta)
+        skew = skew + 2j * layer_mean(mixed) * np.sin(theta)
+    lower = layer_mean(tcoef) + skew
+    upper = layer_mean(tcoef) - skew
 
-    # Diagonal: spatial second-difference centers plus the time center.
-    diag = (-2.0 * dim / (hx * hx)) * utt - (2.0 / (ht * ht)) * b_int
-    put(rows_all, rows_all, diag)
+    # Thomas factorization, batched over modes.
+    inv_pivot = np.empty(diag.shape, dtype=complex)
+    upper_ratio = np.empty(diag.shape, dtype=complex)
+    inv_pivot[0] = 1.0 / diag[0]
+    for k in range(1, diag.shape[0]):
+        upper_ratio[k - 1] = upper[k - 1] * inv_pivot[k - 1]
+        inv_pivot[k] = 1.0 / (diag[k] - lower[k] * upper_ratio[k - 1])
 
-    # Spatial neighbors, including the advective part from -2b <grad u, grad h>.
-    for ax in range(dim):
-        drift = (b / hx) * utt * grad_u[ax]
-        base = utt / (hx * hx)
-        put(rows_all, layer_base + plus[ax][None, :], base - drift)
-        put(rows_all, layer_base + minus[ax][None, :], base + drift)
-
-    # Time neighbors carry B_u / ht^2; end layers couple to the Dirichlet data.
-    ct = b_int / (ht * ht)
-    if m > 1:
-        put(rows_all[1:], rows_all[:-1], ct[1:])
-        put(rows_all[:-1], rows_all[1:], ct[:-1])
-    b0_rows.append(rows_all[0])
-    b0_cols.append(np.arange(nsp))
-    b0_data.append(ct[0])
-    b1_rows.append(rows_all[-1])
-    b1_cols.append(np.arange(nsp))
-    b1_data.append(ct[-1])
-
-    # Corner entries from -2 <grad h_t, grad u_t>; coefficient
-    # -eps_t * eps_x * u_{x_a t} / (2 hx ht) at offset (eps_t, eps_x e_a).
-    for ax in range(dim):
-        for eps_x, table in ((1, plus[ax]), (-1, minus[ax])):
-            col_sp = table[None, :]
-            for eps_t in (1, -1):
-                coeff = (-eps_t * eps_x / (2.0 * hx * ht)) * grad_ut[ax]
-                if eps_t == 1:
-                    if m > 1:
-                        put(rows_all[:-1], layer_base[1:] + col_sp, coeff[:-1])
-                    b1_rows.append(rows_all[-1])
-                    b1_cols.append(np.broadcast_to(table, (nsp,)))
-                    b1_data.append(coeff[-1])
-                else:
-                    if m > 1:
-                        put(rows_all[1:], layer_base[:-1] + col_sp, coeff[1:])
-                    b0_rows.append(rows_all[0])
-                    b0_cols.append(np.broadcast_to(table, (nsp,)))
-                    b0_data.append(coeff[0])
-
-    matrix = sps.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    boundary0 = sps.coo_matrix(
-        (
-            np.concatenate([v.ravel() for v in b0_data]),
-            (np.concatenate([r.ravel() for r in b0_rows]), np.concatenate([c.ravel() for c in b0_cols])),
-        ),
-        shape=(n, nsp),
-    ).tocsr()
-    boundary1 = sps.coo_matrix(
-        (
-            np.concatenate([v.ravel() for v in b1_data]),
-            (np.concatenate([r.ravel() for r in b1_rows]), np.concatenate([c.ravel() for c in b1_cols])),
-        ),
-        shape=(n, nsp),
-    ).tocsr()
-
-    if rhs is not None:
-        rhs_vec = (rhs.values[1:-1].reshape(m, nsp) - cone.q.reshape(m, nsp)).ravel()
-    else:
-        rhs_vec = np.zeros(n)
-    return LinearSystem(grid=grid, matrix=matrix, boundary0=boundary0, boundary1=boundary1, rhs=rhs_vec)
+    rhs_vec = np.zeros(cone.q.size) if rhs is None else (rhs.values[1:-1] - cone.q).ravel()
+    return LinearSystem(grid, center, tcoef, spatial, (lower, upper_ratio, inv_pivot), rhs_vec)

@@ -29,6 +29,7 @@ from .mesh import GridSpec, ScalarField, argmax_node, argmin_node, gradient
 from .operator import (
     ConeData,
     InvalidProblem,
+    LinearSolveError,
     ProblemSpec,
     apply_Q,
     assemble_dQ,
@@ -63,6 +64,10 @@ class LostAdmissibility(SolverError):
     """An iterate left the admissible cone."""
 
 
+class LinearSolveFailure(SolverError):
+    """The linear solve for a Newton correction failed."""
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Newton and continuation tuning knobs.
@@ -93,7 +98,7 @@ class SolveOptions:
 
 @dataclass
 class TraceRecord:
-    """One line of the solver trace."""
+    """One line of the solver trace; ``lin_iters`` counts the step's GMRES iterations."""
 
     phase: str
     param: float
@@ -103,15 +108,17 @@ class TraceRecord:
     min_b: float
     min_q: float
     alpha: float
+    lin_iters: int
 
     def render(self) -> str:
         return (
             f"{self.phase},{self.param:.17g},{self.iteration},{self.residual:.17g},"
-            f"{self.min_utt:.17g},{self.min_b:.17g},{self.min_q:.17g},{self.alpha:.17g}"
+            f"{self.min_utt:.17g},{self.min_b:.17g},{self.min_q:.17g},{self.alpha:.17g},"
+            f"{self.lin_iters}"
         )
 
 
-TRACE_HEADER = "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha"
+TRACE_HEADER = "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters"
 
 
 @dataclass
@@ -224,12 +231,14 @@ def newton_solve(
 
     Requirements: ``rhs > 0`` on the interior layers, ``u_init`` admissible
     with boundary layers equal to the problem data. Each step solves the
-    assembled linearization for the full correction, then backtracks: first
-    until every cone margin stays above ``(1 - damping_fraction)`` times its
-    current value, then until the residual sup-norm strictly decreases.
+    linearization for the full correction by preconditioned GMRES, then
+    backtracks: first until every cone margin stays above
+    ``(1 - damping_fraction)`` times its current value, then until the
+    residual sup-norm strictly decreases.
 
     Raises :class:`LostAdmissibility`, :class:`StepCollapse` or
-    :class:`NonConvergence`, each carrying the offending node.
+    :class:`NonConvergence`, each carrying the offending node, or
+    :class:`LinearSolveFailure` when a correction cannot be computed.
     """
     opts = opts or SolveOptions()
     grid = spec.grid
@@ -258,14 +267,14 @@ def newton_solve(
     floor = 1.0 - opts.damping_fraction
     records: list[TraceRecord] = []
 
-    def emit(iteration: int, alpha: float) -> None:
+    def emit(iteration: int, alpha: float, lin_iters: int) -> None:
         mu, mb, mq = _mins(cone)
-        rec = TraceRecord(phase, param, iteration, res_sup, mu, mb, mq, alpha)
+        rec = TraceRecord(phase, param, iteration, res_sup, mu, mb, mq, alpha, lin_iters)
         records.append(rec)
         if on_record is not None:
             on_record(rec)
 
-    emit(0, 0.0)
+    emit(0, 0.0, 0)
     iters = 0
     while res_sup > opts.newton_tol:
         if iters >= opts.max_newton_iters:
@@ -278,7 +287,10 @@ def newton_solve(
                 param=param,
             )
         ls = assemble_dQ(ScalarField(grid, u), spec, cone=cone)
-        h = ls.solve_interior((rhs_int - cone.q).reshape(-1))
+        try:
+            h = ls.solve_interior((rhs_int - cone.q).reshape(-1))
+        except LinearSolveError as err:
+            raise LinearSolveFailure(f"Newton step {iters + 1}: {err}", phase=phase, param=param) from err
 
         alpha = 1.0
         trial_cone = None
@@ -325,7 +337,7 @@ def newton_solve(
         res = cone.q - rhs_int
         res_sup = float(np.max(np.abs(res)))
         iters += 1
-        emit(iters, alpha)
+        emit(iters, alpha, ls.iterations)
 
     mu, mb, mq = _mins(cone)
     return SolveResult(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from torusgeo.cli import main
+from torusgeo.operator import LinearSolveError, LinearSystem
 
 
 SEPARABLE = """\
@@ -86,7 +87,7 @@ def test_solve_writes_artifacts(tmp_path):
     ):
         assert os.path.exists(os.path.join(out, name)), name
     assert first_line(os.path.join(out, "trace.csv")) == (
-        "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha"
+        "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters"
     )
     assert first_line(os.path.join(out, "newton_residual.csv")) == "iteration,residual"
     assert first_line(os.path.join(out, "continuation_residual.csv")) == "s,residual"
@@ -136,6 +137,18 @@ def test_solve_nonconvergence_exit_1(tmp_path):
     text = MANUFACTURED.replace("refinements = 1", "max_newton_iters = 1")
     cfg = write_cfg(tmp_path, text)
     assert main(["solve", cfg, "--output", str(tmp_path / "out")]) == 1
+
+
+def test_solve_linear_solve_failure_exit_1(tmp_path, monkeypatch, capsys):
+    def fail(self, g=None):
+        raise LinearSolveError("injected failure")
+
+    monkeypatch.setattr(LinearSystem, "solve_interior", fail)
+    cfg = write_cfg(tmp_path, MANUFACTURED.replace("refinements = 1", "refinements = 0"))
+    assert main(["solve", cfg, "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "injected failure" in err
+    assert "Traceback" not in err
 
 
 def test_solve_output_defaults_to_config_directory(tmp_path, monkeypatch):

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 
 import torusgeo as tg
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar, sample_space
+import torusgeo.operator as operator_module
 from torusgeo.operator import (
     InvalidProblem,
+    LinearSolveError,
     ProblemSpec,
     apply_Q,
     assemble_dQ,
@@ -243,29 +244,67 @@ def test_solve_interior_solves():
     assert np.max(np.abs(back - g)) <= 1e-8 * max(1.0, np.max(np.abs(g)))
 
 
-def test_triplet_export_round_trip(tmp_path):
-    field, spec = random_admissible_field(7, n=8, nt=6)
+def _dense_jacobian(system, grid):
+    """Interior Jacobian built column by column from the stencil action."""
+    n = grid.interior_layers * grid.num_spatial
+    dense = np.empty((n, n))
+    for j in range(n):
+        h = np.zeros(grid.field_shape)
+        h[1:-1].flat[j] = 1.0
+        dense[:, j] = system.apply(h).ravel()
+    return dense
+
+
+@pytest.mark.parametrize("dim,n,nt", [(1, 10, 7), (2, 8, 6)])
+def test_solve_interior_matches_dense_solve(dim, n, nt):
+    field, spec = random_admissible_field(40 + dim, dim=dim, n=n, nt=nt)
     system = assemble_dQ(field, spec)
-    path = tmp_path / "matrix.txt"
-    system.export_triplets(path)
-    rows, cols, vals = [], [], []
-    with open(path) as fh:
-        assert fh.readline().strip() == "row,col,value"
-        for line in fh:
-            r, c, v = line.strip().split(",")
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    rebuilt = sps.coo_matrix((vals, (rows, cols)), shape=system.matrix.shape).tocsr()
-    diff = (rebuilt - system.matrix).tocoo()
-    assert np.max(np.abs(diff.data)) <= 1e-16 if diff.nnz else True
+    dense = _dense_jacobian(system, spec.grid)
+    g = np.random.default_rng(61).standard_normal(dense.shape[0])
+    want = np.linalg.solve(dense, g)
+    got = system.solve_interior(g)[1:-1].ravel()
+    assert system.iterations > 0
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_preconditioner_exact_for_layerwise_constant_coefficients(dim):
+    # u depends on t only and a is constant, so every stencil weight is
+    # constant on each layer and the layer-mean preconditioner is the inverse
+    grid = GridSpec(spatial_dim=dim, nodes_per_axis=12, time_nodes=9)
+    a = SpaceField(grid, np.full(grid.spatial_shape, 1.3))
+    zero = SpaceField(grid, np.zeros(grid.spatial_shape))
+    f = ScalarField(grid, np.ones(grid.field_shape))
+    spec = ProblemSpec(grid=grid, a=a, b=0.4, f=f, u0=zero, u1=zero)
+    u = sample_scalar(grid, lambda t, *xs: -t * (1.0 - t) - 0.3 * t**3 * (1.0 - t))
+    system = assemble_dQ(u, spec)
+    g = np.random.default_rng(62).standard_normal(grid.interior_layers * grid.num_spatial)
+    h = system.solve_interior(g)
+    assert system.iterations <= 2
+    assert np.max(np.abs(system.apply(h).ravel() - g)) <= 1e-10 * np.max(np.abs(g))
+
+
+def test_solve_interior_rejects_bad_answers(monkeypatch):
+    field, spec = random_admissible_field(10, n=8, nt=6)
+    system = assemble_dQ(field, spec)
+    n = spec.grid.interior_layers * spec.grid.num_spatial
+    with pytest.raises(LinearSolveError, match="non-finite"):
+        system.solve_interior(np.full(n, np.nan))
+    g = np.random.default_rng(63).standard_normal(n)
+    monkeypatch.setattr(operator_module, "TRUE_RESIDUAL_TOL", 0.0)
+    with pytest.raises(LinearSolveError, match="true relative residual"):
+        system.solve_interior(g)
+    monkeypatch.setattr(operator_module, "GMRES_RESTART", 2)
+    monkeypatch.setattr(operator_module, "GMRES_MAXITER", 1)
+    with pytest.raises(LinearSolveError, match="did not converge"):
+        system.solve_interior(g)
 
 
 def test_matrix_pattern_symmetric():
     field, spec = random_admissible_field(8, n=8, nt=6)
     system = assemble_dQ(field, spec)
-    pattern = (system.matrix != 0).astype(int)
-    assert (pattern != pattern.T).nnz == 0
+    pattern = _dense_jacobian(system, spec.grid) != 0.0
+    assert np.array_equal(pattern, pattern.T)
 
 
 def test_apply_requires_full_shape():

@@ -5,9 +5,10 @@ import pytest
 
 import torusgeo as tg
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar
-from torusgeo.operator import ProblemSpec, apply_Q, cone_quantities
+from torusgeo.operator import LinearSolveError, LinearSystem, ProblemSpec, apply_Q, cone_quantities
 from torusgeo.solver import (
     TRACE_HEADER,
+    LinearSolveFailure,
     LostAdmissibility,
     NonConvergence,
     SolveOptions,
@@ -94,6 +95,27 @@ def test_continuation_trace_structure():
     cols = TRACE_HEADER.split(",")
     for rec in res.records:
         assert len(rec.render().split(",")) == len(cols)
+        # opening rows took no linear solve; every Newton step took some
+        assert (rec.lin_iters == 0) == (rec.iteration == 0)
+
+
+def test_continuation_bisects_then_reraises_linear_solve_failure(monkeypatch):
+    calls = []
+
+    def fail(self, g=None):
+        calls.append(1)
+        raise LinearSolveError("injected failure")
+
+    monkeypatch.setattr(LinearSystem, "solve_interior", fail)
+    spec = random_problem(5, n=12, nt=7)
+    with pytest.raises(LinearSolveFailure) as info:
+        continuation_solve(spec)
+    # rung s = 0 needs no step; the first rung is then halved 8 times
+    # before the step falls below 1/256 of the uniform step
+    assert len(calls) == 9
+    assert info.value.phase == "continuation"
+    assert info.value.param == pytest.approx(0.1 / 256)
+    assert isinstance(info.value.__cause__, LinearSolveError)
 
 
 def test_newton_requires_positive_rhs(separable_spec):
