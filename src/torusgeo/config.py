@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import configparser
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -321,9 +322,16 @@ def load_config(path) -> RunConfig:
         ):
             if key in sec:
                 kw[key] = _get_typed(sec, key, kind, "scan")
-        cfg.scan = ScanConfig(**kw)
-        if not 1 <= cfg.scan.k <= cfg.scan.n:
-            raise ConfigError(f"scan requires 1 <= k <= n, got k={cfg.scan.k}, n={cfg.scan.n}")
+        cfg.scan = sc = ScanConfig(**kw)
+        if not 1 <= sc.k <= sc.n:
+            raise ConfigError(f"scan requires 1 <= k <= n, got k={sc.k}, n={sc.n}")
+        for key in ("trials", "seed", "comparison_pairs"):
+            if getattr(sc, key) < 0:
+                raise ConfigError(f"{key} in [scan] must be nonnegative, got {getattr(sc, key)}")
+        if sc.batch_size < 1:
+            raise ConfigError(f"batch_size in [scan] must be at least 1, got {sc.batch_size}")
+        if not math.isfinite(sc.threshold):
+            raise ConfigError(f"threshold in [scan] must be finite, got {sc.threshold!r}")
 
     if parser.has_section("output"):
         cfg.output = OutputConfig(directory=parser["output"]["directory"].strip())
@@ -339,24 +347,41 @@ def _resolve(path: str, base_dir: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
+@contextlib.contextmanager
+def _bad_input(what: str):
+    """Re-raise a ValueError or OSError from building ``what`` as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{what}: {exc.strerror}") from None
+
+
 def build_space_field(expr: str, grid: GridSpec, base_dir: str = ".") -> SpaceField:
     """Evaluate a space-only expression (or load a file reference) on a grid."""
-    if expr.startswith("file:"):
-        return read_space_csv(_resolve(expr[5:].strip(), base_dir), grid)
-    fn = compile_expression(expr, _SPACE_VARS[grid.spatial_dim])
-    env = dict(zip(_SPACE_VARS[grid.spatial_dim], grid.spatial_meshes()))
-    values = np.asarray(fn(**env), dtype=float)
-    return SpaceField(grid, np.broadcast_to(values, grid.spatial_shape).copy())
+    with _bad_input(f"field {expr!r}"):
+        if expr.startswith("file:"):
+            return read_space_csv(_resolve(expr[5:].strip(), base_dir), grid)
+        fn = compile_expression(expr, _SPACE_VARS[grid.spatial_dim])
+        env = dict(zip(_SPACE_VARS[grid.spatial_dim], grid.spatial_meshes()))
+        with np.errstate(all="ignore"):  # SpaceField rejects non-finite values
+            values = np.asarray(fn(**env), dtype=float)
+        return SpaceField(grid, np.broadcast_to(values, grid.spatial_shape).copy())
 
 
 def build_scalar_field(expr: str, grid: GridSpec, base_dir: str = ".") -> ScalarField:
     """Evaluate a spacetime expression (or load a file reference) on a grid."""
-    if expr.startswith("file:"):
-        return read_scalar_csv(_resolve(expr[5:].strip(), base_dir), grid)
-    fn = compile_expression(expr, _FIELD_VARS[grid.spatial_dim])
-    env = dict(zip(_FIELD_VARS[grid.spatial_dim], grid.field_meshes()))
-    values = np.asarray(fn(**env), dtype=float)
-    return ScalarField(grid, np.broadcast_to(values, grid.field_shape).copy())
+    with _bad_input(f"field {expr!r}"):
+        if expr.startswith("file:"):
+            return read_scalar_csv(_resolve(expr[5:].strip(), base_dir), grid)
+        fn = compile_expression(expr, _FIELD_VARS[grid.spatial_dim])
+        env = dict(zip(_FIELD_VARS[grid.spatial_dim], grid.field_meshes()))
+        with np.errstate(all="ignore"):  # ScalarField rejects non-finite values
+            values = np.asarray(fn(**env), dtype=float)
+        return ScalarField(grid, np.broadcast_to(values, grid.field_shape).copy())
 
 
 def build_grid(cfg: RunConfig, refine: int = 0) -> GridSpec:
@@ -365,12 +390,13 @@ def build_grid(cfg: RunConfig, refine: int = 0) -> GridSpec:
         raise ConfigError("configuration has no [problem] section")
     prob = cfg.problem
     factor = 2**refine
-    return GridSpec(
-        spatial_dim=prob.spatial_dim,
-        nodes_per_axis=prob.nodes_per_axis * factor,
-        time_nodes=(prob.time_nodes - 1) * factor + 1,
-        spatial_period=prob.spatial_period,
-    )
+    with _bad_input("[problem]"):
+        return GridSpec(
+            spatial_dim=prob.spatial_dim,
+            nodes_per_axis=prob.nodes_per_axis * factor,
+            time_nodes=(prob.time_nodes - 1) * factor + 1,
+            spatial_period=prob.spatial_period,
+        )
 
 
 def build_problem(cfg: RunConfig, refine: int = 0) -> ProblemSpec:
@@ -409,10 +435,11 @@ def solve_options(cfg: RunConfig):
     from .solver import SolveOptions
 
     sol = cfg.solver
-    return SolveOptions(
-        newton_tol=sol.newton_tol,
-        max_newton_iters=sol.max_newton_iters,
-        damping_fraction=sol.damping_fraction,
-        continuation_steps=sol.continuation_steps,
-        min_step_shrink=sol.min_step_shrink,
-    )
+    with _bad_input("[solver]"):
+        return SolveOptions(
+            newton_tol=sol.newton_tol,
+            max_newton_iters=sol.max_newton_iters,
+            damping_fraction=sol.damping_fraction,
+            continuation_steps=sol.continuation_steps,
+            min_step_shrink=sol.min_step_shrink,
+        )

@@ -368,9 +368,8 @@ def continuation_solve(
     opts = opts or SolveOptions()
     if float(np.min(spec.f.values[1:-1])) <= 0.0:
         node = argmin_node(spec.f.values[1:-1])
-        raise ValueError(
-            f"continuation requires f > 0 on interior layers; node ({node[0] + 1},{node[1:]})"
-        )
+        node = (node[0] + 1,) + node[1:]
+        raise InvalidProblem(f"continuation requires f > 0 on interior layers; node {node}", node)
     c_star = compute_c_star(spec)
     u = barrier(spec, -c_star)
     q_barrier = apply_Q(u, spec).values

@@ -160,13 +160,35 @@ def newton_transform(R, k: int) -> np.ndarray:
     return 0.5 * (t + t.conj().T)
 
 
-def _f_from_eig(r00, lam, u, z, k: int):
-    """F_k from an eigendecomposition; batched over any leading shape."""
+def _spectrum(r, k: int):
+    """Eigenvalues and eigenvectors of a batch, as far as F_k needs them.
+
+    T_0 = I, so F_1 sees R only through its trace: for k = 1 the real diagonal
+    stands in for the eigenvalues and the eigenvector slot is None (no eigh).
+    """
+    if k == 1:
+        return np.real(np.diagonal(r, axis1=-2, axis2=-1)), None
+    return np.linalg.eigh(r)
+
+
+def _sigma_and_form(lam, u, z, k: int):
+    """sigma_k and the form z^* T_{k-1} z from :func:`_spectrum` output, batched."""
     sig = _esym_all(lam, k)[..., k]
+    if u is None:
+        return sig, np.sum(np.abs(z) ** 2, axis=-1)
     w = np.einsum("...ij,...j->...i", np.conj(np.swapaxes(u, -1, -2)), z)
-    loo = _sigma_loo(lam, k - 1)
-    t_form = np.sum(loo * (np.abs(w) ** 2), axis=-1)
+    return sig, np.sum(_sigma_loo(lam, k - 1) * (np.abs(w) ** 2), axis=-1)
+
+
+def _f_from_eig(r00, lam, u, z, k: int):
+    """F_k from an eigendecomposition (or the k = 1 output of :func:`_spectrum`)."""
+    sig, t_form = _sigma_and_form(lam, u, z, k)
     return r00 * sig - t_form
+
+
+def _f_batch(r00, r, z, k: int) -> np.ndarray:
+    """F_k of a batch of triples; for k = 1 this is r00 Re tr R - |z|^2, without eigh."""
+    return _f_from_eig(r00, *_spectrum(r, k), z, k)
 
 
 def F_k_eval(point: ConePoint, k: int) -> float:
@@ -209,34 +231,13 @@ def gamma_k_membership(R, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def log_q_hessian(x: float, y: float, z) -> np.ndarray:
-    """Hessian of f(x, y, z) = log(x y - sum z_i^2), ordered (x, y, z_1..z_n).
-
-    Defined on the cone x > 0, y > 0, x y - |z|^2 > 0, where f is concave;
-    the returned matrix is symmetric negative semidefinite there, and scaling
-    the argument by lam scales the Hessian by lam^{-2}.
-    """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    x = float(x)
-    y = float(y)
-    zz = float(z @ z)
-    d = x * y - zz
-    if x <= 0.0 or y <= 0.0 or d <= 0.0:
-        raise ValueError(f"point (x={x!r}, y={y!r}, |z|^2={zz!r}) is outside the admissible cone")
-    n = z.size
-    d2 = d * d
-    h = np.empty((n + 2, n + 2))
-    h[0, 0] = -(y * y) / d2
-    h[1, 1] = -(x * x) / d2
-    h[0, 1] = h[1, 0] = -zz / d2
-    h[0, 2:] = h[2:, 0] = 2.0 * y * z / d2
-    h[1, 2:] = h[2:, 1] = 2.0 * x * z / d2
-    h[2:, 2:] = (-2.0 * d / d2) * np.eye(n) - (4.0 / d2) * np.outer(z, z)
-    return h
-
-
 def log_q_hessian_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Batched :func:`log_q_hessian`: x, y of shape (B,), z of shape (B, n)."""
+    """Hessians of f(x, y, z) = log(x y - sum z_i^2), ordered (x, y, z_1..z_n).
+
+    x, y of shape (B,), z of shape (B, n). On the cone x > 0, y > 0,
+    x y - |z|^2 > 0, where f is concave, each Hessian is symmetric negative
+    semidefinite, and scaling the argument by lam scales it by lam^{-2}.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -262,19 +263,29 @@ def log_q_hessian_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarr
     return h
 
 
+def log_q_hessian(x: float, y: float, z) -> np.ndarray:
+    """Single-point :func:`log_q_hessian_batch`: the (n + 2) x (n + 2) Hessian at (x, y, z)."""
+    return log_q_hessian_batch([float(x)], [float(y)], np.asarray(z, dtype=float).reshape(1, -1))[0]
+
+
 # ---------------------------------------------------------------------------
 # Midpoint concavity scans.
 # ---------------------------------------------------------------------------
 
 
 def _min_shift_into_cone(lams: np.ndarray, k: int, iters: int = 60) -> np.ndarray:
-    """Per-row smallest s with spectrum lam + s inside Gamma_k^+, by bisection.
+    """Per-row smallest s with spectrum lam + s on the boundary of Gamma_k^+.
 
-    The admissible set of shifts is an upward half-line, so the indicator is
-    monotone and bisection applies. The upper bracket makes the spectrum
-    positive definite, the lower bracket makes sigma_1 negative.
+    Closed forms: -mean(lam) for k = 1 (sigma_1 > 0), -min(lam) for k = n (the
+    positive orthant). For 1 < k < n the admissible shifts form an upward
+    half-line, so bisection applies between a bracket making the spectrum
+    positive definite and one making sigma_1 negative.
     """
     lams = np.asarray(lams, dtype=float)
+    if k == 1:
+        return -np.mean(lams, axis=-1)
+    if k == lams.shape[-1]:
+        return -np.min(lams, axis=-1)
     scale = 1.0 + np.max(np.abs(lams), axis=-1)
     lo = -np.mean(lams, axis=-1) - 1e-9 * scale
     hi = np.maximum(0.0, -np.min(lams, axis=-1)) + 1e-9 * scale
@@ -303,11 +314,10 @@ def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, her
     else:
         m = rng.standard_normal((batch, n, n))
         r = 0.5 * (m + np.swapaxes(m, -1, -2))
-    lam, u = np.linalg.eigh(r)
+    lam, u = _spectrum(r, k)
     margin = 10.0 ** rng.uniform(-2.0, 0.0, batch)
     shift = _min_shift_into_cone(lam, k) + margin
-    eye = np.eye(n)
-    r = r + shift[:, None, None] * eye
+    r = r + shift[:, None, None] * np.eye(n)
     lam = lam + shift[:, None]
     r00 = np.exp(rng.normal(0.0, 0.7, batch))
     if hermitian:
@@ -315,16 +325,13 @@ def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, her
     else:
         zdir = rng.standard_normal((batch, n))
     theta = rng.uniform(0.0, 0.99, batch)
-    sig = _esym_all(lam, k)[..., k]
-    w = np.einsum("bij,bj->bi", np.conj(np.swapaxes(u, -1, -2)), zdir)
-    loo = _sigma_loo(lam, k - 1)
-    t_form = np.sum(loo * (np.abs(w) ** 2), axis=-1)
+    sig, t_form = _sigma_and_form(lam, u, zdir, k)
     good = (sig > 0.0) & (t_form > 0.0) & np.isfinite(t_form)
     safe_t = np.where(good, t_form, 1.0)
-    scale = np.sqrt(np.where(good, theta * r00 * sig / safe_t, 0.0))
-    z = zdir * scale[:, None]
-    f_val = _f_from_eig(r00, lam, u, z, k)
-    f_val = np.real(f_val)
+    scale2 = np.where(good, theta * r00 * sig / safe_t, 0.0)
+    z = zdir * np.sqrt(scale2)[:, None]
+    # The form is quadratic in z, so F at the rescaled z needs no second pass.
+    f_val = r00 * sig - scale2 * t_form
     good &= np.isfinite(f_val) & (f_val > 0.0)
     return r00, r, z, f_val, good
 
@@ -405,6 +412,8 @@ def midpoint_concavity_scan(
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     margins = np.full(trials, np.nan)
     f_left = np.full(trials, np.nan)
@@ -421,8 +430,7 @@ def midpoint_concavity_scan(
         r00m = 0.5 * (r00p + r00q)
         rm = 0.5 * (rp + rq)
         zm = 0.5 * (zp + zq)
-        lam_m, u_m = np.linalg.eigh(rm)
-        fm = np.real(_f_from_eig(r00m, lam_m, u_m, zm, k))
+        fm = _f_batch(r00m, rm, zm, k)
         good = goodp & goodq & np.isfinite(fm)
         failures += int(batch - np.count_nonzero(good))
 
@@ -487,16 +495,19 @@ def midpoint_concavity_scan(
     )
 
 
+_RECORD_CHUNK = 4096
+
+
 def write_scan_records(report: ScanReport, path) -> None:
-    """Line-delimited per-trial records of a scan."""
+    """Line-delimited per-trial records of a scan, written in bounded chunks of rows."""
+    row = f"%d,{report.k},{report.n},{report.variant},%.17g,%.17g,%.17g,%.17g\n"
+    columns = (report.margins, report.f_left, report.f_right, report.f_mid)
     with open(path, "w") as fh:
         fh.write("trial,k,n,variant,margin,f_left,f_right,f_mid\n")
-        for i in range(report.trials):
-            fh.write(
-                f"{i},{report.k},{report.n},{report.variant},"
-                f"{report.margins[i]:.17g},{report.f_left[i]:.17g},"
-                f"{report.f_right[i]:.17g},{report.f_mid[i]:.17g}\n"
-            )
+        for start in range(0, report.trials, _RECORD_CHUNK):
+            stop = min(start + _RECORD_CHUNK, report.trials)
+            rows = zip(range(start, stop), *(col[start:stop].tolist() for col in columns))
+            fh.write("".join([row % values for values in rows]))
 
 
 def write_counterexamples(report: ScanReport, path) -> None:

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import torusgeo
 from torusgeo.cli import main
 from torusgeo.operator import LinearSolveError, LinearSystem
 
@@ -254,6 +255,69 @@ def test_rerun_is_byte_identical(tmp_path):
     for name in names1:
         with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read(), name
+
+
+def assert_bad_input(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Warnings are errors here, so a bad input must produce the one error line and nothing else.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("nodes_per_axis = 16", "nodes_per_axis = 4"),
+        ("continuation_steps = 4", "continuation_steps = 4\ndamping_fraction = 1.5"),
+        ("a = 1\n", "a = 1/sin(x)+3\n"),
+        ("f = 2\n", "f = 0\n"),
+    ],
+    ids=["nodes_per_axis", "damping_fraction", "nonfinite_field", "f_zero"],
+)
+def test_solve_bad_input_exits_2(tmp_path, capsys, old, new):
+    cfg = write_cfg(tmp_path, SEPARABLE.replace(old, new))
+    assert_bad_input(capsys, ["solve", cfg, "--output", str(tmp_path / "out")])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("seed = 11", "seed = 11\nbatch_size = -2"),
+        ("trials = 2000", "trials = -1"),
+        ("comparison_pairs = 500", "comparison_pairs = -1"),
+        ("seed = 11", "seed = 11\nthreshold = nan"),
+    ],
+    ids=["batch_size_negative", "trials_negative", "pairs_negative", "threshold_nan"],
+)
+def test_scan_bad_config_exits_2(tmp_path, capsys, old, new):
+    cfg = write_cfg(tmp_path, SEPARABLE.replace(old, new))
+    assert_bad_input(capsys, ["scan", cfg, "--output", str(tmp_path / "out")])
+
+
+def test_scan_batch_size_zero_exits_2_at_once(tmp_path):
+    # batch_size = 0 once looped forever: a child process turns a hang into a failure.
+    cfg = write_cfg(tmp_path, SEPARABLE.replace("seed = 11", "seed = 11\nbatch_size = 0"))
+    src = os.path.dirname(os.path.dirname(torusgeo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusgeo", "scan", cfg, "--output", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_sweep_accepts_vanishing_f(tmp_path):
+    # solve rejects f = 0, but the sweep's degenerate path keeps working
+    cfg = write_cfg(tmp_path, SEPARABLE.replace("f = 2\n", "f = 0\n"))
+    out = str(tmp_path / "out")
+    assert main(["sweep", cfg, "--output", out]) == 0
+    assert read_summary(out)["sweep_uniform"] == "true"
 
 
 def test_module_entry_point(tmp_path):

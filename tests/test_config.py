@@ -190,6 +190,28 @@ def test_load_scan_k_range(tmp_path):
         load_config(write_cfg(tmp_path, GOOD_CFG.replace("k = 1", "k = 5")))
 
 
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("batch_size", "0", "at least 1"),
+        ("batch_size", "-4", "at least 1"),
+        ("trials", "-1", "nonnegative"),
+        ("comparison_pairs", "-1", "nonnegative"),
+        ("seed", "-1", "nonnegative"),
+        ("threshold", "nan", "finite"),
+        ("threshold", "-inf", "finite"),
+    ],
+)
+def test_load_scan_rejects_bad_values(tmp_path, key, value, match):
+    present = {"trials": "trials = 500", "seed": "seed = 7"}
+    if key in present:
+        text = GOOD_CFG.replace(present[key], f"{key} = {value}")
+    else:
+        text = GOOD_CFG.replace("hermitian = yes", f"hermitian = yes\n{key} = {value}")
+    with pytest.raises(ConfigError, match=match):
+        load_config(write_cfg(tmp_path, text))
+
+
 def test_load_negative_refinements(tmp_path):
     with pytest.raises(ConfigError, match="nonnegative"):
         load_config(write_cfg(tmp_path, GOOD_CFG.replace("refinements = 2", "refinements = -1")))

@@ -2,18 +2,25 @@
 
 import itertools
 import math
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgeo.symcone import (
+    _RECORD_CHUNK,
     ComparisonReport,
     ConePoint,
     F_k_eval,
     G_k_eval,
     HermitianConePoint,
+    _f_batch,
     _min_shift_into_cone,
+    _sample_cone_batch,
     comparison_check,
     comparison_scan,
     equalize_value,
@@ -195,14 +202,14 @@ def test_log_q_hessian_against_sympy():
     hess = sp.Matrix([[sp.diff(expr, a, b) for b in variables] for a in variables])
     fn = sp.lambdify(variables, hess, "numpy")
     rng = np.random.default_rng(106)
-    for _ in range(20):
-        x = float(rng.uniform(0.5, 2.0))
-        y = float(rng.uniform(0.5, 2.0))
-        zd = rng.standard_normal(2)
-        z = zd * math.sqrt(rng.uniform(0.0, 0.5) * x * y) / np.linalg.norm(zd)
-        got = log_q_hessian(x, y, z)
-        want = np.asarray(fn(x, y, z[0], z[1]), dtype=float)
-        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    x = rng.uniform(0.5, 2.0, 20)
+    y = rng.uniform(0.5, 2.0, 20)
+    zd = rng.standard_normal((20, 2))
+    z = zd * np.sqrt(rng.uniform(0.0, 0.5, 20) * x * y / np.sum(zd**2, axis=1))[:, None]
+    got = log_q_hessian_batch(x, y, z)
+    for i in range(20):
+        want = np.asarray(fn(x[i], y[i], z[i, 0], z[i, 1]), dtype=float)
+        assert np.max(np.abs(got[i] - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
 def test_log_q_hessian_rejects_outside_cone():
@@ -231,6 +238,10 @@ def test_min_shift_into_cone():
     for n, k in ((3, 2), (4, 4), (5, 1)):
         lams = rng.standard_normal((64, n))
         s = _min_shift_into_cone(lams, k)
+        if k == 1:
+            assert np.array_equal(s, -np.mean(lams, axis=-1))
+        if k == n:
+            assert np.array_equal(s, -np.min(lams, axis=-1))
         above = lams + (s[:, None] + 1e-6)
         below = lams + (s[:, None] - 1e-6)
         for row_a, row_b in zip(above, below):
@@ -238,6 +249,42 @@ def test_min_shift_into_cone():
             assert min(sig_a) > 0.0
             sig_b = [sigma_brute(row_b, j) for j in range(1, k + 1)]
             assert min(sig_b) <= 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-100.0, 100.0), min_size=5, max_size=5))
+def test_min_shift_brackets_cone_boundary(spectrum):
+    # lam + s sits on the boundary of Gamma_k^+: a spectrum-scaled step up
+    # enters the cone, a step down leaves it, for every 1 <= k <= n <= 5.
+    for n in range(1, 6):
+        lam = np.array(spectrum[:n])
+        delta = 1e-6 * (1.0 + float(np.max(np.abs(lam))))
+        for k in range(1, n + 1):
+            s = float(_min_shift_into_cone(lam[None, :], k)[0])
+            assert min(sigma_brute(lam + s + delta, j) for j in range(1, k + 1)) > 0.0, (n, k)
+            assert min(sigma_brute(lam + s - delta, j) for j in range(1, k + 1)) <= 0.0, (n, k)
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_f1_batch_matches_pointwise_eval(n, hermitian):
+    rng = np.random.default_rng(110 + n)
+    r00, r, z, f_sampled, good = _sample_cone_batch(rng, 1, n, 200, hermitian)
+    assert good.all()
+    f_batch = _f_batch(r00, r, z, 1)
+    point, evaluate = (HermitianConePoint, G_k_eval) if hermitian else (ConePoint, F_k_eval)
+    for i in range(200):
+        want = evaluate(point(r00[i], r[i], z[i]), 1)
+        # The reference sums eigenvalues of both signs, so its own rounding is
+        # relative to r00 * sum |lam|, not to the trace.
+        scale = r00[i] * float(np.sum(np.abs(np.linalg.eigvalsh(r[i])))) + float(np.sum(np.abs(z[i]) ** 2))
+        assert abs(f_batch[i] - want) <= 1e-12 * scale
+        assert abs(f_sampled[i] - want) <= 1e-12 * scale
+        # Against exact rational arithmetic the trace form holds to 1e-12 of F itself.
+        exact = Fraction(r00[i]) * sum(Fraction(float(v)) for v in np.real(np.diag(r[i]))) - sum(
+            Fraction(float(v)) ** 2 for v in np.concatenate([np.real(z[i]), np.imag(z[i])])
+        )
+        assert abs(Fraction(float(f_batch[i])) - exact) <= Fraction(1e-12) * abs(exact)
 
 
 def test_scan_deterministic_and_clean():
@@ -283,6 +330,44 @@ def test_scan_record_files(tmp_path):
     body = cex.read_text()
     assert "trial = " in body
     assert "R_left = " in body
+
+
+def test_scan_records_match_row_by_row_reference(tmp_path):
+    trials = 2 * _RECORD_CHUNK + 37
+    rep = midpoint_concavity_scan(1, 2, trials, seed=37)
+    rep.margins[[3, _RECORD_CHUNK]] = np.nan
+    rep.margins[[5, trials - 1]] = -np.inf
+    rep.f_mid[3] = np.nan
+    new = tmp_path / "records.csv"
+    write_scan_records(rep, new)
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w") as fh:
+        fh.write("trial,k,n,variant,margin,f_left,f_right,f_mid\n")
+        for i in range(rep.trials):
+            fh.write(
+                f"{i},{rep.k},{rep.n},{rep.variant},"
+                f"{rep.margins[i]:.17g},{rep.f_left[i]:.17g},"
+                f"{rep.f_right[i]:.17g},{rep.f_mid[i]:.17g}\n"
+            )
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def test_scan_rejects_batch_size_below_one():
+    # batch_size = 0 once looped forever; the worker thread turns a hang into a failure.
+    raised = []
+
+    def scan(batch_size):
+        try:
+            midpoint_concavity_scan(1, 2, 10, seed=0, batch_size=batch_size)
+        except ValueError as exc:
+            raised.append(exc)
+
+    for batch_size in (0, -1):
+        worker = threading.Thread(target=scan, args=(batch_size,), daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), batch_size
+    assert len(raised) == 2
 
 
 def test_comparison_check_hand_example():
