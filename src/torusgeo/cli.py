@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``solve``   run the continuation solver on a configured problem and write
-              the solution, bounds report, trace, and plot data.
+              the solution, bounds report, trace, rejected attempts and plot
+              data.
 * ``sweep``   walk the right-hand side down an epsilon ladder and check that
               the second-order measurements stay uniformly bounded.
 * ``scan``    randomized midpoint concavity scan plus the segment comparison
@@ -19,6 +20,7 @@ the same inputs writes byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -67,6 +69,15 @@ def _write_trace(records, path: str) -> None:
             fh.write(rec.render() + "\n")
 
 
+def _write_rejections(rejected, path: str) -> None:
+    # The reason is free text; the csv module quotes it when it holds commas.
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("phase", "param", "reason"))
+        for phase, param, reason in rejected:
+            writer.writerow((phase, _fmt(param), reason))
+
+
 def emit_plot_data(result, outdir: str) -> None:
     """Per-iteration and per-rung residual tables for plotting.
 
@@ -105,6 +116,7 @@ def cmd_solve(args) -> int:
     write_field_bin(result.u, os.path.join(outdir, "solution.bin"))
     write_bounds_report(bounds, os.path.join(outdir, "bounds.txt"))
     _write_trace(result.records, os.path.join(outdir, "trace.csv"))
+    _write_rejections(result.rejected, os.path.join(outdir, "rejections.csv"))
     emit_plot_data(result, outdir)
 
     grid = spec.grid
@@ -117,6 +129,7 @@ def cmd_solve(args) -> int:
         f"converged = {_fmt_bool(result.converged)}",
         f"residual_sup = {_fmt(result.final_residual_sup)}",
         f"newton_iters_total = {result.newton_iters_total}",
+        f"rungs_rejected = {len(result.rejected)}",
         f"bounds_passed = {_fmt_bool(bounds.passed)}",
     ]
     if result.continuation_trace:
@@ -182,11 +195,14 @@ def cmd_sweep(args) -> int:
     records = []
     entries = epsilon_sweep(spec, cfg.sweep.epsilons, opts, on_record=records.append)
     _write_trace(records, os.path.join(outdir, "trace.csv"))
+    rejected = [row for entry in entries if entry.result is not None for row in entry.result.rejected]
+    _write_rejections(rejected, os.path.join(outdir, "rejections.csv"))
 
     measurements = []
     lines = [
         "command = sweep",
         f"rungs = {len(entries)}",
+        f"rungs_rejected = {len(rejected)}",
     ]
     with open(os.path.join(outdir, "sweep_measurements.csv"), "w") as fh:
         fh.write("epsilon,sup_utt,sup_lap_u,sup_grad_ut,drift\n")

@@ -45,18 +45,13 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     arguments (numpy arrays or scalars) and evaluates the expression.
     Anything outside the whitelist raises ConfigError at compile time.
     """
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from None
-
     names = set(variables)
 
     def check(node: ast.AST) -> None:
         if isinstance(node, ast.Expression):
             check(node.body)
         elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            if type(node.value) not in (int, float):
                 raise ConfigError(f"literal {node.value!r} not allowed in {text!r}")
         elif isinstance(node, ast.Name):
             if node.id not in names and node.id not in _ALLOWED_CONSTS:
@@ -82,7 +77,15 @@ def compile_expression(text: str, variables: tuple[str, ...]):
         else:
             raise ConfigError(f"syntax {type(node).__name__} not allowed in {text!r}")
 
-    check(tree)
+    if "#" in text:
+        raise ConfigError(f"comments are not allowed in expression {text!r}")
+    try:
+        tree = ast.parse(text, mode="eval")
+        check(tree)
+    except SyntaxError as exc:
+        raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        raise ConfigError(f"expression nests too deeply: {text[:40]!r}...") from None
 
     def evaluate(node: ast.AST, env: dict):
         if isinstance(node, ast.Expression):

@@ -11,10 +11,13 @@ U_{-c*} to the target equation through the family
 
     Q(u) = (1 - s) Q(U_{-c*}) + s f,      s: 0 -> 1,
 
-warm-starting each rung at the previous solution. The epsilon sweep reuses
-the same machinery to walk the right-hand side toward the degenerate limit
-f -> 0 while recording the weak second-order measurements that are expected
-to stay bounded uniformly in epsilon.
+warm-starting each rung at the previous solution. The step is adaptive: the
+first rung tries the full step s = 1, a failed rung is retried from the last
+accepted solution with half the step, and every accepted rung doubles the
+step. Rejected attempts are kept with their reasons in ``SolveResult.rejected``.
+The epsilon sweep reuses the same machinery to walk the right-hand side
+toward the degenerate limit f -> 0 while recording the weak second-order
+measurements that are expected to stay bounded uniformly in epsilon.
 """
 
 from __future__ import annotations
@@ -127,7 +130,8 @@ class SolveResult:
 
     ``continuation_trace`` holds one entry per accepted ladder rung:
     ``(s_or_eps, final_residual, (min_utt, min_B, min_Q))``. ``records`` is
-    the full per-iteration trace.
+    the per-iteration trace of the accepted runs. ``rejected`` lists every
+    Newton run that failed and was retried as ``(phase, param, reason)``.
     """
 
     u: ScalarField
@@ -136,6 +140,7 @@ class SolveResult:
     converged: bool
     continuation_trace: list = field(default_factory=list)
     records: list = field(default_factory=list)
+    rejected: list = field(default_factory=list)
 
 
 def barrier(spec: ProblemSpec, c: float) -> ScalarField:
@@ -361,9 +366,11 @@ def continuation_solve(
 
     Requires ``f > 0`` on the interior layers. The homotopy target at
     parameter s is ``(1 - s) Q(U_{-c*}) + s f``, which stays positive for all
-    s in [0, 1]. The ladder is uniform with ``continuation_steps`` rungs;
-    on a Newton failure the step is halved (down to 1/256 of the uniform
-    step) and the rung is retried from the last accepted solution.
+    s in [0, 1]. After the verification rung s = 0 the first rung tries the
+    full step to s = 1. On a Newton failure the attempt is recorded in
+    ``rejected``, the step is halved and the rung is retried from the last
+    accepted solution; the failure is re-raised once the step falls below
+    ``1 / (256 * continuation_steps)``. Each accepted rung doubles the step.
     """
     opts = opts or SolveOptions()
     if float(np.min(spec.f.values[1:-1])) <= 0.0:
@@ -376,6 +383,7 @@ def continuation_solve(
 
     records: list[TraceRecord] = []
     trace: list = []
+    rejected: list = []
     total = 0
 
     def run_rung(s_value: float, u_start: ScalarField) -> SolveResult:
@@ -391,15 +399,15 @@ def continuation_solve(
     records.extend(step0.records)
     trace.append(step0.continuation_trace[0])
 
-    ds_uniform = 1.0 / opts.continuation_steps
-    ds_min = ds_uniform / 256.0
-    ds = ds_uniform
+    ds_min = 1.0 / (256.0 * opts.continuation_steps)
+    ds = 1.0
     s = 0.0
     while s < 1.0:
         s_next = 1.0 if s + ds >= 1.0 - 1e-12 else s + ds
         try:
             step = run_rung(s_next, u)
-        except SolverError:
+        except SolverError as err:
+            rejected.append((phase, s_next, str(err)))
             ds *= 0.5
             if ds < ds_min:
                 raise
@@ -409,7 +417,7 @@ def continuation_solve(
         records.extend(step.records)
         trace.append(step.continuation_trace[0])
         s = s_next
-        ds = min(2.0 * ds, ds_uniform)
+        ds *= 2.0
 
     return SolveResult(
         u=u,
@@ -418,6 +426,7 @@ def continuation_solve(
         converged=True,
         continuation_trace=trace,
         records=records,
+        rejected=rejected,
     )
 
 
@@ -449,7 +458,8 @@ def epsilon_sweep(
     The target at each rung is ``eps * f_hat`` where ``f_hat`` is f scaled to
     unit sup-norm (or the constant one field when f vanishes identically).
     Rungs warm-start from the previous solution and fall back to a cold
-    continuation from the barrier when the warm start fails. Epsilons must be
+    continuation from the barrier when the warm start fails; the failed warm
+    start heads the cold result's ``rejected`` list. Epsilons must be
     positive and strictly decreasing.
     """
     opts = opts or SolveOptions()
@@ -470,6 +480,7 @@ def epsilon_sweep(
         spec_eps = replace(spec, f=ScalarField(spec.grid, eps * f_hat))
         result = None
         error = None
+        rejected: list = []
         try:
             if prev_u is not None:
                 try:
@@ -482,10 +493,11 @@ def epsilon_sweep(
                         param=eps,
                         on_record=on_record,
                     )
-                except SolverError:
-                    result = None
+                except SolverError as err:
+                    rejected.append(("sweep", eps, str(err)))
             if result is None:
                 result = continuation_solve(spec_eps, opts, on_record=on_record, phase="sweep-cold")
+                result.rejected[:0] = rejected
         except SolverError as err:
             error = str(err)
         if result is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import torusgeo as tg
+from torusgeo import solver
 from torusgeo.operator import cone_quantities
 
 
@@ -110,3 +111,17 @@ def manufactured_spec(n=32, nt=17):
     spec = tg.ProblemSpec(grid=grid, a=a, b=0.0, f=f, u0=g, u1=g)
     exact = tg.ScalarField(grid, tt * tt - tt + 0.1 * np.sin(xx))
     return spec, exact
+
+
+def fail_newton_once_at(monkeypatch, param):
+    """Make the first Newton run at continuation or sweep parameter ``param`` collapse."""
+    real = solver.newton_solve
+    failed = []
+
+    def newton(spec, rhs, u_init, opts=None, **kwargs):
+        if kwargs.get("param") == param and not failed:
+            failed.append(param)
+            raise tg.StepCollapse("injected collapse", phase=kwargs.get("phase", ""), param=param)
+        return real(spec, rhs, u_init, opts, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", newton)

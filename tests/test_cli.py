@@ -11,6 +11,8 @@ import torusgeo
 from torusgeo.cli import main
 from torusgeo.operator import LinearSolveError, LinearSystem
 
+from conftest import fail_newton_once_at
+
 
 SEPARABLE = """\
 [problem]
@@ -84,12 +86,14 @@ def test_solve_writes_artifacts(tmp_path):
         "trace.csv",
         "newton_residual.csv",
         "continuation_residual.csv",
+        "rejections.csv",
         "summary.txt",
     ):
         assert os.path.exists(os.path.join(out, name)), name
     assert first_line(os.path.join(out, "trace.csv")) == (
         "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters"
     )
+    assert open(os.path.join(out, "rejections.csv")).read() == "phase,param,reason\n"
     assert first_line(os.path.join(out, "newton_residual.csv")) == "iteration,residual"
     assert first_line(os.path.join(out, "continuation_residual.csv")) == "s,residual"
     summary = read_summary(out)
@@ -100,6 +104,30 @@ def test_solve_writes_artifacts(tmp_path):
     assert float(summary["exact_sup_error_l0"]) <= 1e-10
     assert float(summary["min_utt"]) > 0
     assert float(summary["min_Q"]) > 0
+    assert summary["rungs_rejected"] == "0"
+
+
+def test_solve_records_rejected_rung(tmp_path, monkeypatch):
+    fail_newton_once_at(monkeypatch, 1.0)
+    cfg = write_cfg(tmp_path, MANUFACTURED.replace("refinements = 1", "refinements = 0"))
+    out = str(tmp_path / "out")
+    assert main(["solve", cfg, "--output", out]) == 0
+    rows = open(os.path.join(out, "rejections.csv")).read().splitlines()
+    assert rows == ["phase,param,reason", "continuation,1,injected collapse"]
+    assert read_summary(out)["rungs_rejected"] == "1"
+    # trace.csv keeps the accepted runs only: rungs 0, 0.5 and 1
+    params = {line.split(",")[1] for line in open(os.path.join(out, "trace.csv")).read().splitlines()[1:]}
+    assert params == {"0", "0.5", "1"}
+
+
+def test_sweep_records_failed_warm_start(tmp_path, monkeypatch):
+    fail_newton_once_at(monkeypatch, 0.5)
+    cfg = write_cfg(tmp_path, SEPARABLE)
+    out = str(tmp_path / "out")
+    assert main(["sweep", cfg, "--output", out]) == 0
+    rows = open(os.path.join(out, "rejections.csv")).read().splitlines()
+    assert rows == ["phase,param,reason", "sweep,0.5,injected collapse"]
+    assert read_summary(out)["rungs_rejected"] == "1"
 
 
 def test_solve_refinement_table(tmp_path):
@@ -318,6 +346,13 @@ def test_sweep_accepts_vanishing_f(tmp_path):
     out = str(tmp_path / "out")
     assert main(["sweep", cfg, "--output", out]) == 0
     assert read_summary(out)["sweep_uniform"] == "true"
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_rejects_partly_vanishing_f(tmp_path, capsys):
+    # f = 1 + cos(x) vanishes at x = pi: only f > 0 or f identically 0 may be swept
+    cfg = write_cfg(tmp_path, SEPARABLE.replace("f = 2\n", "f = 1 + cos(x)\n"))
+    assert_bad_input(capsys, ["sweep", cfg, "--output", str(tmp_path / "out")])
 
 
 def test_module_entry_point(tmp_path):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusgeo
 from torusgeo.config import (
@@ -94,11 +96,46 @@ def test_expression_constants_and_unary():
         "x // 2",  # floor division not whitelisted
         "x if x else x",
         "x; x",  # statements never parse in eval mode
+        "True",  # bool literals are not numbers
+        "2#x",  # a comment would hide the rest from the whitelist
     ],
 )
 def test_expression_rejects(bad):
     with pytest.raises(ConfigError):
         compile_expression(bad, ("t", "x"))
+
+
+_WHITELIST = st.one_of(
+    st.sampled_from(["sin", "cos", "pi", "t", "x", "y", "+", "-", "*", "/", "**", "(", ")"]),
+    st.integers(0, 10**6).map(str),
+    st.floats(0.0, 1e6).map(repr),
+)
+_FOREIGN = st.one_of(
+    st.sampled_from(
+        ["exp", "e", "True", "None", "lambda", "if", "not", "import", "__import__", "1j", "...", "'a'"]
+        + list("'\"[]{},.:;=<>%@&|^~!?$`\\#\x00")
+        + ["//", "==", ":=", "->", "<<"]
+    ),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True).filter(
+        lambda word: word not in ("sin", "cos", "pi", "t", "x", "y")
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_WHITELIST, max_size=8), _FOREIGN, st.lists(_WHITELIST, max_size=8))
+def test_expression_outside_whitelist_raises_config_error(before, foreign, after):
+    # One token outside the whitelist anywhere in an expression makes it a
+    # ConfigError, never another exception.
+    text = " ".join(before + [foreign] + after)
+    with pytest.raises(ConfigError):
+        compile_expression(text, ("t", "x", "y"))
+
+
+@pytest.mark.parametrize("text", ["-" * 100000 + "1", "+".join(["1"] * 100000)], ids=["unary", "sum"])
+def test_expression_nesting_too_deep_is_config_error(text):
+    with pytest.raises(ConfigError):
+        compile_expression(text, ("x",))
 
 
 def test_expression_rejects_unknown_kwargs():

@@ -21,7 +21,7 @@ from torusgeo.solver import (
     uniqueness_probe,
 )
 
-from conftest import random_problem
+from conftest import fail_newton_once_at, random_problem
 
 
 def test_barrier_endpoints_and_profile(separable_spec):
@@ -110,12 +110,48 @@ def test_continuation_bisects_then_reraises_linear_solve_failure(monkeypatch):
     spec = random_problem(5, n=12, nt=7)
     with pytest.raises(LinearSolveFailure) as info:
         continuation_solve(spec)
-    # rung s = 0 needs no step; the first rung is then halved 8 times
-    # before the step falls below 1/256 of the uniform step
-    assert len(calls) == 9
+    # rung s = 0 needs no step; the full step s = 1 is then halved 11 times
+    # (to 1/2048) before the step falls below 1 / (256 * continuation_steps)
+    assert len(calls) == 12
     assert info.value.phase == "continuation"
-    assert info.value.param == pytest.approx(0.1 / 256)
+    assert info.value.param == 1.0 / 2048
     assert isinstance(info.value.__cause__, LinearSolveError)
+
+
+def test_continuation_grows_the_step_after_a_bisection(monkeypatch):
+    fail_newton_once_at(monkeypatch, 1.0)
+    res = continuation_solve(random_problem(5, n=12, nt=7))
+    assert [p for p, _res, _m in res.continuation_trace] == [0.0, 0.5, 1.0]
+    assert res.rejected == [("continuation", 1.0, "injected collapse")]
+
+
+def test_sweep_records_failed_warm_start_on_cold_result(monkeypatch, separable_spec):
+    fail_newton_once_at(monkeypatch, 0.5)
+    entries = epsilon_sweep(separable_spec, [1.0, 0.5])
+    assert entries[0].result.rejected == []
+    assert entries[1].result.rejected == [("sweep", 0.5, "injected collapse")]
+    assert [p for p, _res, _m in entries[1].result.continuation_trace] == [0.0, 1.0]
+
+
+def test_roadmap_problem_takes_the_full_step():
+    # A deterministic Newton-count gate: one full homotopy step suffices on
+    # the 2D 16^2x9 instance of a = 1 + 0.2 sin x cos y, b = 0.1,
+    # f = 2 - 0.3 cos x sin y, u0 = 0.1 sin(x + y), u1 = -0.1 cos(x - y).
+    grid = GridSpec(spatial_dim=2, nodes_per_axis=16, time_nodes=9)
+    x, y = grid.spatial_meshes()
+    f = np.broadcast_to(2.0 - 0.3 * np.cos(x) * np.sin(y), grid.field_shape)
+    spec = ProblemSpec(
+        grid=grid,
+        a=SpaceField(grid, 1.0 + 0.2 * np.sin(x) * np.cos(y)),
+        b=0.1,
+        f=ScalarField(grid, f.copy()),
+        u0=SpaceField(grid, 0.1 * np.sin(x + y)),
+        u1=SpaceField(grid, -0.1 * np.cos(x - y)),
+    )
+    res = continuation_solve(spec)
+    assert [p for p, _res, _m in res.continuation_trace] == [0.0, 1.0]
+    assert res.newton_iters_total <= 6
+    assert res.rejected == []
 
 
 def test_newton_requires_positive_rhs(separable_spec):
