@@ -195,7 +195,7 @@ def cmd_sweep(args) -> int:
     records = []
     entries = epsilon_sweep(spec, cfg.sweep.epsilons, opts, on_record=records.append)
     _write_trace(records, os.path.join(outdir, "trace.csv"))
-    rejected = [row for entry in entries if entry.result is not None for row in entry.result.rejected]
+    rejected = [row for entry in entries for row in entry.rejected]
     _write_rejections(rejected, os.path.join(outdir, "rejections.csv"))
 
     measurements = []

@@ -308,6 +308,8 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"epsilons must be a list of floats, got {sec['epsilons']!r}") from None
         if not eps:
             raise ConfigError("epsilons must be nonempty")
+        if not all(math.isfinite(e) and e > 0.0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ConfigError(f"epsilons must be finite, positive and strictly decreasing, got {sec['epsilons']!r}")
         cfg.sweep = SweepConfig(epsilons=eps)
 
     if parser.has_section("scan"):

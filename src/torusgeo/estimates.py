@@ -21,10 +21,14 @@ import numpy as np
 
 from .mesh import (
     ScalarField,
+    _d_t_array,
+    _lap_array,
     _pad_edge,
     argmax_node,
     d_t,
     d_t_interior,
+    full_node,
+    grad_sq,
     gradient,
     laplacian,
 )
@@ -296,21 +300,17 @@ def weak_c2_report(u: ScalarField, spec: ProblemSpec, cone: ConeData | None = No
     iu = argmax_node(cone.utt)
     lap_abs = np.abs(laplacian(u).values)
     il = argmax_node(lap_abs)
-    gut_sq = np.zeros_like(cone.utt)
-    for g in cone.grad_ut:
-        gut_sq += g * g
+    gut_sq = grad_sq(cone.grad_ut)
     ig = argmax_node(gut_sq)
-    gu_sq = np.zeros_like(u.values)
-    for g in gradient(u):
-        gu_sq += g.values * g.values
+    gu_sq = grad_sq([g.values for g in gradient(u)])
     igu = argmax_node(gu_sq)
     return WeakC2Report(
         sup_utt=float(cone.utt[iu]),
-        loc_utt=(iu[0] + 1,) + iu[1:],
+        loc_utt=full_node(iu),
         sup_lap_u=float(lap_abs[il]),
         loc_lap_u=il,
         sup_grad_ut=float(np.sqrt(gut_sq[ig])),
-        loc_grad_ut=(ig[0] + 1,) + ig[1:],
+        loc_grad_ut=full_node(ig),
         sup_grad_u=float(np.sqrt(gu_sq[igu])),
         loc_grad_u=igu,
     )
@@ -333,30 +333,27 @@ def identity_suite(
     e1 = float(np.max(np.abs(ls.apply(t))))
     t2 = t * t
     e2 = float(np.max(np.abs(ls.apply(t2) - 2.0 * cone.b_interior)))
-    gu_sq = np.zeros_like(cone.utt)
-    for g in cone.grad_u:
-        gu_sq += g * g
-    target = 2.0 * rhs.values[1:-1] - (spec.a.values + spec.b * gu_sq) * cone.utt
+    target = 2.0 * rhs.values[1:-1] - (spec.a.values + spec.b * grad_sq(cone.grad_u)) * cone.utt
     e3 = float(np.max(np.abs(ls.apply(u) - target)))
     return IdentityErrors(err_dq_t=e1, err_dq_t2=e2, err_dq_u=e3)
 
 
 def f_dependencies(spec: ProblemSpec) -> FDependencies:
-    """Functionals of f entering the continuum estimate constants."""
+    """Functionals of f entering the continuum estimate constants; one whose stencil
+    overflows float64 (f near the top of the float range) reads inf or nan."""
     grid = spec.grid
-    f = ScalarField(grid, spec.f.values)
-    f_tt = (f.values[2:] - 2.0 * f.values[1:-1] + f.values[:-2]) / grid.ht**2
-    sup_neg_f_tt = max(0.0, float(np.max(-f_tt))) if f_tt.size else 0.0
-    ft = d_t(f).values
-    mask = spec.f.values > 0.0
-    sup_ratio = float(np.max(ft[mask] ** 2 / spec.f.values[mask])) if np.any(mask) else 0.0
-    lap_f = laplacian(f).values
-    sqrt_f = ScalarField(grid, np.sqrt(np.maximum(spec.f.values, 0.0)))
-    d_sq = d_t(sqrt_f).values ** 2
-    for g in gradient(sqrt_f):
-        d_sq = d_sq + g.values**2
+    fv = spec.f.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_tt = (fv[2:] - 2.0 * fv[1:-1] + fv[:-2]) / grid.ht**2
+        sup_neg_f_tt = max(0.0, float(np.max(-f_tt))) if f_tt.size else 0.0
+        ft = _d_t_array(fv, grid.ht)
+        mask = fv > 0.0
+        sup_ratio = float(np.max(ft[mask] ** 2 / fv[mask])) if np.any(mask) else 0.0
+        lap_f = _lap_array(fv, tuple(range(1, 1 + grid.spatial_dim)), grid.hx)
+    sqrt_f = ScalarField(grid, np.sqrt(np.maximum(fv, 0.0)))
+    d_sq = grad_sq([g.values for g in gradient(sqrt_f)], start=d_t(sqrt_f).values ** 2)
     return FDependencies(
-        sup_f=float(np.max(spec.f.values)),
+        sup_f=float(np.max(fv)),
         sup_neg_f_tt=sup_neg_f_tt,
         sup_ft_sq_over_f=sup_ratio,
         sup_neg_lap_f=max(0.0, float(np.max(-lap_f))),
@@ -369,10 +366,7 @@ def gradient_estimate_probe(u: ScalarField, spec: ProblemSpec, lam: float) -> Gr
     first-order condition in time when the maximum is interior."""
     grid = spec.grid
     gu = gradient(u)
-    h = float(lam) * u.values**2
-    for g in gu:
-        h = h + g.values**2
-    h = 0.5 * h
+    h = 0.5 * grad_sq([g.values for g in gu], start=float(lam) * u.values**2)
     loc = argmax_node(h)
     layer = loc[0]
     node = loc[1:]

@@ -200,6 +200,14 @@ def gradient(field) -> list:
     return [type(field)(field.grid, g) for g in grads]
 
 
+def grad_sq(components: list, start: np.ndarray | None = None) -> np.ndarray:
+    """Sum of the squared component arrays, added in order onto ``start`` (in place) or zeros."""
+    total = np.zeros_like(components[0]) if start is None else start
+    for g in components:
+        total += g * g
+    return total
+
+
 def _pad_edge(interior_vals: np.ndarray) -> np.ndarray:
     """Extend an interior-layer array to full shape by copying the end layers."""
     out = np.empty((interior_vals.shape[0] + 2,) + interior_vals.shape[1:])
@@ -231,13 +239,15 @@ def d_t(field: ScalarField) -> ScalarField:
     Layer 0 uses ``(-3 v[0] + 4 v[1] - v[2]) / (2 ht)`` and layer Nt-1 its
     mirror image, so the operator is exact on quadratics in t everywhere.
     """
-    v = field.values
-    ht = field.grid.ht
+    return ScalarField(field.grid, _d_t_array(field.values, field.grid.ht))
+
+
+def _d_t_array(v: np.ndarray, ht: float) -> np.ndarray:
     out = np.empty_like(v)
     out[1:-1] = d_t_interior(v, ht)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * ht)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * ht)
-    return ScalarField(field.grid, out)
+    return out
 
 
 def grad_t_interior(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
@@ -286,6 +296,11 @@ def argmax_node(values: np.ndarray) -> tuple:
 def argmin_node(values: np.ndarray) -> tuple:
     flat = int(np.argmin(values))
     return tuple(int(i) for i in np.unravel_index(flat, values.shape))
+
+
+def full_node(node: tuple) -> tuple:
+    """Full-time-axis index of a node indexed on the interior layers."""
+    return (node[0] + 1,) + node[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ from .mesh import (
     argmin_node,
     d_t_interior,
     d_tt_interior,
+    full_node,
+    grad_sq,
     grad_t_interior,
 )
 
@@ -56,11 +58,7 @@ def _space_b_values(w: np.ndarray, a: np.ndarray, b: float, grid: GridSpec) -> n
     """B of a single time slice: lap w - b |grad w|^2 + a."""
     axes = tuple(range(grid.spatial_dim))
     lap = _lap_array(w, axes, grid.hx)
-    grads = _grad_arrays(w, axes, grid.hx)
-    gsq = np.zeros_like(w)
-    for g in grads:
-        gsq += g * g
-    return lap - b * gsq + a
+    return lap - b * grad_sq(_grad_arrays(w, axes, grid.hx)) + a
 
 
 @dataclass
@@ -148,11 +146,7 @@ class ConeData:
         return self.b_full[1:-1]
 
     def admissible(self) -> bool:
-        return (
-            float(np.min(self.utt)) > 0.0
-            and float(np.min(self.b_full)) > 0.0
-            and float(np.min(self.q)) > 0.0
-        )
+        return AdmissibilityReport.from_cone(self).admissible
 
 
 def cone_quantities(u_values: np.ndarray, spec: ProblemSpec) -> ConeData:
@@ -161,10 +155,7 @@ def cone_quantities(u_values: np.ndarray, spec: ProblemSpec) -> ConeData:
     axes = tuple(range(1, 1 + grid.spatial_dim))
     lap = _lap_array(u_values, axes, grid.hx)
     grads = _grad_arrays(u_values, axes, grid.hx)
-    gsq = np.zeros_like(u_values)
-    for g in grads:
-        gsq += g * g
-    b_full = lap - spec.b * gsq + spec.a.values
+    b_full = lap - spec.b * grad_sq(grads) + spec.a.values
     utt = d_tt_interior(u_values, grid.ht)
     grad_ut = grad_t_interior(u_values, grid)
     q = utt * b_full[1:-1]
@@ -229,13 +220,22 @@ class AdmissibilityReport:
         min_q = float(cone.q[iq])
         return cls(
             min_utt=min_utt,
-            loc_utt=(iu[0] + 1,) + iu[1:],
+            loc_utt=full_node(iu),
             min_b=min_b,
             loc_b=ib,
             min_q=min_q,
-            loc_q=(iq[0] + 1,) + iq[1:],
+            loc_q=full_node(iq),
             admissible=bool(min_utt > 0.0 and min_b > 0.0 and min_q > 0.0),
         )
+
+    @property
+    def mins(self) -> tuple[float, float, float]:
+        return (self.min_utt, self.min_b, self.min_q)
+
+    def worst(self) -> tuple[str, tuple, float]:
+        """(name, node, value) of the smallest of the three margins."""
+        margins = (("u_tt", self.loc_utt, self.min_utt), ("B", self.loc_b, self.min_b), ("Q", self.loc_q, self.min_q))
+        return min(margins, key=lambda m: m[2])
 
 
 def symbol_matrix(utt: float, b_value: float, grad_ut) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Barrier construction, damped Newton iteration and continuation drivers.
+"""Barrier construction, damped Newton iteration and the homotopy driver.
 
 The solve strategy is interior-point flavoured: every iterate keeps the three
 cone margins u_tt, B_u and Q strictly positive. A fraction-to-boundary line
@@ -6,31 +6,34 @@ search first shrinks the step until the trial keeps at least a fixed fraction
 of each current margin at every node, then keeps halving until the residual
 sup-norm strictly decreases.
 
-The continuation driver connects the explicitly admissible quadratic barrier
-U_{-c*} to the target equation through the family
+One homotopy driver follows a path of right-hand sides p -> rhs(p) from a
+solved start, warm-starting each rung at the previous solution. Its step is
+adaptive: the first rung tries the full step, a failed rung is retried from
+the last accepted solution with half the step, every accepted rung doubles
+the step, and rejected attempts are kept with their reasons. The continuation
+solve drives it along
 
     Q(u) = (1 - s) Q(U_{-c*}) + s f,      s: 0 -> 1,
 
-warm-starting each rung at the previous solution. The step is adaptive: the
-first rung tries the full step s = 1, a failed rung is retried from the last
-accepted solution with half the step, and every accepted rung doubles the
-step. Rejected attempts are kept with their reasons in ``SolveResult.rejected``.
-The epsilon sweep reuses the same machinery to walk the right-hand side
-toward the degenerate limit f -> 0 while recording the weak second-order
-measurements that are expected to stay bounded uniformly in epsilon.
+from the explicitly admissible quadratic barrier U_{-c*}; the uniqueness
+probe does the same from two barriers. The epsilon sweep drives it from one
+eps of its ladder to the next on eps * f_hat, walking toward the degenerate
+limit f -> 0 while recording the weak second-order measurements that are
+expected to stay bounded uniformly in epsilon.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .estimates import BoundsReport, bounds_report
-from .mesh import GridSpec, ScalarField, argmax_node, argmin_node, gradient
+from .mesh import ScalarField, argmax_node, argmin_node, full_node, grad_sq, gradient
 from .operator import (
-    ConeData,
+    AdmissibilityReport,
     InvalidProblem,
     LinearSolveError,
     ProblemSpec,
@@ -173,12 +176,7 @@ def compute_c_star(spec: ProblemSpec) -> float:
     m = min(float(np.min(b0)), float(np.min(b1)))
     if m <= 0.0:
         raise InvalidProblem(f"convex combination of boundary B values is not positive (min {m!r})")
-    g0 = gradient(spec.u0)
-    g1 = gradient(spec.u1)
-    gd = np.zeros(spec.grid.spatial_shape)
-    for ga, gb in zip(g0, g1):
-        d = ga.values - gb.values
-        gd += d * d
+    gd = grad_sq([ga.values - gb.values for ga, gb in zip(gradient(spec.u0), gradient(spec.u1))])
     g = float(np.max(gd))
     target = max(float(np.max(spec.f.values)), 1.0)
     return (target + g) / (2.0 * m)
@@ -199,27 +197,11 @@ def _require_rhs_positive(rhs: ScalarField) -> np.ndarray:
     rhs_int = rhs.values[1:-1]
     m = float(np.min(rhs_int))
     if m <= 0.0:
-        node = argmin_node(rhs_int)
         raise ValueError(
             f"Newton target must be positive on interior layers; rhs={m!r} at node "
-            f"({node[0] + 1},{node[1:]})"
+            f"{full_node(argmin_node(rhs_int))}"
         )
     return rhs_int
-
-
-def _admissibility_failure_node(cone: ConeData) -> tuple[str, tuple, float]:
-    candidates = []
-    iu = argmin_node(cone.utt)
-    candidates.append(("u_tt", (iu[0] + 1,) + iu[1:], float(cone.utt[iu])))
-    ib = argmin_node(cone.b_full)
-    candidates.append(("B", ib, float(cone.b_full[ib])))
-    iq = argmin_node(cone.q)
-    candidates.append(("Q", (iq[0] + 1,) + iq[1:], float(cone.q[iq])))
-    return min(candidates, key=lambda c: c[2])
-
-
-def _mins(cone: ConeData) -> tuple[float, float, float]:
-    return (float(np.min(cone.utt)), float(np.min(cone.b_full)), float(np.min(cone.q)))
 
 
 def newton_solve(
@@ -258,8 +240,9 @@ def newton_solve(
         raise ValueError("u_init boundary layers do not match the problem's Dirichlet data")
 
     cone = cone_quantities(u, spec)
-    if not cone.admissible():
-        what, node, value = _admissibility_failure_node(cone)
+    report = AdmissibilityReport.from_cone(cone)
+    if not report.admissible:
+        what, node, value = report.worst()
         raise LostAdmissibility(
             f"initial iterate is not admissible: {what} = {value!r} at node {node}",
             node=node,
@@ -273,8 +256,7 @@ def newton_solve(
     records: list[TraceRecord] = []
 
     def emit(iteration: int, alpha: float, lin_iters: int) -> None:
-        mu, mb, mq = _mins(cone)
-        rec = TraceRecord(phase, param, iteration, res_sup, mu, mb, mq, alpha, lin_iters)
+        rec = TraceRecord(phase, param, iteration, res_sup, *report.mins, alpha, lin_iters)
         records.append(rec)
         if on_record is not None:
             on_record(rec)
@@ -283,11 +265,10 @@ def newton_solve(
     iters = 0
     while res_sup > opts.newton_tol:
         if iters >= opts.max_newton_iters:
-            node = argmax_node(np.abs(res))
+            node = full_node(argmax_node(np.abs(res)))
             raise NonConvergence(
-                f"no convergence after {iters} iterations; residual {res_sup!r} at node "
-                f"({node[0] + 1},{node[1:]})",
-                node=(node[0] + 1,) + node[1:],
+                f"no convergence after {iters} iterations; residual {res_sup!r} at node {node}",
+                node=node,
                 phase=phase,
                 param=param,
             )
@@ -316,11 +297,11 @@ def newton_solve(
             alpha *= 0.5
             if alpha < opts.min_step_shrink:
                 if margin_ok:
-                    node = argmax_node(np.abs(t_res))
+                    node = full_node(argmax_node(np.abs(t_res)))
                     raise StepCollapse(
                         f"line search stalled: residual {t_sup!r} does not drop below {res_sup!r} "
-                        f"near node ({node[0] + 1},{node[1:]})",
-                        node=(node[0] + 1,) + node[1:],
+                        f"near node {node}",
+                        node=node,
                         phase=phase,
                         param=param,
                     )
@@ -328,31 +309,90 @@ def newton_solve(
                     t_cone.utt - floor * cone.utt,
                     np.minimum(t_cone.b_interior - floor * cone.b_interior, t_cone.q - floor * cone.q),
                 )
-                node = argmin_node(defects)
+                node = full_node(argmin_node(defects))
                 raise StepCollapse(
                     f"line search collapsed below {opts.min_step_shrink}: cone margin violated at node "
-                    f"({node[0] + 1},{node[1:]})",
-                    node=(node[0] + 1,) + node[1:],
+                    f"{node}",
+                    node=node,
                     phase=phase,
                     param=param,
                 )
 
         u = trial
         cone = trial_cone
+        report = AdmissibilityReport.from_cone(cone)
         res = cone.q - rhs_int
         res_sup = float(np.max(np.abs(res)))
         iters += 1
         emit(iters, alpha, ls.iterations)
 
-    mu, mb, mq = _mins(cone)
     return SolveResult(
         u=ScalarField(grid, u),
         final_residual_sup=res_sup,
         newton_iters_total=iters,
         converged=True,
-        continuation_trace=[(param, res_sup, (mu, mb, mq))],
+        continuation_trace=[(param, res_sup, report.mins)],
         records=records,
     )
+
+
+def _follow_path(
+    spec: ProblemSpec, target, p0: float, p1: float, opts: SolveOptions, log: SolveResult, *, phase: str, on_record
+) -> SolveResult:
+    """The homotopy driver: follow Q(u) = target(p) from p0 to p1, starting at ``log.u``.
+
+    ``log.u`` must solve the problem at p0. The step is a fraction of the
+    path and starts as the full step to p1. A failed Newton run is appended
+    to ``log.rejected`` as ``(phase, p, reason)`` and retried from the last
+    accepted solution with half the step; the failure is re-raised once the
+    step falls below ``1 / (256 * continuation_steps)``. Every accepted rung
+    is appended to ``log`` and doubles the step. Returns ``log``.
+    """
+    ds_min = 1.0 / (256.0 * opts.continuation_steps)
+    ds = 1.0
+    s = 0.0
+    while s < 1.0:
+        s_next = 1.0 if s + ds >= 1.0 - 1e-12 else s + ds
+        p = p1 if s_next == 1.0 else p0 + s_next * (p1 - p0)
+        try:
+            step = newton_solve(spec, target(p), log.u, opts, phase=phase, param=p, on_record=on_record)
+        except SolverError as err:
+            log.rejected.append((phase, p, str(err)))
+            ds *= 0.5
+            if ds < ds_min:
+                raise
+            continue
+        log.u = step.u
+        log.final_residual_sup = step.final_residual_sup
+        log.newton_iters_total += step.newton_iters_total
+        log.records.extend(step.records)
+        log.continuation_trace.extend(step.continuation_trace)
+        s = s_next
+        ds *= 2.0
+    return log
+
+
+def _barrier_continuation(
+    spec: ProblemSpec, scale: float, opts: SolveOptions, *, phase: str, on_record=None, rejected=None
+) -> SolveResult:
+    """Follow ``(1 - s) Q(U_{-c}) + s f`` from the barrier at s = 0 to s = 1, c = scale * c*."""
+    if float(np.min(spec.f.values[1:-1])) <= 0.0:
+        node = full_node(argmin_node(spec.f.values[1:-1]))
+        raise InvalidProblem(f"continuation requires f > 0 on interior layers; node {node}", node)
+    u = barrier(spec, -scale * compute_c_star(spec))
+    try:
+        q_barrier = apply_Q(u, spec).values
+    except ValueError as err:  # Q(U_{-c}) overflows float64 when f is near the top of the range
+        raise SolverError(f"starting barrier out of float range: {err}", phase=phase, param=0.0) from None
+
+    def target(s: float) -> ScalarField:
+        return ScalarField(spec.grid, (1.0 - s) * q_barrier + s * spec.f.values)
+
+    # Rung s = 0 verifies that the barrier itself solves the starting problem.
+    log = newton_solve(spec, target(0.0), u, opts, phase=phase, param=0.0, on_record=on_record)
+    if rejected is not None:
+        log.rejected = rejected
+    return _follow_path(spec, target, 0.0, 1.0, opts, log, phase=phase, on_record=on_record)
 
 
 def continuation_solve(
@@ -361,72 +401,20 @@ def continuation_solve(
     *,
     on_record=None,
     phase: str = "continuation",
+    rejected: list | None = None,
 ) -> SolveResult:
     """Solve Q(u) = f by continuation from the barrier.
 
     Requires ``f > 0`` on the interior layers. The homotopy target at
     parameter s is ``(1 - s) Q(U_{-c*}) + s f``, which stays positive for all
-    s in [0, 1]. After the verification rung s = 0 the first rung tries the
-    full step to s = 1. On a Newton failure the attempt is recorded in
-    ``rejected``, the step is halved and the rung is retried from the last
-    accepted solution; the failure is re-raised once the step falls below
-    ``1 / (256 * continuation_steps)``. Each accepted rung doubles the step.
+    s in [0, 1]. After the verification rung s = 0 the homotopy driver takes
+    the path to s = 1: full step first, half the step after a failed rung,
+    re-raising below ``1 / (256 * continuation_steps)``, twice the step after
+    an accepted one. Failed rungs are appended to ``rejected``, which may be a
+    caller-owned list that keeps them when the solve raises.
     """
-    opts = opts or SolveOptions()
-    if float(np.min(spec.f.values[1:-1])) <= 0.0:
-        node = argmin_node(spec.f.values[1:-1])
-        node = (node[0] + 1,) + node[1:]
-        raise InvalidProblem(f"continuation requires f > 0 on interior layers; node {node}", node)
-    c_star = compute_c_star(spec)
-    u = barrier(spec, -c_star)
-    q_barrier = apply_Q(u, spec).values
-
-    records: list[TraceRecord] = []
-    trace: list = []
-    rejected: list = []
-    total = 0
-
-    def run_rung(s_value: float, u_start: ScalarField) -> SolveResult:
-        rhs = ScalarField(spec.grid, (1.0 - s_value) * q_barrier + s_value * spec.f.values)
-        return newton_solve(
-            spec, rhs, u_start, opts, phase=phase, param=s_value, on_record=on_record
-        )
-
-    # Rung s = 0 verifies that the barrier itself solves the starting problem.
-    step0 = run_rung(0.0, u)
-    u = step0.u
-    total += step0.newton_iters_total
-    records.extend(step0.records)
-    trace.append(step0.continuation_trace[0])
-
-    ds_min = 1.0 / (256.0 * opts.continuation_steps)
-    ds = 1.0
-    s = 0.0
-    while s < 1.0:
-        s_next = 1.0 if s + ds >= 1.0 - 1e-12 else s + ds
-        try:
-            step = run_rung(s_next, u)
-        except SolverError as err:
-            rejected.append((phase, s_next, str(err)))
-            ds *= 0.5
-            if ds < ds_min:
-                raise
-            continue
-        u = step.u
-        total += step.newton_iters_total
-        records.extend(step.records)
-        trace.append(step.continuation_trace[0])
-        s = s_next
-        ds *= 2.0
-
-    return SolveResult(
-        u=u,
-        final_residual_sup=trace[-1][1],
-        newton_iters_total=total,
-        converged=True,
-        continuation_trace=trace,
-        records=records,
-        rejected=rejected,
+    return _barrier_continuation(
+        spec, 1.0, opts or SolveOptions(), phase=phase, on_record=on_record, rejected=rejected
     )
 
 
@@ -437,6 +425,8 @@ class SweepEntry:
     ``drift`` is the sup-distance to the previous rung's solution (nan for
     the first rung or after a failure). Failed rungs carry ``error`` text and
     ``result is None``; the sweep restarts cold on the next rung.
+    ``rejected`` lists every failed Newton run of the rung as ``(phase,
+    param, reason)``, warm path first; it is ``result.rejected`` when set.
     """
 
     epsilon: float
@@ -444,6 +434,7 @@ class SweepEntry:
     bounds: BoundsReport | None
     drift: float
     error: str | None = None
+    rejected: list = field(default_factory=list)
 
 
 def epsilon_sweep(
@@ -457,73 +448,68 @@ def epsilon_sweep(
 
     The target at each rung is ``eps * f_hat`` where ``f_hat`` is f scaled to
     unit sup-norm (or the constant one field when f vanishes identically).
-    Rungs warm-start from the previous solution and fall back to a cold
-    continuation from the barrier when the warm start fails; the failed warm
-    start heads the cold result's ``rejected`` list. Epsilons must be
-    positive and strictly decreasing.
+    Each rung starts from the previous rung's solution and follows the
+    homotopy driver on ``p * f_hat`` from the previous eps to this one: the
+    full step is a plain warm start at eps, a failure bisects in eps, and the
+    ``param`` of the trace records is eps throughout. When the warm path
+    fails, the rung falls back to a cold :func:`continuation_solve` from the
+    barrier. Every failed attempt of a rung, warm ones first, is in the
+    entry's ``rejected`` list, also when the cold fallback fails too.
+    Epsilons must be finite, positive and strictly decreasing.
     """
     opts = opts or SolveOptions()
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
         raise ValueError("epsilon ladder is empty")
-    if any(e <= 0.0 for e in eps_list):
-        raise ValueError(f"epsilons must be positive, got {eps_list}")
+    if not all(math.isfinite(e) and e > 0.0 for e in eps_list):
+        raise ValueError(f"epsilons must be finite and positive, got {eps_list}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError(f"epsilons must be strictly decreasing, got {eps_list}")
 
     sup_f = float(np.max(spec.f.values))
     f_hat = spec.f.values / sup_f if sup_f > 0.0 else np.ones(spec.grid.field_shape)
 
+    def target(p: float) -> ScalarField:
+        return ScalarField(spec.grid, p * f_hat)
+
     entries: list[SweepEntry] = []
     prev_u: ScalarField | None = None
+    prev_eps = math.nan
     for eps in eps_list:
-        spec_eps = replace(spec, f=ScalarField(spec.grid, eps * f_hat))
-        result = None
-        error = None
-        rejected: list = []
+        spec_eps = replace(spec, f=target(eps))
+        entry = SweepEntry(epsilon=eps, result=None, bounds=None, drift=math.nan)
+        entries.append(entry)
         try:
             if prev_u is not None:
-                try:
-                    result = newton_solve(
-                        spec_eps,
-                        spec_eps.f,
-                        prev_u,
-                        opts,
-                        phase="sweep",
-                        param=eps,
-                        on_record=on_record,
+                warm = SolveResult(prev_u, math.nan, 0, True, rejected=entry.rejected)
+                with contextlib.suppress(SolverError):  # the failed attempts stay in entry.rejected
+                    entry.result = _follow_path(
+                        spec_eps, target, prev_eps, eps, opts, warm, phase="sweep", on_record=on_record
                     )
-                except SolverError as err:
-                    rejected.append(("sweep", eps, str(err)))
-            if result is None:
-                result = continuation_solve(spec_eps, opts, on_record=on_record, phase="sweep-cold")
-                result.rejected[:0] = rejected
+            if entry.result is None:
+                entry.result = continuation_solve(
+                    spec_eps, opts, on_record=on_record, phase="sweep-cold", rejected=entry.rejected
+                )
         except SolverError as err:
-            error = str(err)
-        if result is None:
-            entries.append(SweepEntry(epsilon=eps, result=None, bounds=None, drift=math.nan, error=error))
+            entry.error = str(err)
             prev_u = None
             continue
-        drift = (
-            float(np.max(np.abs(result.u.values - prev_u.values))) if prev_u is not None else math.nan
-        )
-        bounds = bounds_report(result.u, spec_eps, compute_c_star(spec_eps), rhs=spec_eps.f)
-        entries.append(SweepEntry(epsilon=eps, result=result, bounds=bounds, drift=drift))
-        prev_u = result.u
+        if prev_u is not None:
+            entry.drift = float(np.max(np.abs(entry.result.u.values - prev_u.values)))
+        entry.bounds = bounds_report(entry.result.u, spec_eps, compute_c_star(spec_eps), rhs=spec_eps.f)
+        prev_u, prev_eps = entry.result.u, eps
     return entries
 
 
 def uniqueness_probe(spec: ProblemSpec, opts: SolveOptions | None = None) -> float:
     """Sup-distance between solutions reached from two distinct barriers.
 
-    Runs plain Newton for Q(u) = f from ``U_{-c*}`` and from ``U_{-2 c*}``
-    and returns the sup-norm of the difference; for a well-posed instance
-    both runs land on the same discrete solution up to solver tolerance.
+    Runs the continuation of :func:`continuation_solve` from ``U_{-c*}`` and
+    from ``U_{-2 c*}`` (f > 0 on the interior layers) and returns the sup-norm
+    of the difference; for a well-posed instance both runs land on the same
+    discrete solution up to solver tolerance.
     """
     opts = opts or SolveOptions()
-    if float(np.min(spec.f.values[1:-1])) <= 0.0:
-        raise ValueError("uniqueness probe requires f > 0 on interior layers")
-    c_star = compute_c_star(spec)
-    r1 = newton_solve(spec, spec.f, barrier(spec, -c_star), opts, phase="uniqueness", param=1.0)
-    r2 = newton_solve(spec, spec.f, barrier(spec, -2.0 * c_star), opts, phase="uniqueness", param=2.0)
+    r1 = _barrier_continuation(spec, 1.0, opts, phase="uniqueness")
+    r2 = _barrier_continuation(spec, 2.0, opts, phase="uniqueness")
     return float(np.max(np.abs(r1.u.values - r2.u.values)))

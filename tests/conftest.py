@@ -113,15 +113,27 @@ def manufactured_spec(n=32, nt=17):
     return spec, exact
 
 
-def fail_newton_once_at(monkeypatch, param):
-    """Make the first Newton run at continuation or sweep parameter ``param`` collapse."""
+def fail_newton(monkeypatch, when):
+    """Make every Newton run for which ``when(spec, phase, param)`` holds collapse."""
     real = solver.newton_solve
-    failed = []
 
     def newton(spec, rhs, u_init, opts=None, **kwargs):
-        if kwargs.get("param") == param and not failed:
-            failed.append(param)
-            raise tg.StepCollapse("injected collapse", phase=kwargs.get("phase", ""), param=param)
+        phase, param = kwargs.get("phase", ""), kwargs.get("param")
+        if when(spec, phase, param):
+            raise tg.StepCollapse("injected collapse", phase=phase, param=param)
         return real(spec, rhs, u_init, opts, **kwargs)
 
     monkeypatch.setattr(solver, "newton_solve", newton)
+
+
+def fail_newton_once_at(monkeypatch, param):
+    """Make the first Newton run at continuation or sweep parameter ``param`` collapse."""
+    failed = []
+
+    def once(_spec, _phase, p):
+        if p == param and not failed:
+            failed.append(p)
+            return True
+        return False
+
+    fail_newton(monkeypatch, once)

@@ -6,12 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import torusgeo
 from torusgeo.cli import main
+from torusgeo.mesh import GridSpec, ScalarField, write_field_bin, write_field_csv
 from torusgeo.operator import LinearSolveError, LinearSystem
 
-from conftest import fail_newton_once_at
+from conftest import fail_newton, fail_newton_once_at
 
 
 SEPARABLE = """\
@@ -128,6 +131,24 @@ def test_sweep_records_failed_warm_start(tmp_path, monkeypatch):
     rows = open(os.path.join(out, "rejections.csv")).read().splitlines()
     assert rows == ["phase,param,reason", "sweep,0.5,injected collapse"]
     assert read_summary(out)["rungs_rejected"] == "1"
+
+
+def test_sweep_records_rung_that_fails_outright(tmp_path, monkeypatch):
+    # every run on the eps = 0.5 rung fails but the cold verification rung s = 0; with
+    # continuation_steps = 4 the step is halved down to 1/1024 on the warm path and cold
+    fail_newton(monkeypatch, lambda spec, _phase, p: np.max(spec.f.values) == 0.5 and p != 0.0)
+    cfg = write_cfg(tmp_path, SEPARABLE)
+    out = str(tmp_path / "out")
+    assert main(["sweep", cfg, "--output", out]) == 1
+    rows = open(os.path.join(out, "rejections.csv")).read().splitlines()
+    assert len(rows) == 1 + 22
+    assert rows[1] == "sweep,0.5,injected collapse"
+    assert rows[12] == "sweep-cold,1,injected collapse"
+    assert rows[-1] == "sweep-cold,0.0009765625,injected collapse"
+    summary = read_summary(out)
+    assert summary["rungs_rejected"] == "22"
+    assert summary["failed_rungs"] == "1"
+    assert summary["rung_001_error"] == "injected collapse"
 
 
 def test_solve_refinement_table(tmp_path):
@@ -322,6 +343,69 @@ def test_solve_bad_input_exits_2(tmp_path, capsys, old, new):
 def test_scan_bad_config_exits_2(tmp_path, capsys, old, new):
     cfg = write_cfg(tmp_path, SEPARABLE.replace(old, new))
     assert_bad_input(capsys, ["scan", cfg, "--output", str(tmp_path / "out")])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "epsilons", ["1, 2", "1, 1", "-1", "nan", "inf"], ids=["increasing", "repeated", "negative", "nan", "inf"]
+)
+def test_sweep_bad_epsilons_exit_2(tmp_path, capsys, epsilons):
+    cfg = write_cfg(tmp_path, SEPARABLE.replace("epsilons = 1, 0.5, 0.25", f"epsilons = {epsilons}"))
+    assert_bad_input(capsys, ["sweep", cfg, "--output", str(tmp_path / "out")])
+
+
+# Derandomized, no example database; every example rewrites the same files under tmp_path.
+_CLI_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _valid_ladder(eps) -> bool:
+    return bool(eps) and all(np.isfinite(e) and e > 0.0 for e in eps) and all(b < a for a, b in zip(eps, eps[1:]))
+
+
+@_CLI_SETTINGS
+@given(st.lists(st.floats(), max_size=4))
+@example([1.0, 2.0])
+@example([float("nan")])
+@example([1e308])  # the bounds report's stencils on f overflow: inf and nan, not a crash
+@example([1.7976931348623157e308])  # Q of the starting barrier overflows: a solver failure
+def test_sweep_exit_code_over_drawn_epsilons(tmp_path, capsys, eps):
+    text = SEPARABLE.replace("nodes_per_axis = 16", "nodes_per_axis = 8").replace("time_nodes = 9", "time_nodes = 5")
+    cfg = write_cfg(tmp_path, text.replace("epsilons = 1, 0.5, 0.25", "epsilons = " + ", ".join(map(repr, eps))))
+    code = main(["sweep", cfg, "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert (code == 2) == (not _valid_ladder(eps)), (code, err)
+
+
+@_CLI_SETTINGS
+@given(st.sampled_from(["bin", "csv"]), st.sampled_from(["truncate", "corrupt"]), st.data())
+def test_verify_broken_dump_exits_2(tmp_path, capsys, kind, how, data):
+    cfg = write_cfg(tmp_path, SEPARABLE)
+    grid = GridSpec(spatial_dim=1, nodes_per_axis=16, time_nodes=9)
+    t = grid.time_column()
+    field = ScalarField(grid, np.broadcast_to(t * t - t, grid.field_shape))
+    path = tmp_path / f"u.{kind}"
+    (write_field_bin if kind == "bin" else write_field_csv)(field, path)
+    raw = path.read_bytes()
+    # a CSV cut or stray character inside the last value may leave a valid number
+    at = data.draw(st.integers(0, len(raw) - 1) if kind == "bin" else st.integers(1, raw.rstrip(b"\n").rfind(b",")))
+    if how == "truncate":
+        broken = raw[:at]
+    elif kind == "csv":
+        broken = raw[:at] + b"x" + raw[at + 1 :]
+    elif at < 24:  # the header
+        broken = raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :]
+    else:  # a flipped payload byte may leave a finite value: write a nan instead
+        start = at - (at - 24) % 8
+        broken = raw[:start] + np.array([np.nan], "<f8").tobytes() + raw[start + 8 :]
+    path.write_bytes(broken)
+    assert_bad_input(capsys, ["verify", str(path), cfg])
 
 
 def test_scan_batch_size_zero_exits_2_at_once(tmp_path):

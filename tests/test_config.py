@@ -215,6 +215,9 @@ def test_load_bad_epsilons(tmp_path):
         load_config(write_cfg(tmp_path, GOOD_CFG.replace("epsilons = 1, 0.1, 0.01", "epsilons = 1, x")))
     with pytest.raises(ConfigError, match="nonempty"):
         load_config(write_cfg(tmp_path, GOOD_CFG.replace("epsilons = 1, 0.1, 0.01", "epsilons =")))
+    for bad in ("1, 2", "1, 1", "-1", "0", "nan", "inf", "1, nan"):
+        with pytest.raises(ConfigError, match="finite, positive and strictly decreasing"):
+            load_config(write_cfg(tmp_path, GOOD_CFG.replace("epsilons = 1, 0.1, 0.01", f"epsilons = {bad}")))
 
 
 def test_load_epsilons_space_separated(tmp_path):

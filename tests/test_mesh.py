@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import torusgeo as tg
 from torusgeo.mesh import (
@@ -193,6 +196,96 @@ def test_binary_grid_mismatch(tmp_path):
     write_field_bin(u, p)
     with pytest.raises(ValueError):
         read_field_bin(p, other)
+
+
+# Derandomized, no example database; every example rewrites the same files under tmp_path.
+_IO_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def dumped_fields(draw):
+    """A ScalarField or SpaceField of arbitrary finite float64 values on a small grid."""
+    grid = GridSpec(draw(st.sampled_from([1, 2])), draw(st.integers(8, 10)), draw(st.integers(5, 7)))
+    scalar = draw(st.booleans())
+    shape = grid.field_shape if scalar else grid.spatial_shape
+    values = draw(hnp.arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return (ScalarField if scalar else SpaceField)(grid, values)
+
+
+@_IO_SETTINGS
+@given(dumped_fields())
+def test_field_io_round_trips_are_bit_exact(tmp_path, field):
+    grid = field.grid
+    write_field_bin(field, tmp_path / "f.bin")
+    back = read_field_bin(tmp_path / "f.bin", grid)
+    assert type(back) is type(field) and back.values.tobytes() == field.values.tobytes()
+    write_field_csv(field, tmp_path / "f.csv")
+    read_csv = read_scalar_csv if isinstance(field, ScalarField) else read_space_csv
+    assert read_csv(tmp_path / "f.csv", grid).values.tobytes() == field.values.tobytes()
+
+
+@_IO_SETTINGS
+@given(dumped_fields(), st.data())
+def test_truncated_binary_dump_raises(tmp_path, field, data):
+    path = tmp_path / "f.bin"
+    write_field_bin(field, path)
+    raw = path.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+    path.write_bytes(raw[:cut])
+    if isinstance(field, ScalarField) and cut == 24 + 8 * field.grid.num_spatial:
+        # the payload length is the only type tag: this cut leaves a valid space-field dump
+        assert isinstance(read_field_bin(path, field.grid), SpaceField)
+        return
+    with pytest.raises(ValueError):
+        read_field_bin(path, field.grid)
+
+
+@_IO_SETTINGS
+@given(dumped_fields(), st.integers(0, 23), st.integers(1, 255))
+def test_corrupted_binary_header_raises(tmp_path, field, index, mask):
+    path = tmp_path / "f.bin"
+    write_field_bin(field, path)
+    raw = bytearray(path.read_bytes())
+    raw[index] ^= mask
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        read_field_bin(path, field.grid)
+
+
+@_IO_SETTINGS
+@given(dumped_fields(), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_payload_raises(tmp_path, field, data, bad):
+    values = field.values.copy()
+    flat = values.reshape(-1)
+    flat[data.draw(st.integers(0, flat.size - 1), label="node")] = bad
+    grid = field.grid
+    header = np.array([grid.spatial_dim, grid.nodes_per_axis, grid.time_nodes], "<i8")
+    path = tmp_path / "f.bin"
+    path.write_bytes(header.tobytes() + values.astype("<f8").tobytes())
+    with pytest.raises(ValueError):
+        read_field_bin(path, grid)
+
+
+@_IO_SETTINGS
+@given(dumped_fields(), st.data())
+def test_truncated_or_corrupted_csv_raises(tmp_path, field, data):
+    path = tmp_path / "f.csv"
+    write_field_csv(field, path)
+    text = path.read_text()
+    # any cut before the start of the last value drops a value; a cut inside it may not
+    last_value = text.rstrip("\n").rfind(",") + 1
+    at = data.draw(st.integers(1, last_value - 1), label="at")
+    broken = text[:at] if data.draw(st.booleans(), label="truncate") else text[:at] + "x" + text[at + 1 :]
+    path.write_text(broken)
+    read_csv = read_scalar_csv if isinstance(field, ScalarField) else read_space_csv
+    with pytest.raises(ValueError):
+        read_csv(path, field.grid)
 
 
 def test_sample_shapes():

@@ -21,7 +21,7 @@ from torusgeo.solver import (
     uniqueness_probe,
 )
 
-from conftest import fail_newton_once_at, random_problem
+from conftest import fail_newton, fail_newton_once_at, random_problem
 
 
 def test_barrier_endpoints_and_profile(separable_spec):
@@ -125,12 +125,43 @@ def test_continuation_grows_the_step_after_a_bisection(monkeypatch):
     assert res.rejected == [("continuation", 1.0, "injected collapse")]
 
 
-def test_sweep_records_failed_warm_start_on_cold_result(monkeypatch, separable_spec):
+def test_sweep_warm_path_bisects_in_eps(monkeypatch, separable_spec):
+    # the full warm step to 0.5 fails once; half the step reaches 0.75, the doubled step 0.5
     fail_newton_once_at(monkeypatch, 0.5)
     entries = epsilon_sweep(separable_spec, [1.0, 0.5])
     assert entries[0].result.rejected == []
     assert entries[1].result.rejected == [("sweep", 0.5, "injected collapse")]
-    assert [p for p, _res, _m in entries[1].result.continuation_trace] == [0.0, 1.0]
+    assert entries[1].rejected == entries[1].result.rejected
+    assert [p for p, _res, _m in entries[1].result.continuation_trace] == [0.75, 0.5]
+    assert {rec.phase for rec in entries[1].result.records} == {"sweep"}
+
+
+def test_sweep_records_failed_warm_start_on_cold_result(monkeypatch, separable_spec):
+    # every warm attempt fails: the step is halved down to 1/2048, then the rung falls back cold
+    fail_newton(monkeypatch, lambda _spec, phase, _p: phase == "sweep")
+    entries = epsilon_sweep(separable_spec, [1.0, 0.5])
+    cold = entries[1].result
+    assert [p for p, _res, _m in cold.continuation_trace] == [0.0, 1.0]
+    assert {rec.phase for rec in cold.records} == {"sweep-cold"}
+    assert cold.rejected == [("sweep", 0.5, "injected collapse")] + [
+        ("sweep", 1.0 - 0.5 * 2.0**-k, "injected collapse") for k in range(1, 12)
+    ]
+    assert entries[1].rejected == cold.rejected
+
+
+def test_sweep_keeps_attempts_of_a_rung_that_fails_outright(monkeypatch, separable_spec):
+    # on the eps = 0.5 rung every run fails but the cold verification rung s = 0
+    fail_newton(monkeypatch, lambda spec, _phase, p: np.max(spec.f.values) == 0.5 and p != 0.0)
+    entries = epsilon_sweep(separable_spec, [1.0, 0.5, 0.25])
+    failed = entries[1]
+    assert failed.result is None and failed.error == "injected collapse"
+    assert [(phase, p) for phase, p, _reason in failed.rejected] == [
+        ("sweep", 0.5),
+        *(("sweep", 1.0 - 0.5 * 2.0**-k) for k in range(1, 12)),
+        *(("sweep-cold", 2.0**-k) for k in range(12)),
+    ]
+    # the next rung restarts cold
+    assert [p for p, _res, _m in entries[2].result.continuation_trace] == [0.0, 1.0]
 
 
 def test_roadmap_problem_takes_the_full_step():
@@ -207,6 +238,9 @@ def test_epsilon_sweep_validation(separable_spec):
         epsilon_sweep(separable_spec, [1.0, 2.0])
     with pytest.raises(ValueError):
         epsilon_sweep(separable_spec, [1.0, -0.5])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            epsilon_sweep(separable_spec, [bad])
 
 
 def test_epsilon_sweep_homogeneous_scaling(separable_spec):
