@@ -356,7 +356,9 @@ def read_field_bin(path, grid: GridSpec | None = None, spatial_period: float = T
     When ``grid`` is given its layout must match the header and its spatial
     period is kept; otherwise a grid with the default period is built from
     the header. Returns a :class:`ScalarField` or :class:`SpaceField`
-    depending on the payload length.
+    depending on the payload length, which is the format's only field-kind
+    tag: a spacetime dump truncated to exactly ``24 + 8 N^d`` bytes reads
+    back as a :class:`SpaceField` holding its first time layer.
     """
     with open(path, "rb") as fh:
         raw = fh.read()

@@ -15,17 +15,19 @@ The linearization of Q at u acting on a perturbation h is
 
 applied here matrix-free as a space-time stencil whose weights are cached
 per Newton step. Newton corrections solve dQ(h) = g on the interior nodes by
-GMRES, preconditioned by the same stencil with each weight averaged over its
-time layer: FFT in space turns that operator into one tridiagonal system in
-t per Fourier mode, solved by a batched Thomas sweep.
+restarted GMRES (modified Gram-Schmidt, Givens rotations; Saad and Schultz
+1986), written out here in numpy and left-preconditioned by the same stencil
+with each weight averaged over its time layer: FFT in space turns that
+operator into one tridiagonal system in t per Fourier mode, solved by a
+batched Thomas sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .mesh import (
     GridSpec,
@@ -34,6 +36,7 @@ from .mesh import (
     _grad_arrays,
     _lap_array,
     _pad_edge,
+    argmax_node,
     argmin_node,
     d_t_interior,
     d_tt_interior,
@@ -55,10 +58,11 @@ class InvalidProblem(ValueError):
 
 
 def _space_b_values(w: np.ndarray, a: np.ndarray, b: float, grid: GridSpec) -> np.ndarray:
-    """B of a single time slice: lap w - b |grad w|^2 + a."""
+    """B of a single time slice: lap w - b |grad w|^2 + a; data out of float range give inf or nan."""
     axes = tuple(range(grid.spatial_dim))
-    lap = _lap_array(w, axes, grid.hx)
-    return lap - b * grad_sq(_grad_arrays(w, axes, grid.hx)) + a
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = _lap_array(w, axes, grid.hx)
+        return lap - b * grad_sq(_grad_arrays(w, axes, grid.hx)) + a
 
 
 @dataclass
@@ -107,12 +111,18 @@ class ProblemSpec:
             )
         for name, w in (("u0", self.u0), ("u1", self.u1)):
             bvals = _space_b_values(w.values, self.a.values, self.b, self.grid)
-            if np.min(bvals) <= 0.0:
+            if not np.min(bvals) > 0.0:  # nan included
                 node = argmin_node(bvals)
                 raise InvalidProblem(
                     f"{name} is not an admissible slice: lap {name} - b|grad {name}|^2 + a = "
                     f"{float(bvals[node])!r} at node {node}",
                     node,
+                )
+            b_max = float(np.max(bvals))
+            if math.isinf(2.0 * b_max / self.grid.ht**2):  # -2 B / ht^2 is in the linearization
+                node = argmax_node(bvals)
+                raise InvalidProblem(
+                    f"{name} is out of float range: 2 B / ht^2 overflows at B = {b_max!r}, node {node}", node
                 )
 
     @property
@@ -392,6 +402,68 @@ class LinearSystem:
             y[k] -= upper_ratio[k] * y[k + 1]
         return np.fft.irfftn(y, s=grid.spatial_shape, axes=axes).ravel()
 
+    def _gmres(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """Restarted GMRES from x = 0, left-preconditioned; returns x and its true residual norm.
+
+        A cycle ends on breakdown or once the preconditioned residual estimate
+        reaches ``ptol`` (GMRES_RTOL ||M b||, refreshed per cycle as in scipy's
+        ``gmres``); restarts end once the true residual reaches GMRES_RTOL ||b||.
+        A cycle restarts from the preconditioned residual of the Arnoldi relation.
+        """
+        x = np.zeros_like(b)
+        bnorm = np.linalg.norm(b)
+        self.iterations = 0
+        if bnorm == 0.0:
+            return x, 0.0
+        atol, eps, m = GMRES_RTOL * bnorm, np.finfo(float).eps, min(GMRES_RESTART, b.size)
+        basis, tri = np.empty((m + 1, b.size)), np.zeros((m, m))
+        z = self._precondition(b)
+        beta = np.linalg.norm(z)
+        ptol, factor = beta * (atol / bnorm), 1.0
+        for _ in range(GMRES_MAXITER):
+            basis[0] = z * (1.0 / beta)
+            s_vec, rotations = [beta], []
+            for col in range(m):
+                w = self._precondition(self._action(self._embed(basis[col])).ravel())
+                h0, hcol = np.linalg.norm(w), []
+                for k in range(col + 1):  # modified Gram-Schmidt
+                    hcol.append(basis[k] @ w)
+                    w -= hcol[k] * basis[k]
+                h1 = np.linalg.norm(w)
+                breakdown = h1 <= eps * h0  # exact solution in the current basis
+                basis[col + 1] = w if breakdown else w * (1.0 / h1)
+                hcol.append(0.0 if breakdown else h1)
+                for k, (c, s) in enumerate(rotations):
+                    hcol[k], hcol[k + 1] = c * hcol[k] + s * hcol[k + 1], c * hcol[k + 1] - s * hcol[k]
+                f, g = hcol[col], hcol[col + 1]
+                r = math.copysign(math.hypot(f, g), f) if g else f
+                c, s = (abs(f) / abs(r), g / r) if g else (1.0, 0.0)
+                rotations.append((c, s))
+                tri[: col + 1, col] = hcol[:col] + [r]
+                s_vec[col:] = [c * s_vec[col], -s * s_vec[col]]
+                presid = abs(s_vec[-1])
+                self.iterations += 1
+                if presid <= ptol or breakdown:
+                    break
+            y = np.array(s_vec[:-1])
+            for k in range(col, -1, -1):  # back substitution; a zero pivot (breakdown) drops its term
+                y[k] = y[k] / tri[k, k] if tri[k, k] else 0.0
+                y[:k] -= y[k] * tri[:k, k]
+            x += y @ basis[: col + 1]
+            rnorm = np.linalg.norm(b - self._action(self._embed(x)).ravel())
+            if rnorm <= atol or breakdown:
+                break
+            factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
+            ptol = presid * min(factor, atol / rnorm)
+            # The preconditioned residual is the last unit vector rotated back into the basis.
+            resid = np.zeros(col + 2)
+            resid[-1] = s_vec[-1]
+            for k, (c, s) in reversed(list(enumerate(rotations))):
+                resid[k : k + 2] = c * resid[k] - s * resid[k + 1], s * resid[k] + c * resid[k + 1]
+            z = resid @ basis[: col + 2]
+            beta = np.linalg.norm(z)
+        return x, rnorm
+
     def solve_interior(self, g=None) -> np.ndarray:
         """Solve for the interior correction with zero Dirichlet layers.
 
@@ -401,20 +473,12 @@ class LinearSystem:
         is not finite or has a true relative residual above ``TRUE_RESIDUAL_TOL``.
         """
         target = self.rhs if g is None else np.asarray(g, dtype=float).ravel()
-        n = target.size
-        matvec = spla.LinearOperator((n, n), lambda x: self._action(self._embed(x)).ravel(), dtype=float)
-        precond = spla.LinearOperator((n, n), self._precondition, dtype=float)
-        residuals: list[float] = []
-        x, info = spla.gmres(
-            matvec, target, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
-            M=precond, callback=residuals.append, callback_type="pr_norm",
-        )
-        self.iterations = len(residuals)
+        x, resid = self._gmres(target)
+        scale = np.linalg.norm(target)
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("linear solve produced non-finite values")
-        if info != 0:
+        if not resid <= GMRES_RTOL * scale:
             raise LinearSolveError(f"GMRES did not converge in {self.iterations} iterations")
-        resid, scale = np.linalg.norm(target - matvec @ x), np.linalg.norm(target)
         if resid > TRUE_RESIDUAL_TOL * scale:
             raise LinearSolveError(f"GMRES true relative residual {resid / scale:.3g} exceeds {TRUE_RESIDUAL_TOL:g}")
         return self._embed(x)

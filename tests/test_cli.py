@@ -329,6 +329,20 @@ def test_solve_bad_input_exits_2(tmp_path, capsys, old, new):
     assert_bad_input(capsys, ["solve", cfg, "--output", str(tmp_path / "out")])
 
 
+# a = 1e308 overflows the linearization's 2 B / ht^2; u0 = 1e300 sin(x) overflows
+# |grad u0|^2, and 0 * inf makes B nan, which the admissibility check must reject.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "old, new",
+    [("a = 1\n", "a = 1e308\n"), ("u0 = 0\n", "u0 = 1e300*sin(x)\n")],
+    ids=["a_1e308", "u0_1e300"],
+)
+def test_solve_extreme_magnitude_data_exits_2(tmp_path, capsys, old, new):
+    text = SEPARABLE.replace("nodes_per_axis = 16", "nodes_per_axis = 8").replace("time_nodes = 9", "time_nodes = 5")
+    cfg = write_cfg(tmp_path, text.replace("exact = t*t - t\n", "").replace(old, new))
+    assert_bad_input(capsys, ["solve", cfg, "--output", str(tmp_path / "out")])
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "old, new",
@@ -447,3 +461,13 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "verify" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    # GMRES is written out in numpy; scipy.sparse.linalg once dominated start-up time.
+    code = "import sys, torusgeo, torusgeo.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(torusgeo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,7 +1,12 @@
 """Operator, cone, and linearization tests with independent oracles."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import torusgeo as tg
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar, sample_space
@@ -199,6 +204,29 @@ def test_jacobian_matches_finite_differences(dim, n, nt):
         assert rel <= 1e-6
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 2]), st.integers(-3, 3), st.data())
+def test_apply_matches_centered_differences_of_q(seed, dim, exponent, data):
+    # Q is cubic in u: the centered difference along h is dQ(h) - s^2 b h_tt |grad h|^2
+    # up to rounding, which is about eps / s times the stencils' absolute sum K on u +- s h.
+    field, spec = random_admissible_field(seed, dim=dim, n=8, nt=6)
+    grid = spec.grid
+    h = data.draw(hnp.arrays(float, grid.field_shape, elements=st.floats(-1.0, 1.0))) * 10.0**exponent
+    size = float(np.max(np.abs(h)))
+    if size == 0.0:
+        return
+    s = 1e-4 / size
+    hx2, ht2, d = grid.hx**2, grid.ht**2, grid.spatial_dim
+    big_u = float(np.max(np.abs(field.values))) + s * size
+    big_k = (4 * big_u / ht2) * (4 * d * big_u / hx2 + spec.b * d * big_u**2 / hx2 + float(np.max(spec.a.values)))
+    big_k += d * big_u**2 / (hx2 * ht2)
+    tol = s**2 * spec.b * (4 * size / ht2) * d * size**2 / hx2 + 16 * np.finfo(float).eps * big_k / s
+    q_plus = apply_Q(ScalarField(grid, field.values + s * h), spec).values[1:-1]
+    q_minus = apply_Q(ScalarField(grid, field.values - s * h), spec).values[1:-1]
+    fd = (q_plus - q_minus) / (2.0 * s)
+    assert np.max(np.abs(fd - assemble_dQ(field, spec).apply(h))) <= tol
+
+
 def test_jacobian_boundary_blocks():
     # entries reaching the Dirichlet layers act through the boundary blocks
     field, spec = random_admissible_field(30)
@@ -282,6 +310,56 @@ def test_preconditioner_exact_for_layerwise_constant_coefficients(dim):
     h = system.solve_interior(g)
     assert system.iterations <= 2
     assert np.max(np.abs(system.apply(h).ravel() - g)) <= 1e-10 * np.max(np.abs(g))
+
+
+def _record_calls(system, monkeypatch) -> list:
+    """Log "P" per preconditioner call and "A" per stencil action on ``system``."""
+    calls = []
+    for name, tag in (("_precondition", "P"), ("_action", "A")):
+        inner = getattr(system, name)
+        monkeypatch.setattr(system, name, lambda v, inner=inner, tag=tag: (calls.append(tag), inner(v))[1])
+    return calls
+
+
+def test_solve_interior_zero_rhs_returns_zeros(monkeypatch):
+    field, spec = random_admissible_field(11, n=8, nt=6)
+    system = assemble_dQ(field, spec)
+    calls = _record_calls(system, monkeypatch)
+    h = system.solve_interior(np.zeros(spec.grid.interior_layers * spec.grid.num_spatial))
+    assert system.iterations == 0 and not calls
+    assert h.shape == spec.grid.field_shape and not np.any(h)
+
+
+@pytest.mark.parametrize("dim,n,nt", [(1, 10, 7), (2, 8, 6)])
+@pytest.mark.parametrize("restart", [operator_module.GMRES_RESTART, 3])
+def test_gmres_call_counts(monkeypatch, dim, n, nt, restart):
+    # One stencil action and one preconditioner call per iteration, one preconditioner
+    # call for M b, and one stencil action per cycle for its true residual.
+    monkeypatch.setattr(operator_module, "GMRES_RESTART", restart)
+    field, spec = random_admissible_field(40 + dim, dim=dim, n=n, nt=nt)
+    system = assemble_dQ(field, spec)
+    calls = _record_calls(system, monkeypatch)
+    system.solve_interior(np.random.default_rng(61).standard_normal(spec.grid.interior_layers * spec.grid.num_spatial))
+    log = "".join(calls)
+    assert re.fullmatch(r"P(?:(?:AP){1,%d}A)+" % restart, log), log
+    cycles = log.count("AA") + 1
+    assert log.count("P") == system.iterations + 1
+    assert log.count("A") == system.iterations + cycles
+    if restart == 3:
+        assert cycles >= 3
+
+
+@pytest.mark.parametrize("dim,n,nt", [(1, 10, 7), (2, 8, 6)])
+def test_restarted_solve_matches_dense_solve(monkeypatch, dim, n, nt):
+    monkeypatch.setattr(operator_module, "GMRES_RESTART", 3)
+    field, spec = random_admissible_field(40 + dim, dim=dim, n=n, nt=nt)
+    system = assemble_dQ(field, spec)
+    dense = _dense_jacobian(system, spec.grid)
+    g = np.random.default_rng(61).standard_normal(dense.shape[0])
+    want = np.linalg.solve(dense, g)
+    got = system.solve_interior(g)[1:-1].ravel()
+    assert system.iterations > 6  # at least three cycles of at most three iterations
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def test_solve_interior_rejects_bad_answers(monkeypatch):
