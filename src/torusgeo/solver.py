@@ -33,6 +33,7 @@ import numpy as np
 from .estimates import BoundsReport, bounds_report
 from .mesh import ScalarField, argmax_node, argmin_node, full_node, grad_sq, gradient
 from .operator import (
+    GMRES_RTOL,
     AdmissibilityReport,
     InvalidProblem,
     LinearSolveError,
@@ -104,7 +105,12 @@ class SolveOptions:
 
 @dataclass
 class TraceRecord:
-    """One line of the solver trace; ``lin_iters`` counts the step's GMRES iterations."""
+    """One line of the solver trace.
+
+    ``lin_iters`` counts the step's GMRES iterations and ``lin_rtol`` is the
+    relative tolerance (forcing term) its linear solve was asked for; both
+    are 0 on the opening row of a Newton run.
+    """
 
     phase: str
     param: float
@@ -115,16 +121,40 @@ class TraceRecord:
     min_q: float
     alpha: float
     lin_iters: int
+    lin_rtol: float
 
     def render(self) -> str:
         return (
             f"{self.phase},{self.param:.17g},{self.iteration},{self.residual:.17g},"
             f"{self.min_utt:.17g},{self.min_b:.17g},{self.min_q:.17g},{self.alpha:.17g},"
-            f"{self.lin_iters}"
+            f"{self.lin_iters},{self.lin_rtol:.17g}"
         )
 
 
-TRACE_HEADER = "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters"
+TRACE_HEADER = "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters,lin_rtol"
+
+# Eisenstat-Walker forcing terms (Eisenstat and Walker 1996, choice 2 with
+# gamma = 0.9, alpha = 2): the first step is solved to FORCING_START, each later
+# one to 0.9 (||g_k|| / ||g_{k-1}||)^2, clamped to
+# [max(GMRES_RTOL, 0.5 newton_tol / ||g_k||), FORCING_MAX]. Their safeguard
+# max(eta_k, 0.9 eta_{k-1}^2), applied while 0.9 eta_{k-1}^2 > 0.1, cannot fire
+# under this cap (0.9 * 0.1^2 = 0.009) and is left out. Looser values (a start
+# of 0.1, a cap of 0.5) cost Newton steps and rejected sweep rungs.
+FORCING_START = 1e-2
+FORCING_MAX = 0.1
+FORCING_GAMMA = 0.9
+
+
+def _forcing_term(gnorm: float, prev_gnorm: float, newton_tol: float) -> float:
+    """Relative GMRES tolerance for a Newton step whose residual g has 2-norm ``gnorm``.
+
+    ``prev_gnorm`` is that of the previous step of the same run, nan on the first.
+    """
+    eta = FORCING_START if math.isnan(prev_gnorm) else FORCING_GAMMA * (gnorm / prev_gnorm) ** 2
+    # The floor stops the final steps from solving past what newton_tol needs. Below
+    # newton_tol it exceeds FORCING_MAX anyway, so max(gnorm, newton_tol) only keeps
+    # an underflowed zero norm from dividing.
+    return min(FORCING_MAX, max(eta, GMRES_RTOL, 0.5 * newton_tol / max(gnorm, newton_tol)))
 
 
 @dataclass
@@ -218,10 +248,11 @@ def newton_solve(
 
     Requirements: ``rhs > 0`` on the interior layers, ``u_init`` admissible
     with boundary layers equal to the problem data. Each step solves the
-    linearization for the full correction by preconditioned GMRES, then
-    backtracks: first until every cone margin stays above
-    ``(1 - damping_fraction)`` times its current value, then until the
-    residual sup-norm strictly decreases.
+    linearization for the correction by preconditioned GMRES, up to a
+    relative residual given by the Eisenstat-Walker forcing term (see
+    :func:`_forcing_term`), then backtracks: first until every cone margin
+    stays above ``(1 - damping_fraction)`` times its current value, then
+    until the residual sup-norm strictly decreases.
 
     Raises :class:`LostAdmissibility`, :class:`StepCollapse` or
     :class:`NonConvergence`, each carrying the offending node, or
@@ -255,14 +286,15 @@ def newton_solve(
     floor = 1.0 - opts.damping_fraction
     records: list[TraceRecord] = []
 
-    def emit(iteration: int, alpha: float, lin_iters: int) -> None:
-        rec = TraceRecord(phase, param, iteration, res_sup, *report.mins, alpha, lin_iters)
+    def emit(iteration: int, alpha: float, lin_iters: int, lin_rtol: float) -> None:
+        rec = TraceRecord(phase, param, iteration, res_sup, *report.mins, alpha, lin_iters, lin_rtol)
         records.append(rec)
         if on_record is not None:
             on_record(rec)
 
-    emit(0, 0.0, 0)
+    emit(0, 0.0, 0, 0.0)
     iters = 0
+    gnorm = math.nan
     while res_sup > opts.newton_tol:
         if iters >= opts.max_newton_iters:
             node = full_node(argmax_node(np.abs(res)))
@@ -273,8 +305,12 @@ def newton_solve(
                 param=param,
             )
         ls = assemble_dQ(ScalarField(grid, u), spec, cone=cone)
+        g = -res.reshape(-1)
+        with np.errstate(over="ignore"):  # an overflowing norm fails the linear solve below
+            prev_gnorm, gnorm = gnorm, float(np.linalg.norm(g))
+        eta = _forcing_term(gnorm, prev_gnorm, opts.newton_tol)
         try:
-            h = ls.solve_interior((rhs_int - cone.q).reshape(-1))
+            h = ls.solve_interior(g, eta)
         except LinearSolveError as err:
             raise LinearSolveFailure(f"Newton step {iters + 1}: {err}", phase=phase, param=param) from err
 
@@ -324,7 +360,7 @@ def newton_solve(
         res = cone.q - rhs_int
         res_sup = float(np.max(np.abs(res)))
         iters += 1
-        emit(iters, alpha, ls.iterations)
+        emit(iters, alpha, ls.iterations, eta)
 
     return SolveResult(
         u=ScalarField(grid, u),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import torusgeo
 from torusgeo.cli import main
 from torusgeo.mesh import GridSpec, ScalarField, write_field_bin, write_field_csv
-from torusgeo.operator import LinearSolveError, LinearSystem
+from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem
 
 from conftest import fail_newton, fail_newton_once_at
 
@@ -94,7 +94,7 @@ def test_solve_writes_artifacts(tmp_path):
     ):
         assert os.path.exists(os.path.join(out, name)), name
     assert first_line(os.path.join(out, "trace.csv")) == (
-        "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters"
+        "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters,lin_rtol"
     )
     assert open(os.path.join(out, "rejections.csv")).read() == "phase,param,reason\n"
     assert first_line(os.path.join(out, "newton_residual.csv")) == "iteration,residual"
@@ -190,7 +190,7 @@ def test_solve_nonconvergence_exit_1(tmp_path):
 
 
 def test_solve_linear_solve_failure_exit_1(tmp_path, monkeypatch, capsys):
-    def fail(self, g=None):
+    def fail(self, g=None, rtol=GMRES_RTOL):
         raise LinearSolveError("injected failure")
 
     monkeypatch.setattr(LinearSystem, "solve_interior", fail)
@@ -395,6 +395,22 @@ def test_sweep_exit_code_over_drawn_epsilons(tmp_path, capsys, eps):
     err = capsys.readouterr().err
     assert code in (0, 1, 2) and "Traceback" not in err
     assert (code == 2) == (not _valid_ladder(eps)), (code, err)
+
+
+# At eps = 1e200 the Newton residual's 2-norm overflows and the preconditioner
+# has non-finite pivots: the rung fails as a linear-solve failure, without a warning.
+@pytest.mark.filterwarnings("error")
+def test_sweep_overflowing_linear_solve_fails_cleanly(tmp_path, capsys):
+    text = SEPARABLE.replace("nodes_per_axis = 16", "nodes_per_axis = 8").replace("time_nodes = 9", "time_nodes = 5")
+    cfg = write_cfg(tmp_path, text.replace("epsilons = 1, 0.5, 0.25", "epsilons = 1e200"))
+    out = str(tmp_path / "out")
+    assert main(["sweep", cfg, "--output", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "1 failures" in captured.out
+    summary = read_summary(out)
+    assert summary["failed_rungs"] == "1"
+    assert [key for key in summary if key.startswith("rung_")] == ["rung_000_error"]
+    assert "linear solve produced non-finite values" in summary["rung_000_error"]
 
 
 @_CLI_SETTINGS

@@ -295,6 +295,18 @@ def test_solve_interior_matches_dense_solve(dim, n, nt):
     assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("rtol", [1e-1, 1e-4])
+def test_solve_interior_stops_at_the_requested_tolerance(rtol):
+    field, spec = random_admissible_field(42, dim=2, n=8, nt=6)
+    system = assemble_dQ(field, spec)
+    g = np.random.default_rng(61).standard_normal(spec.grid.interior_layers * spec.grid.num_spatial)
+    system.solve_interior(g)
+    tight = system.iterations
+    h = system.solve_interior(g, rtol)
+    assert 0 < system.iterations < tight
+    assert np.linalg.norm(system.apply(h).ravel() - g) <= rtol * np.linalg.norm(g)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_preconditioner_exact_for_layerwise_constant_coefficients(dim):
     # u depends on t only and a is constant, so every stencil weight is
@@ -362,16 +374,25 @@ def test_restarted_solve_matches_dense_solve(monkeypatch, dim, n, nt):
     assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.filterwarnings("error")
 def test_solve_interior_rejects_bad_answers(monkeypatch):
     field, spec = random_admissible_field(10, n=8, nt=6)
     system = assemble_dQ(field, spec)
     n = spec.grid.interior_layers * spec.grid.num_spatial
-    with pytest.raises(LinearSolveError, match="non-finite"):
-        system.solve_interior(np.full(n, np.nan))
+    # a nan right-hand side, or one whose 2-norm overflows, fails before the first iteration
+    for bad in (np.full(n, np.nan), np.full(n, 1e200)):
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            system.solve_interior(bad)
+        assert system.iterations == 0
     g = np.random.default_rng(63).standard_normal(n)
-    monkeypatch.setattr(operator_module, "TRUE_RESIDUAL_TOL", 0.0)
-    with pytest.raises(LinearSolveError, match="true relative residual"):
+    lower, upper_ratio, inv_pivot = system.thomas
+    singular = inv_pivot.copy()
+    singular[0] = np.inf  # a zero pivot, as coefficients near the top of the float range leave
+    monkeypatch.setattr(system, "thomas", (lower, upper_ratio, singular))
+    with pytest.raises(LinearSolveError, match="non-finite"):
         system.solve_interior(g)
+    assert system.iterations == 0
+    monkeypatch.undo()
     monkeypatch.setattr(operator_module, "GMRES_RESTART", 2)
     monkeypatch.setattr(operator_module, "GMRES_MAXITER", 1)
     with pytest.raises(LinearSolveError, match="did not converge"):

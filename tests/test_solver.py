@@ -5,7 +5,7 @@ import pytest
 
 import torusgeo as tg
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar
-from torusgeo.operator import LinearSolveError, LinearSystem, ProblemSpec, apply_Q, cone_quantities
+from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem, ProblemSpec, apply_Q, cone_quantities
 from torusgeo.solver import (
     TRACE_HEADER,
     LinearSolveFailure,
@@ -95,14 +95,19 @@ def test_continuation_trace_structure():
     cols = TRACE_HEADER.split(",")
     for rec in res.records:
         assert len(rec.render().split(",")) == len(cols)
-        # opening rows took no linear solve; every Newton step took some
+        # opening rows took no linear solve; every Newton step took some, at a
+        # forcing term between the GMRES floor and its cap
         assert (rec.lin_iters == 0) == (rec.iteration == 0)
+        if rec.iteration == 0:
+            assert rec.lin_rtol == 0.0
+        else:
+            assert GMRES_RTOL <= rec.lin_rtol <= 0.1
 
 
 def test_continuation_bisects_then_reraises_linear_solve_failure(monkeypatch):
     calls = []
 
-    def fail(self, g=None):
+    def fail(self, g=None, rtol=GMRES_RTOL):
         calls.append(1)
         raise LinearSolveError("injected failure")
 
@@ -164,14 +169,13 @@ def test_sweep_keeps_attempts_of_a_rung_that_fails_outright(monkeypatch, separab
     assert [p for p, _res, _m in entries[2].result.continuation_trace] == [0.0, 1.0]
 
 
-def test_roadmap_problem_takes_the_full_step():
-    # A deterministic Newton-count gate: one full homotopy step suffices on
-    # the 2D 16^2x9 instance of a = 1 + 0.2 sin x cos y, b = 0.1,
-    # f = 2 - 0.3 cos x sin y, u0 = 0.1 sin(x + y), u1 = -0.1 cos(x - y).
+def _roadmap_spec() -> ProblemSpec:
+    """The 2D 16^2x9 instance of a = 1 + 0.2 sin x cos y, b = 0.1,
+    f = 2 - 0.3 cos x sin y, u0 = 0.1 sin(x + y), u1 = -0.1 cos(x - y)."""
     grid = GridSpec(spatial_dim=2, nodes_per_axis=16, time_nodes=9)
     x, y = grid.spatial_meshes()
     f = np.broadcast_to(2.0 - 0.3 * np.cos(x) * np.sin(y), grid.field_shape)
-    spec = ProblemSpec(
+    return ProblemSpec(
         grid=grid,
         a=SpaceField(grid, 1.0 + 0.2 * np.sin(x) * np.cos(y)),
         b=0.1,
@@ -179,10 +183,29 @@ def test_roadmap_problem_takes_the_full_step():
         u0=SpaceField(grid, 0.1 * np.sin(x + y)),
         u1=SpaceField(grid, -0.1 * np.cos(x - y)),
     )
-    res = continuation_solve(spec)
+
+
+def _lin_iters(result) -> int:
+    return sum(rec.lin_iters for rec in result.records)
+
+
+# Deterministic count gates on the ROADMAP problem. Solving every Newton step
+# to a fixed relative residual of 1e-12 took 4 Newton steps and 49 GMRES
+# iterations for the continuation solve, and 15 Newton steps and 215 GMRES
+# iterations for the sweep below; the forcing terms must at least halve the
+# GMRES work and cost at most one more Newton step on the solve.
+def test_roadmap_problem_takes_the_full_step():
+    res = continuation_solve(_roadmap_spec())
     assert [p for p, _res, _m in res.continuation_trace] == [0.0, 1.0]
-    assert res.newton_iters_total <= 6
+    assert res.newton_iters_total <= 5
+    assert _lin_iters(res) <= 49 // 2
     assert res.rejected == []
+
+
+def test_roadmap_sweep_gmres_work():
+    entries = epsilon_sweep(_roadmap_spec(), [1.0, 1e-1, 1e-2, 1e-3, 1e-4])
+    assert all(e.result is not None and e.rejected == [] for e in entries)
+    assert sum(_lin_iters(e.result) for e in entries) <= 215 // 2
 
 
 def test_newton_requires_positive_rhs(separable_spec):
