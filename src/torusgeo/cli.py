@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_exact, build_problem, load_config, solve_options
+from .config import ConfigError, RunConfig, build_exact, build_problem, load_config
 from .estimates import _fmt_bool, bounds_report, write_bounds_report
 from .mesh import (
     ScalarField,
@@ -106,9 +106,8 @@ def cmd_solve(args) -> int:
         raise ConfigError("refinements > 0 requires an 'exact' expression in [problem]")
     outdir = _outdir(args, cfg)
     spec = build_problem(cfg)
-    opts = solve_options(cfg)
 
-    result = continuation_solve(spec, opts)
+    result = continuation_solve(spec, cfg.solver)
     c_star = compute_c_star(spec)
     bounds = bounds_report(result.u, spec, c_star)
 
@@ -152,7 +151,7 @@ def cmd_solve(args) -> int:
             for level in range(1, cfg.solver.refinements + 1):
                 spec_r = build_problem(cfg, refine=level)
                 exact_r = build_exact(cfg, refine=level)
-                result_r = continuation_solve(spec_r, opts)
+                result_r = continuation_solve(spec_r, cfg.solver)
                 err = sup_norm(ScalarField(spec_r.grid, result_r.u.values - exact_r.values))
                 order = (
                     math.log2(errors[-1] / err)
@@ -190,10 +189,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep requires a [sweep] section with an epsilons list")
     outdir = _outdir(args, cfg)
     spec = build_problem(cfg)
-    opts = solve_options(cfg)
 
     records = []
-    entries = epsilon_sweep(spec, cfg.sweep.epsilons, opts, on_record=records.append)
+    entries = epsilon_sweep(spec, cfg.sweep.epsilons, cfg.solver, on_record=records.append)
     _write_trace(records, os.path.join(outdir, "trace.csv"))
     rejected = [row for entry in entries for row in entry.rejected]
     _write_rejections(rejected, os.path.join(outdir, "rejections.csv"))

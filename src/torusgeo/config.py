@@ -14,12 +14,13 @@ import configparser
 import contextlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .mesh import GridSpec, ScalarField, SpaceField, read_scalar_csv, read_space_csv
 from .operator import ProblemSpec
+from .solver import SolveOptions
 
 
 class ConfigError(ValueError):
@@ -128,13 +129,10 @@ class ProblemConfig:
     exact: str | None = None
 
 
-@dataclass
-class SolverConfig:
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 50
-    damping_fraction: float = 0.95
-    continuation_steps: int = 10
-    min_step_shrink: float = 1e-4
+@dataclass(frozen=True)
+class SolverConfig(SolveOptions):
+    """The [solver] section: the Newton options plus ``solve``'s refinement levels."""
+
     refinements: int = 0
 
 
@@ -181,38 +179,14 @@ class RunConfig:
 
 
 _SECTIONS = {
-    "problem": {
-        "spatial_dim",
-        "nodes_per_axis",
-        "time_nodes",
-        "spatial_period",
-        "a",
-        "b",
-        "f",
-        "u0",
-        "u1",
-        "exact",
-    },
-    "solver": {
-        "newton_tol",
-        "max_newton_iters",
-        "damping_fraction",
-        "continuation_steps",
-        "min_step_shrink",
-        "refinements",
-    },
-    "sweep": {"epsilons"},
-    "scan": {
-        "k",
-        "n",
-        "trials",
-        "seed",
-        "hermitian",
-        "threshold",
-        "batch_size",
-        "comparison_pairs",
-    },
-    "output": {"directory"},
+    name: {f.name for f in fields(cls)}
+    for name, cls in (
+        ("problem", ProblemConfig),
+        ("solver", SolverConfig),
+        ("sweep", SweepConfig),
+        ("scan", ScanConfig),
+        ("output", OutputConfig),
+    )
 }
 
 _PROBLEM_REQUIRED = ("spatial_dim", "nodes_per_axis", "time_nodes", "a", "f", "u0", "u1")
@@ -233,6 +207,11 @@ def _get_typed(section, key: str, kind, where: str):
         raise ConfigError(
             f"key {key!r} in [{where}] must be {kind.__name__}, got {raw!r}"
         ) from None
+
+
+def _typed_section(section, cls, where: str) -> dict:
+    """The keys of ``cls`` present in ``section``, each parsed as the type of its default."""
+    return {f.name: _get_typed(section, f.name, type(f.default), where) for f in fields(cls) if f.name in section}
 
 
 def load_config(path) -> RunConfig:
@@ -281,19 +260,8 @@ def load_config(path) -> RunConfig:
         )
 
     if parser.has_section("solver"):
-        sec = parser["solver"]
-        kw = {}
-        for key, kind in (
-            ("newton_tol", float),
-            ("max_newton_iters", int),
-            ("damping_fraction", float),
-            ("continuation_steps", int),
-            ("min_step_shrink", float),
-            ("refinements", int),
-        ):
-            if key in sec:
-                kw[key] = _get_typed(sec, key, kind, "solver")
-        cfg.solver = SolverConfig(**kw)
+        with _bad_input("[solver]"):
+            cfg.solver = SolverConfig(**_typed_section(parser["solver"], SolverConfig, "solver"))
         if cfg.solver.refinements < 0:
             raise ConfigError("refinements must be nonnegative")
 
@@ -313,21 +281,7 @@ def load_config(path) -> RunConfig:
         cfg.sweep = SweepConfig(epsilons=eps)
 
     if parser.has_section("scan"):
-        sec = parser["scan"]
-        kw = {}
-        for key, kind in (
-            ("k", int),
-            ("n", int),
-            ("trials", int),
-            ("seed", int),
-            ("hermitian", bool),
-            ("threshold", float),
-            ("batch_size", int),
-            ("comparison_pairs", int),
-        ):
-            if key in sec:
-                kw[key] = _get_typed(sec, key, kind, "scan")
-        cfg.scan = sc = ScanConfig(**kw)
+        cfg.scan = sc = ScanConfig(**_typed_section(parser["scan"], ScanConfig, "scan"))
         if not 1 <= sc.k <= sc.n:
             raise ConfigError(f"scan requires 1 <= k <= n, got k={sc.k}, n={sc.n}")
         for key in ("trials", "seed", "comparison_pairs"):
@@ -433,18 +387,3 @@ def build_exact(cfg: RunConfig, refine: int = 0) -> ScalarField | None:
     if cfg.problem is None or cfg.problem.exact is None:
         return None
     return build_scalar_field(cfg.problem.exact, build_grid(cfg, refine), cfg.base_dir)
-
-
-def solve_options(cfg: RunConfig):
-    """SolveOptions drawn from the [solver] section."""
-    from .solver import SolveOptions
-
-    sol = cfg.solver
-    with _bad_input("[solver]"):
-        return SolveOptions(
-            newton_tol=sol.newton_tol,
-            max_newton_iters=sol.max_newton_iters,
-            damping_fraction=sol.damping_fraction,
-            continuation_steps=sol.continuation_steps,
-            min_step_shrink=sol.min_step_shrink,
-        )

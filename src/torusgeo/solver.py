@@ -417,7 +417,8 @@ def _barrier_continuation(
         raise InvalidProblem(f"continuation requires f > 0 on interior layers; node {node}", node)
     u = barrier(spec, -scale * compute_c_star(spec))
     try:
-        q_barrier = apply_Q(u, spec).values
+        with np.errstate(over="ignore", invalid="ignore"):  # ScalarField rejects a non-finite Q
+            q_barrier = apply_Q(u, spec).values
     except ValueError as err:  # Q(U_{-c}) overflows float64 when f is near the top of the range
         raise SolverError(f"starting barrier out of float range: {err}", phase=phase, param=0.0) from None
 

@@ -1,10 +1,11 @@
 """Elementary symmetric function algebra, cone membership, and concavity scans.
 
-The objects here are triples (r00, R, z) with r00 a positive real, R a
-symmetric (or Hermitian) n x n matrix and z a vector, together with the
-family of operators
+The objects here are triples (r00, R, z) with r00 a positive real, R an
+n x n matrix and z a vector. One :class:`ConePoint` type holds both the real
+form (R symmetric) and the complex form (R Hermitian), chosen by the dtype of
+R and z, and one family of operators covers both:
 
-    F_k(r00, R, z) = r00 * sigma_k(R) - z^T T_{k-1}(R) z,
+    F_k(r00, R, z) = r00 * sigma_k(R) - z^* T_{k-1}(R) z,
 
 where sigma_k is the k-th elementary symmetric function of the eigenvalues
 and T_{k-1} is the (k-1)-th Newton transformation. The admissibility cone
@@ -26,26 +27,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _as_square(matrix, dtype_kind: str) -> np.ndarray:
+def _as_square(matrix) -> np.ndarray:
+    """``matrix`` as a Hermitian complex array if it is complex, else as a symmetric real one."""
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    if dtype_kind == "real":
-        arr = arr.astype(float)
-        defect = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    else:
-        arr = arr.astype(complex)
-        defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    hermitian = np.iscomplexobj(arr)
+    arr = arr.astype(complex if hermitian else float)
+    defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
     scale = 1.0 + (float(np.max(np.abs(arr))) if arr.size else 0.0)
     if defect > 1e-10 * scale:
-        kind = "symmetric" if dtype_kind == "real" else "Hermitian"
+        kind = "Hermitian" if hermitian else "symmetric"
         raise ValueError(f"matrix is not {kind}: defect {defect!r}")
     return arr
 
 
 @dataclass
 class ConePoint:
-    """Real triple (r00, R, z) with R symmetric n x n and z of length n."""
+    """Triple (r00, R, z) with R n x n and z of length n.
+
+    The point is complex, with R Hermitian, when R or z is complex, and real,
+    with R symmetric, otherwise.
+    """
 
     r00: float
     R: np.ndarray
@@ -53,8 +56,10 @@ class ConePoint:
 
     def __post_init__(self) -> None:
         self.r00 = float(self.r00)
-        self.R = _as_square(self.R, "real")
-        self.z = np.asarray(self.z, dtype=float).reshape(-1)
+        z = np.asarray(self.z)
+        dtype = complex if np.iscomplexobj(self.R) or np.iscomplexobj(z) else float
+        self.R = _as_square(np.asarray(self.R, dtype=dtype))
+        self.z = z.astype(dtype).reshape(-1)
         if self.z.size != self.R.shape[0]:
             raise ValueError(f"z has length {self.z.size}, expected {self.R.shape[0]}")
 
@@ -67,33 +72,6 @@ class ConePoint:
             self.r00 > 0.0
             and gamma_k_membership(self.R, k)
             and F_k_eval(self, k) > 0.0
-        )
-
-
-@dataclass
-class HermitianConePoint:
-    """Complex triple (r00, R, z) with R Hermitian n x n and z complex of length n."""
-
-    r00: float
-    R: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.r00 = float(self.r00)
-        self.R = _as_square(self.R, "complex")
-        self.z = np.asarray(self.z, dtype=complex).reshape(-1)
-        if self.z.size != self.R.shape[0]:
-            raise ValueError(f"z has length {self.z.size}, expected {self.R.shape[0]}")
-
-    @property
-    def n(self) -> int:
-        return self.R.shape[0]
-
-    def admissible(self, k: int) -> bool:
-        return (
-            self.r00 > 0.0
-            and gamma_k_membership(self.R, k)
-            and G_k_eval(self, k) > 0.0
         )
 
 
@@ -146,9 +124,7 @@ def newton_transform(R, k: int) -> np.ndarray:
     sigma_{k-1}(eigenvalues with the i-th removed). T_0 is the identity
     (returned exactly), and tr(T_{k-1} R) = k sigma_k(R).
     """
-    arr = np.asarray(R)
-    kind = "complex" if np.iscomplexobj(arr) else "real"
-    arr = _as_square(arr, kind)
+    arr = _as_square(R)
     n = arr.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
@@ -192,20 +168,7 @@ def _f_batch(r00, r, z, k: int) -> np.ndarray:
 
 
 def F_k_eval(point: ConePoint, k: int) -> float:
-    """F_k(r00, R, z) = r00 sigma_k(R) - z^T T_{k-1}(R) z for real triples."""
-    if not isinstance(point, ConePoint):
-        raise TypeError("F_k_eval expects a ConePoint; use G_k_eval for Hermitian triples")
-    n = point.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    lam, u = np.linalg.eigh(point.R)
-    return float(_f_from_eig(point.r00, lam, u, point.z, k))
-
-
-def G_k_eval(point: HermitianConePoint, k: int) -> float:
-    """Hermitian counterpart of F_k; the value is real for Hermitian data."""
-    if not isinstance(point, HermitianConePoint):
-        raise TypeError("G_k_eval expects a HermitianConePoint")
+    """F_k(r00, R, z) = r00 sigma_k(R) - z^* T_{k-1}(R) z, real for real and Hermitian triples."""
     n = point.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
@@ -215,9 +178,7 @@ def G_k_eval(point: HermitianConePoint, k: int) -> float:
 
 def gamma_k_membership(R, k: int) -> bool:
     """True when sigma_1(R), ..., sigma_k(R) are all strictly positive."""
-    arr = np.asarray(R)
-    kind = "complex" if np.iscomplexobj(arr) else "real"
-    arr = _as_square(arr, kind)
+    arr = _as_square(R)
     n = arr.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
@@ -400,7 +361,7 @@ def midpoint_concavity_scan(
     batch_size: int = 4096,
     threshold: float = -1e-9,
 ) -> ScanReport:
-    """Randomized midpoint log-concavity scan of F_k (or G_k) on the cone.
+    """Randomized midpoint log-concavity scan of F_k on the cone.
 
     For each trial, two independent cone-interior triples p, q are drawn and
     the margin log F(mid) - (log F(p) + log F(q)) / 2 is recorded for their
@@ -568,6 +529,26 @@ class ComparisonReport:
     tol: float
 
 
+def _comparison_margins(r00, tr, z, s_samples: int):
+    """Segment and difference values of a batch of pairs, with Q = r00 tr - |z|^2.
+
+    ``r00`` and ``tr`` have shape (2, pairs) and ``z`` shape (2, pairs, n);
+    index 0 holds A and index 1 holds B. Returns, per pair, the minimum over
+    s in ``linspace(0, 1, s_samples)`` of Q(s A + (1 - s) B) - Q(A), and
+    Q(A - B).
+    """
+
+    def q(r00_, tr_, z_):
+        return r00_ * tr_ - np.sum(np.abs(z_) ** 2, axis=-1)
+
+    qa = q(r00[0], tr[0], z[0])
+    worst = np.full(qa.shape, np.inf)
+    for s in np.linspace(0.0, 1.0, s_samples):
+        q_s = q(s * r00[0] + (1.0 - s) * r00[1], s * tr[0] + (1.0 - s) * tr[1], s * z[0] + (1.0 - s) * z[1])
+        worst = np.minimum(worst, q_s - qa)
+    return worst, q(r00[0] - r00[1], tr[0] - tr[1], z[0] - z[1])
+
+
 def comparison_check(a: ConePoint, b: ConePoint, s_samples: int = 11, tol: float = 1e-10) -> ComparisonReport:
     """Check the two segment inequalities for an equalized admissible pair.
 
@@ -587,17 +568,13 @@ def comparison_check(a: ConePoint, b: ConePoint, s_samples: int = 11, tol: float
         raise ValueError(f"points are not equalized: Q(A)={qa!r}, Q(B)={qb!r}")
     if s_samples < 2:
         raise ValueError("s_samples must be at least 2")
-    svals = np.linspace(0.0, 1.0, s_samples)
-    worst = math.inf
-    for s in svals:
-        combo = ConePoint(
-            s * a.r00 + (1.0 - s) * b.r00,
-            s * a.R + (1.0 - s) * b.R,
-            s * a.z + (1.0 - s) * b.z,
-        )
-        worst = min(worst, _q_value(combo) - qa)
-    diff = ConePoint(a.r00 - b.r00, a.R - b.R, a.z - b.z)
-    qdiff = _q_value(diff)
+    worst, qdiff = _comparison_margins(
+        np.array([[a.r00], [b.r00]]),
+        np.real([[np.trace(a.R)], [np.trace(b.R)]]),
+        np.stack([a.z, b.z])[:, None, :],
+        s_samples,
+    )
+    worst, qdiff = float(worst[0]), float(qdiff[0])
     ok = worst >= -tol * scale and qdiff <= tol * scale
     return ComparisonReport(
         ok=ok,
@@ -648,33 +625,23 @@ def comparison_scan(
     r00[1] *= lam
     tr[1] *= lam
     z[1] *= lam[:, None]
-    qa = q[0]
 
-    svals = np.linspace(0.0, 1.0, s_samples)
-    worst_margin = math.inf
-    violations = 0
     if pairs:
-        scale = np.maximum(1.0, np.abs(qa))
-        seg_bad = np.zeros(pairs, dtype=bool)
-        for s in svals:
-            r00_s = s * r00[0] + (1.0 - s) * r00[1]
-            tr_s = s * tr[0] + (1.0 - s) * tr[1]
-            z_s = s * z[0] + (1.0 - s) * z[1]
-            q_s = r00_s * tr_s - np.sum(z_s * z_s, axis=-1)
-            worst_margin = min(worst_margin, float(np.min(q_s - qa)))
-            seg_bad |= q_s - qa < -tol * scale
-        q_d = (r00[0] - r00[1]) * (tr[0] - tr[1]) - np.sum((z[0] - z[1]) ** 2, axis=-1)
+        worst, q_d = _comparison_margins(r00, tr, z, s_samples)
+        scale = np.maximum(1.0, np.abs(q[0]))
+        worst_margin = float(np.min(worst))
         worst_diff = float(np.max(q_d))
-        violations = int(np.count_nonzero(seg_bad | (q_d > tol * scale)))
+        violations = int(np.count_nonzero((worst < -tol * scale) | (q_d > tol * scale)))
     else:
-        worst_diff = math.nan
+        worst_margin = worst_diff = math.nan
+        violations = 0
     return ComparisonScanReport(
         n=n,
         pairs=pairs,
         seed=seed,
         s_samples=s_samples,
         tol=tol,
-        worst_segment_margin=worst_margin if pairs else math.nan,
+        worst_segment_margin=worst_margin,
         worst_diff_value=worst_diff,
         violation_count=violations,
     )

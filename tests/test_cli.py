@@ -326,7 +326,11 @@ def assert_bad_input(capsys, argv):
 )
 def test_solve_bad_input_exits_2(tmp_path, capsys, old, new):
     cfg = write_cfg(tmp_path, SEPARABLE.replace(old, new))
-    assert_bad_input(capsys, ["solve", cfg, "--output", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    assert_bad_input(capsys, ["solve", cfg, "--output", str(out)])
+    if "damping_fraction" in new:
+        # A bad [solver] value fails when the config loads, before any output is made.
+        assert not out.exists()
 
 
 # a = 1e308 overflows the linearization's 2 B / ht^2; u0 = 1e300 sin(x) overflows
@@ -388,6 +392,7 @@ def _valid_ladder(eps) -> bool:
 @example([float("nan")])
 @example([1e308])  # the bounds report's stencils on f overflow: inf and nan, not a crash
 @example([1.7976931348623157e308])  # Q of the starting barrier overflows: a solver failure
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_exit_code_over_drawn_epsilons(tmp_path, capsys, eps):
     text = SEPARABLE.replace("nodes_per_axis = 16", "nodes_per_axis = 8").replace("time_nodes = 9", "time_nodes = 5")
     cfg = write_cfg(tmp_path, text.replace("epsilons = 1, 0.5, 0.25", "epsilons = " + ", ".join(map(repr, eps))))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import torusgeo
 from torusgeo.config import (
+    _SECTIONS,
     ConfigError,
     build_exact,
     build_grid,
@@ -18,9 +19,9 @@ from torusgeo.config import (
     build_space_field,
     compile_expression,
     load_config,
-    solve_options,
 )
 from torusgeo.mesh import GridSpec, write_field_csv
+from torusgeo.solver import SolveOptions
 
 
 GOOD_CFG = """\
@@ -160,6 +161,7 @@ def test_load_good_config(tmp_path):
     assert cfg.solver.continuation_steps == 6
     assert cfg.solver.refinements == 2
     assert cfg.solver.damping_fraction == pytest.approx(0.95)  # default kept
+    assert isinstance(cfg.solver, SolveOptions)  # handed to the solver as is
     assert cfg.sweep.epsilons == (1.0, 0.1, 0.01)
     assert cfg.scan.k == 1 and cfg.scan.n == 4
     assert cfg.scan.trials == 500 and cfg.scan.seed == 7
@@ -178,6 +180,24 @@ def test_load_defaults_without_optional_sections(tmp_path):
     assert cfg.sweep.epsilons == ()
     assert cfg.scan.trials == 100000
     assert cfg.output.directory == "out"
+
+
+def test_config_sections_accept_the_same_keys():
+    # Each section's key set is derived from its dataclass; this pins the accepted keys.
+    assert _SECTIONS == {
+        "problem": {"spatial_dim", "nodes_per_axis", "time_nodes", "spatial_period", "a", "b", "f", "u0", "u1", "exact"},
+        "solver": {
+            "newton_tol",
+            "max_newton_iters",
+            "damping_fraction",
+            "continuation_steps",
+            "min_step_shrink",
+            "refinements",
+        },
+        "sweep": {"epsilons"},
+        "scan": {"k", "n", "trials", "seed", "hermitian", "threshold", "batch_size", "comparison_pairs"},
+        "output": {"directory"},
+    }
 
 
 def test_load_missing_file(tmp_path):
@@ -249,6 +269,22 @@ def test_load_scan_rejects_bad_values(tmp_path, key, value, match):
     else:
         text = GOOD_CFG.replace("hermitian = yes", f"hermitian = yes\n{key} = {value}")
     with pytest.raises(ConfigError, match=match):
+        load_config(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("newton_tol", "0", "newton_tol must be positive"),
+        ("max_newton_iters", "0", "at least 1"),
+        ("damping_fraction", "1.5", "lie in"),
+        ("continuation_steps", "0", "at least 1"),
+        ("min_step_shrink", "2", "lie in"),
+    ],
+)
+def test_load_solver_rejects_bad_values(tmp_path, key, value, match):
+    text = f"[solver]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=r"^\[solver\]: .*" + match):
         load_config(write_cfg(tmp_path, text))
 
 
@@ -341,15 +377,6 @@ def test_file_reference_resolves_relative_to_config(tmp_path):
     assert os.getcwd() == cwd
     spec = build_problem(cfg)
     assert np.all(spec.a.values == 3.0)
-
-
-def test_solve_options_mapping(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, GOOD_CFG))
-    opts = solve_options(cfg)
-    assert opts.newton_tol == pytest.approx(1e-9)
-    assert opts.max_newton_iters == 30
-    assert opts.continuation_steps == 6
-    assert opts.damping_fraction == pytest.approx(0.95)
 
 
 def test_bundled_configs_load_and_build():

@@ -16,10 +16,9 @@ from torusgeo.symcone import (
     ComparisonReport,
     ConePoint,
     F_k_eval,
-    G_k_eval,
-    HermitianConePoint,
     _f_batch,
     _min_shift_into_cone,
+    _q_value,
     _sample_cone_batch,
     comparison_check,
     comparison_scan,
@@ -129,16 +128,13 @@ def test_F_frozen_values():
     assert F_k_eval(p, 1) == pytest.approx(10.0)
     assert F_k_eval(p, 2) == pytest.approx(2.0 * 11.0 - (5.0 + 3.0))
     assert F_k_eval(p, 3) == pytest.approx(2.0 * 6.0 - (6.0 * 1.0 + 2.0 * 1.0))
-    with pytest.raises(TypeError):
-        G_k_eval(p, 1)
 
 
 def test_G_frozen_value_complex():
-    p = HermitianConePoint(2.0, np.diag([2.0, 1.0]).astype(complex), np.array([1.0, 1j]))
-    # G_1 = 2 * 3 - (1 + 1) = 4
-    assert G_k_eval(p, 1) == pytest.approx(4.0)
-    with pytest.raises(TypeError):
-        F_k_eval(p, 1)
+    # Complex z alone makes the point complex: F_1 = 2 * 3 - (1 + |i|^2) = 4.
+    p = ConePoint(2.0, np.diag([2.0, 1.0]), np.array([1.0, 1j]))
+    assert np.iscomplexobj(p.R) and np.iscomplexobj(p.z)
+    assert F_k_eval(p, 1) == pytest.approx(4.0)
 
 
 def test_F_n_equals_block_determinant():
@@ -160,6 +156,23 @@ def test_F_n_equals_block_determinant():
             assert abs(got - det) <= 1e-10 * scale
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_F_is_dtype_invariant(seed):
+    # The same admissible real triple, held as real and as complex data, has one F_k.
+    rng = np.random.default_rng(seed)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            r00, r, z, _f, good = _sample_cone_batch(rng, k, n, 1, hermitian=False)
+            assert good[0]
+            real = ConePoint(r00[0], r[0], z[0])
+            cplx = ConePoint(r00[0], r[0].astype(complex), z[0].astype(complex))
+            assert not np.iscomplexobj(real.R) and np.iscomplexobj(cplx.R)
+            lam = np.abs(np.linalg.eigvalsh(r[0]))
+            scale = r00[0] * sigma_brute(lam, k) + float(np.sum(z[0] ** 2)) * sigma_brute(lam, k - 1)
+            assert abs(F_k_eval(real, k) - F_k_eval(cplx, k)) <= 1e-12 * scale, (n, k)
+
+
 def test_gamma_membership():
     assert gamma_k_membership(np.diag([1.0, -0.5]), 1)
     assert not gamma_k_membership(np.diag([1.0, -0.5]), 2)
@@ -178,6 +191,8 @@ def test_cone_point_admissibility():
         ConePoint(1.0, np.eye(2), np.zeros(3))
     with pytest.raises(ValueError):
         ConePoint(1.0, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ConePoint(1.0, np.array([[1.0, 1j], [1j, 1.0]]), np.zeros(2))
 
 
 def test_log_q_hessian_frozen_point():
@@ -272,9 +287,8 @@ def test_f1_batch_matches_pointwise_eval(n, hermitian):
     r00, r, z, f_sampled, good = _sample_cone_batch(rng, 1, n, 200, hermitian)
     assert good.all()
     f_batch = _f_batch(r00, r, z, 1)
-    point, evaluate = (HermitianConePoint, G_k_eval) if hermitian else (ConePoint, F_k_eval)
     for i in range(200):
-        want = evaluate(point(r00[i], r[i], z[i]), 1)
+        want = F_k_eval(ConePoint(r00[i], r[i], z[i]), 1)
         # The reference sums eigenvalues of both signs, so its own rounding is
         # relative to r00 * sum |lam|, not to the trace.
         scale = r00[i] * float(np.sum(np.abs(np.linalg.eigvalsh(r[i])))) + float(np.sum(np.abs(z[i]) ** 2))
@@ -397,6 +411,53 @@ def test_equalize_rejects_nonpositive():
     bad = ConePoint(1.0, np.array([[1.0]]), np.array([2.0]))
     with pytest.raises(ValueError):
         equalize_value(a, bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_equalize_value_keeps_hermitian_data():
+    a = ConePoint(1.0, np.eye(2), np.zeros(2))
+    b = ConePoint(2.0, np.array([[1.0, 0.5j], [-0.5j, 1.0]]), np.array([0.3j, 0.1]))
+    b_eq = equalize_value(a, b)
+    assert np.iscomplexobj(b_eq.R) and np.iscomplexobj(b_eq.z)
+    assert _q_value(b_eq) == pytest.approx(_q_value(a))
+    assert comparison_check(a, b_eq).ok
+
+
+def comparison_brute(a, b, s_samples):
+    """Segment and difference values built point by point, one combination per s."""
+    qa = _q_value(a)
+    worst = min(
+        _q_value(ConePoint(s * a.r00 + (1.0 - s) * b.r00, s * a.R + (1.0 - s) * b.R, s * a.z + (1.0 - s) * b.z)) - qa
+        for s in np.linspace(0.0, 1.0, s_samples)
+    )
+    return worst, _q_value(ConePoint(a.r00 - b.r00, a.R - b.R, a.z - b.z))
+
+
+def _random_q_point(rng, n, hermitian):
+    """A triple with Q = r00 Re tr R - |z|^2 at a random fraction in [0, 0.95) of r00 Re tr R."""
+    m = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if hermitian else 0.0)
+    r = 0.5 * (m + m.conj().T)
+    r += (1.0 - np.real(np.trace(r)) / n + rng.exponential()) * np.eye(n)
+    r00 = float(np.exp(rng.normal(0.0, 0.5)))
+    zdir = rng.standard_normal(n) + (1j * rng.standard_normal(n) if hermitian else 0.0)
+    theta = rng.uniform(0.0, 0.95)
+    z = zdir * np.sqrt(theta * r00 * np.real(np.trace(r)) / max(float(np.sum(np.abs(zdir) ** 2)), 1e-300))
+    return ConePoint(r00, r, z)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(2, 21), st.booleans(), st.integers(0, 2**32 - 1))
+def test_comparison_check_matches_pointwise_reference(n, s_samples, hermitian, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_q_point(rng, n, hermitian)
+    b = equalize_value(a, _random_q_point(rng, n, hermitian))
+    rep = comparison_check(a, b, s_samples=s_samples)
+    worst, diff = comparison_brute(a, b, s_samples)
+    # Q is a difference of terms up to 20 Q here (theta < 0.95); both sides round at that size.
+    tol = 1e-12 * max(1.0, _q_value(a))
+    assert abs(rep.worst_segment_margin - worst) <= tol
+    assert abs(rep.diff_value - diff) <= tol
+    assert rep.ok
 
 
 def test_comparison_scan_clean_and_deterministic():
