@@ -104,12 +104,12 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     if cfg.solver.refinements > 0 and (cfg.problem is None or cfg.problem.exact is None):
         raise ConfigError("refinements > 0 requires an 'exact' expression in [problem]")
-    outdir = _outdir(args, cfg)
     spec = build_problem(cfg)
 
     result = continuation_solve(spec, cfg.solver)
     c_star = compute_c_star(spec)
     bounds = bounds_report(result.u, spec, c_star)
+    outdir = _outdir(args, cfg)
 
     write_field_csv(result.u, os.path.join(outdir, "solution.csv"))
     write_field_bin(result.u, os.path.join(outdir, "solution.bin"))
@@ -187,11 +187,11 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if not cfg.sweep.epsilons:
         raise ConfigError("sweep requires a [sweep] section with an epsilons list")
-    outdir = _outdir(args, cfg)
     spec = build_problem(cfg)
 
     records = []
     entries = epsilon_sweep(spec, cfg.sweep.epsilons, cfg.solver, on_record=records.append)
+    outdir = _outdir(args, cfg)
     _write_trace(records, os.path.join(outdir, "trace.csv"))
     rejected = [row for entry in entries for row in entry.rejected]
     _write_rejections(rejected, os.path.join(outdir, "rejections.csv"))

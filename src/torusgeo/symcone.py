@@ -12,6 +12,10 @@ and T_{k-1} is the (k-1)-th Newton transformation. The admissibility cone
 requires r00 > 0, R in the Garding cone Gamma_k^+ (sigma_1, ..., sigma_k all
 positive) and F_k > 0.
 
+Both F_k and T_{k-1} come from the Newton transformation's recursion
+(:func:`_newton_chain`), with no eigendecomposition; the scan's sampler takes
+the spectrum for its cone shift from eigvalsh (k >= 2) or the diagonal (k = 1).
+
 Log-concavity of F_k along segments inside the cone is a theorem for k = 1
 (any n) and k = n; for 2 <= k <= n-1 it is scanned as a conjecture, with real
 and complex (Hermitian) data flagged separately. The scanners draw random
@@ -101,28 +105,37 @@ def sigma_k(eigenvalues, k: int) -> float:
     return float(_esym_all(lams, k)[k])
 
 
-def _sigma_loo(lams: np.ndarray, m: int) -> np.ndarray:
-    """sigma_m of the eigenvalue list with entry i removed, for every i.
+def _newton_chain(r: np.ndarray, k: int):
+    """sigma_0..sigma_k and T_{k-1} of a batch of matrices, by the Newton recursion.
 
-    Input shape (..., n), output shape (..., n). Each leave-one-out value is
-    computed by a fresh addition-only recurrence, avoiding the cancellation of
-    division- or subtraction-based deflation.
+    T_0 = I, sigma_j = tr(R T_{j-1}) / j and T_j = sigma_j I - R T_{j-1}: k - 1
+    batched matrix products and no eigendecomposition. T_0 is returned as None,
+    so F_1 costs no product at all. Traces are summed in index order, so a
+    matrix's sigma_j do not depend on the batch it sits in.
     """
-    lams = np.asarray(lams, dtype=float)
-    n = lams.shape[-1]
-    out = np.empty(lams.shape)
-    for i in range(n):
-        sub = np.concatenate([lams[..., :i], lams[..., i + 1 :]], axis=-1)
-        out[..., i] = _esym_all(sub, m)[..., m]
-    return out
+    n = r.shape[-1]
+    sig = np.ones(r.shape[:-2] + (k + 1,))
+    t = None
+    for j in range(1, k + 1):
+        rt = r if t is None else r @ t
+        diag = np.real(np.diagonal(rt, axis1=-2, axis2=-1))
+        sig[..., j] = sum(diag[..., i] for i in range(n)) / j
+        if j < k:
+            t = sig[..., j, None, None] * np.eye(n) - rt
+    return sig, t
+
+
+def _form(t, z: np.ndarray) -> np.ndarray:
+    """z^* T z of a batch, real for Hermitian T; ``t = None`` stands for T_0 = I."""
+    if t is None:
+        return np.sum(np.abs(z) ** 2, axis=-1)
+    return np.real(np.sum(np.conj(z) * (t @ z[..., None])[..., 0], axis=-1))
 
 
 def newton_transform(R, k: int) -> np.ndarray:
-    """Newton transformation T_{k-1}(R).
+    """Newton transformation T_{k-1}(R), Hermitian, with tr(T_{k-1} R) = k sigma_k(R).
 
-    In the eigenbasis of R, T_{k-1} is diagonal with entries
-    sigma_{k-1}(eigenvalues with the i-th removed). T_0 is the identity
-    (returned exactly), and tr(T_{k-1} R) = k sigma_k(R).
+    T_0 is the identity (returned exactly).
     """
     arr = _as_square(R)
     n = arr.shape[0]
@@ -130,41 +143,14 @@ def newton_transform(R, k: int) -> np.ndarray:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if k == 1:
         return np.eye(n, dtype=arr.dtype)
-    lam, u = np.linalg.eigh(arr)
-    loo = _sigma_loo(lam, k - 1)
-    t = (u * loo) @ u.conj().T
+    t = _newton_chain(arr, k)[1]
     return 0.5 * (t + t.conj().T)
 
 
-def _spectrum(r, k: int):
-    """Eigenvalues and eigenvectors of a batch, as far as F_k needs them.
-
-    T_0 = I, so F_1 sees R only through its trace: for k = 1 the real diagonal
-    stands in for the eigenvalues and the eigenvector slot is None (no eigh).
-    """
-    if k == 1:
-        return np.real(np.diagonal(r, axis1=-2, axis2=-1)), None
-    return np.linalg.eigh(r)
-
-
-def _sigma_and_form(lam, u, z, k: int):
-    """sigma_k and the form z^* T_{k-1} z from :func:`_spectrum` output, batched."""
-    sig = _esym_all(lam, k)[..., k]
-    if u is None:
-        return sig, np.sum(np.abs(z) ** 2, axis=-1)
-    w = np.einsum("...ij,...j->...i", np.conj(np.swapaxes(u, -1, -2)), z)
-    return sig, np.sum(_sigma_loo(lam, k - 1) * (np.abs(w) ** 2), axis=-1)
-
-
-def _f_from_eig(r00, lam, u, z, k: int):
-    """F_k from an eigendecomposition (or the k = 1 output of :func:`_spectrum`)."""
-    sig, t_form = _sigma_and_form(lam, u, z, k)
-    return r00 * sig - t_form
-
-
 def _f_batch(r00, r, z, k: int) -> np.ndarray:
-    """F_k of a batch of triples; for k = 1 this is r00 Re tr R - |z|^2, without eigh."""
-    return _f_from_eig(r00, *_spectrum(r, k), z, k)
+    """F_k of a batch of triples; for k = 1 this is r00 Re tr R - |z|^2."""
+    sig, t = _newton_chain(r, k)
+    return r00 * sig[..., k] - _form(t, z)
 
 
 def F_k_eval(point: ConePoint, k: int) -> float:
@@ -172,8 +158,7 @@ def F_k_eval(point: ConePoint, k: int) -> float:
     n = point.n
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    lam, u = np.linalg.eigh(point.R)
-    return float(np.real(_f_from_eig(point.r00, lam, u, point.z, k)))
+    return float(_f_batch(point.r00, point.R, point.z, k))
 
 
 def gamma_k_membership(R, k: int) -> bool:
@@ -182,9 +167,7 @@ def gamma_k_membership(R, k: int) -> bool:
     n = arr.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    lam = np.linalg.eigvalsh(arr)
-    sig = _esym_all(lam, k)
-    return bool(np.all(sig[1 : k + 1] > 0.0))
+    return bool(np.all(_newton_chain(arr, k)[0][1:] > 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +221,28 @@ def _min_shift_into_cone(lams: np.ndarray, k: int, iters: int = 60) -> np.ndarra
     """Per-row smallest s with spectrum lam + s on the boundary of Gamma_k^+.
 
     Closed forms: -mean(lam) for k = 1 (sigma_1 > 0), -min(lam) for k = n (the
-    positive orthant). For 1 < k < n the admissible shifts form an upward
-    half-line, so bisection applies between a bracket making the spectrum
-    positive definite and one making sigma_1 negative.
+    positive orthant). For 1 < k < n it is the largest root of the real-rooted
+    polynomial sigma_k(lam + s), with derivative (n - k + 1) sigma_{k-1}(lam + s):
+    Newton's method from -min(lam) decreases monotonically onto it, and stops
+    once no row moves (at most ``iters`` steps).
     """
     lams = np.asarray(lams, dtype=float)
     if k == 1:
         return -np.mean(lams, axis=-1)
-    if k == lams.shape[-1]:
-        return -np.min(lams, axis=-1)
-    scale = 1.0 + np.max(np.abs(lams), axis=-1)
-    lo = -np.mean(lams, axis=-1) - 1e-9 * scale
-    hi = np.maximum(0.0, -np.min(lams, axis=-1)) + 1e-9 * scale
+    n = lams.shape[-1]
+    s = -np.min(lams, axis=-1)
+    if k == n:
+        return s
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        sig = _esym_all(lams + mid[..., None], k)
-        inside = np.all(sig[..., 1 : k + 1] > 0.0, axis=-1)
-        hi = np.where(inside, mid, hi)
-        lo = np.where(inside, lo, mid)
-    return hi
+        sig = _esym_all(lams + s[..., None], k)
+        slope = (n - k + 1) * sig[..., k - 1]
+        # Rows at the root (sigma_k <= 0 through rounding) or at a zero slope stay put.
+        move = (slope > 0.0) & (sig[..., k] > 0.0)
+        s_next = np.where(move, s - sig[..., k] / np.where(move, slope, 1.0), s)
+        if np.array_equal(s_next, s):
+            break
+        s = s_next
+    return s
 
 
 def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, hermitian: bool):
@@ -275,19 +261,22 @@ def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, her
     else:
         m = rng.standard_normal((batch, n, n))
         r = 0.5 * (m + np.swapaxes(m, -1, -2))
-    lam, u = _spectrum(r, k)
+    # The shift needs the spectrum, except for k = 1 where the diagonal's mean will do.
+    lam = np.real(np.diagonal(r, axis1=-2, axis2=-1)) if k == 1 else np.linalg.eigvalsh(r)
     margin = 10.0 ** rng.uniform(-2.0, 0.0, batch)
     shift = _min_shift_into_cone(lam, k) + margin
     r = r + shift[:, None, None] * np.eye(n)
-    lam = lam + shift[:, None]
     r00 = np.exp(rng.normal(0.0, 0.7, batch))
     if hermitian:
         zdir = (rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))) / math.sqrt(2.0)
     else:
         zdir = rng.standard_normal((batch, n))
     theta = rng.uniform(0.0, 0.99, batch)
-    sig, t_form = _sigma_and_form(lam, u, zdir, k)
-    good = (sig > 0.0) & (t_form > 0.0) & np.isfinite(t_form)
+    sigs, t = _newton_chain(r, k)
+    sig = sigs[:, k]
+    t_form = _form(t, zdir)
+    # Only samples inside Gamma_k^+ (sigma_1..sigma_k all positive) are scored.
+    good = np.all(sigs[:, 1:] > 0.0, axis=-1) & (t_form > 0.0) & np.isfinite(t_form)
     safe_t = np.where(good, t_form, 1.0)
     scale2 = np.where(good, theta * r00 * sig / safe_t, 0.0)
     z = zdir * np.sqrt(scale2)[:, None]

@@ -328,9 +328,8 @@ def test_solve_bad_input_exits_2(tmp_path, capsys, old, new):
     cfg = write_cfg(tmp_path, SEPARABLE.replace(old, new))
     out = tmp_path / "out"
     assert_bad_input(capsys, ["solve", cfg, "--output", str(out)])
-    if "damping_fraction" in new:
-        # A bad [solver] value fails when the config loads, before any output is made.
-        assert not out.exists()
+    # Bad input fails before any output is made.
+    assert not out.exists()
 
 
 # a = 1e308 overflows the linearization's 2 B / ht^2; u0 = 1e300 sin(x) overflows
@@ -369,7 +368,25 @@ def test_scan_bad_config_exits_2(tmp_path, capsys, old, new):
 )
 def test_sweep_bad_epsilons_exit_2(tmp_path, capsys, epsilons):
     cfg = write_cfg(tmp_path, SEPARABLE.replace("epsilons = 1, 0.5, 0.25", f"epsilons = {epsilons}"))
-    assert_bad_input(capsys, ["sweep", cfg, "--output", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    assert_bad_input(capsys, ["sweep", cfg, "--output", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("nodes_per_axis = 16", "nodes_per_axis = 4"),
+        ("a = 1\n", "a = 1/sin(x)+3\n"),
+    ],
+    ids=["nodes_per_axis", "nonfinite_field"],
+)
+def test_sweep_bad_problem_exits_2_without_output(tmp_path, capsys, old, new):
+    cfg = write_cfg(tmp_path, SEPARABLE.replace(old, new))
+    out = tmp_path / "out"
+    assert_bad_input(capsys, ["sweep", cfg, "--output", str(out)])
+    assert not out.exists()
 
 
 # Derandomized, no example database; every example rewrites the same files under tmp_path.
@@ -471,7 +488,9 @@ def test_sweep_accepts_vanishing_f(tmp_path):
 def test_sweep_rejects_partly_vanishing_f(tmp_path, capsys):
     # f = 1 + cos(x) vanishes at x = pi: only f > 0 or f identically 0 may be swept
     cfg = write_cfg(tmp_path, SEPARABLE.replace("f = 2\n", "f = 1 + cos(x)\n"))
-    assert_bad_input(capsys, ["sweep", cfg, "--output", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    assert_bad_input(capsys, ["sweep", cfg, "--output", str(out)])
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

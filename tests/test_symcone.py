@@ -8,14 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from torusgeo.symcone import (
     _RECORD_CHUNK,
     ComparisonReport,
     ConePoint,
     F_k_eval,
+    _esym_all,
     _f_batch,
     _min_shift_into_cone,
     _q_value,
@@ -58,6 +60,33 @@ def newton_brute(r, k):
     for m in range(1, k):
         t = sigma_minors(m) * np.eye(n, dtype=r.dtype) - t @ r
     return t
+
+
+def f_eig_reference(r00, r, z, k):
+    """F_k of a batch through eigh: T_{k-1} is diagonal in R's eigenbasis, with
+    entry i equal to sigma_{k-1} of the eigenvalues with the i-th removed."""
+    lam, u = np.linalg.eigh(r)
+    n = lam.shape[-1]
+    loo = np.stack(
+        [_esym_all(np.delete(lam, i, axis=-1), k - 1)[..., k - 1] for i in range(n)], axis=-1
+    )
+    w = np.einsum("...ji,...j->...i", np.conj(u), z)
+    return r00 * _esym_all(lam, k)[..., k] - np.sum(loo * np.abs(w) ** 2, axis=-1)
+
+
+def min_shift_bisection(lams, k, iters=60):
+    """Smallest s putting lam + s on the boundary of Gamma_k^+, by bisection between a
+    shift making the spectrum positive definite and one making sigma_1 negative."""
+    scale = 1.0 + np.max(np.abs(lams), axis=-1)
+    lo = -np.mean(lams, axis=-1) - 1e-9 * scale
+    hi = np.maximum(0.0, -np.min(lams, axis=-1)) + 1e-9 * scale
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        sig = _esym_all(lams + mid[..., None], k)
+        inside = np.all(sig[..., 1 : k + 1] > 0.0, axis=-1)
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    return hi
 
 
 def test_sigma_frozen_values():
@@ -248,6 +277,7 @@ def test_log_q_hessian_batch_matches_single():
         assert np.max(np.abs(hb[i] - single)) <= 1e-12 * scale
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_min_shift_into_cone():
     rng = np.random.default_rng(108)
     for n, k in ((3, 2), (4, 4), (5, 1)):
@@ -266,6 +296,7 @@ def test_min_shift_into_cone():
             assert min(sig_b) <= 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.floats(-100.0, 100.0), min_size=5, max_size=5))
 def test_min_shift_brackets_cone_boundary(spectrum):
@@ -278,6 +309,52 @@ def test_min_shift_brackets_cone_boundary(spectrum):
             s = float(_min_shift_into_cone(lam[None, :], k)[0])
             assert min(sigma_brute(lam + s + delta, j) for j in range(1, k + 1)) > 0.0, (n, k)
             assert min(sigma_brute(lam + s - delta, j) for j in range(1, k + 1)) <= 0.0, (n, k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(hnp.arrays(float, (64, 6), elements=st.floats(-100.0, 100.0)))
+@example(np.zeros((1, 6)))
+@example(np.array([[1.0, 1.0, 1.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 1.0, 1.0, 1.0]]))
+def test_min_shift_newton_matches_bisection(spectra):
+    # Newton's root agrees with the 60-step bisection it replaced, for 1 < k < n <= 6.
+    for n in range(3, 7):
+        lam = spectra[:, :n]
+        tol = 1e-12 * (1.0 + np.max(np.abs(lam), axis=-1))
+        for k in range(2, n):
+            err = np.abs(_min_shift_into_cone(lam, k) - min_shift_bisection(lam, k))
+            assert np.all(err <= tol), (n, k, lam[np.argmax(err - tol)])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_f_batch_matches_eigen_route(seed, hermitian):
+    # The Newton recursion against F_k read off an eigendecomposition, for every
+    # 1 <= k <= n <= 6, on sampled triples and on the midpoints the scan scores.
+    rng = np.random.default_rng(seed)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            r00p, rp, zp, fp, goodp = _sample_cone_batch(rng, k, n, 16, hermitian)
+            r00q, rq, zq, _fq, goodq = _sample_cone_batch(rng, k, n, 16, hermitian)
+            assert goodp.all() and goodq.all()
+            want = f_eig_reference(r00p, rp, zp, k)
+            assert np.all(np.abs(_f_batch(r00p, rp, zp, k) - want) <= 1e-10 * np.abs(want)), (n, k)
+            assert np.all(np.abs(fp - want) <= 1e-10 * np.abs(want)), (n, k)
+            mid = (0.5 * (r00p + r00q), 0.5 * (rp + rq), 0.5 * (zp + zq))
+            want = f_eig_reference(*mid, k)
+            assert np.all(np.abs(_f_batch(*mid, k) - want) <= 1e-10 * np.abs(want)), (n, k)
+
+
+@pytest.mark.parametrize("k, n, hermitian", [(3, 3, False), (4, 4, False), (2, 3, True)])
+def test_scan_makes_no_eigh_call(monkeypatch, k, n, hermitian):
+    # F_k comes from the Newton recursion and the shift from eigvalsh: eigh is never needed.
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    rep = midpoint_concavity_scan(k, n, 500, seed=38, hermitian=hermitian)
+    assert rep.sampling_failures == 0
+    assert rep.violation_count == 0
 
 
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
