@@ -53,6 +53,10 @@ from .symcone import (
 )
 
 
+# verify accepts a residual sup-norm up to VERIFY_RTOL * max(1, sup f).
+VERIFY_RTOL = 1e-8
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -96,7 +100,10 @@ def emit_plot_data(result, outdir: str) -> None:
 
 def _outdir(args, cfg: RunConfig) -> str:
     outdir = args.output if args.output is not None else cfg.output.directory
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {outdir!r}: {exc.strerror}") from None
     return outdir
 
 
@@ -106,7 +113,7 @@ def cmd_solve(args) -> int:
         raise ConfigError("refinements > 0 requires an 'exact' expression in [problem]")
     spec = build_problem(cfg)
 
-    result = continuation_solve(spec, cfg.solver)
+    result = continuation_solve(spec)
     c_star = compute_c_star(spec)
     bounds = bounds_report(result.u, spec, c_star)
     outdir = _outdir(args, cfg)
@@ -151,7 +158,7 @@ def cmd_solve(args) -> int:
             for level in range(1, cfg.solver.refinements + 1):
                 spec_r = build_problem(cfg, refine=level)
                 exact_r = build_exact(cfg, refine=level)
-                result_r = continuation_solve(spec_r, cfg.solver)
+                result_r = continuation_solve(spec_r)
                 err = sup_norm(ScalarField(spec_r.grid, result_r.u.values - exact_r.values))
                 order = (
                     math.log2(errors[-1] / err)
@@ -190,7 +197,7 @@ def cmd_sweep(args) -> int:
     spec = build_problem(cfg)
 
     records = []
-    entries = epsilon_sweep(spec, cfg.sweep.epsilons, cfg.solver, on_record=records.append)
+    entries = epsilon_sweep(spec, cfg.sweep.epsilons, on_record=records.append)
     outdir = _outdir(args, cfg)
     _write_trace(records, os.path.join(outdir, "trace.csv"))
     rejected = [row for entry in entries for row in entry.rejected]
@@ -244,21 +251,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
-    outdir = _outdir(args, cfg)
     sc = cfg.scan
 
-    report = midpoint_concavity_scan(
-        sc.k,
-        sc.n,
-        sc.trials,
-        sc.seed,
-        hermitian=sc.hermitian,
-        batch_size=sc.batch_size,
-        threshold=sc.threshold,
-    )
+    report = midpoint_concavity_scan(sc.k, sc.n, sc.trials, sc.seed, hermitian=sc.hermitian, threshold=sc.threshold)
+    comparison = comparison_scan(sc.n, sc.comparison_pairs, sc.seed + 1)
+    outdir = _outdir(args, cfg)
     write_scan_records(report, os.path.join(outdir, "scan_records.csv"))
     write_counterexamples(report, os.path.join(outdir, "counterexamples.txt"))
-    comparison = comparison_scan(sc.n, sc.comparison_pairs, sc.seed + 1)
 
     scan_ok = report.violation_count == 0 or not report.theorem_backed
     comparison_ok = comparison.violation_count == 0
@@ -317,13 +316,13 @@ def cmd_verify(args) -> int:
     bnd0 = float(np.max(np.abs(field.values[0] - spec.u0.values)))
     bnd1 = float(np.max(np.abs(field.values[-1] - spec.u1.values)))
     boundary_ok = max(bnd0, bnd1) <= 1e-10 * max(1.0, sup_norm(field))
-    residual_ok = res_sup <= args.tol * scale
+    residual_ok = res_sup <= VERIFY_RTOL * scale
     bounds = bounds_report(field, spec, compute_c_star(spec))
     ok = report.admissible and residual_ok and boundary_ok and bounds.passed
 
     print(f"verify: admissible = {_fmt_bool(report.admissible)}")
     print(f"verify: min_utt = {report.min_utt:.6g} min_B = {report.min_b:.6g} min_Q = {report.min_q:.6g}")
-    print(f"verify: residual_sup = {res_sup:.6g} (tol {args.tol:.6g} x {scale:.6g})")
+    print(f"verify: residual_sup = {res_sup:.6g} (tol {VERIFY_RTOL:.6g} x {scale:.6g})")
     print(f"verify: boundary_ok = {_fmt_bool(boundary_ok)}")
     print(f"verify: bounds_passed = {_fmt_bool(bounds.passed)}")
     print(f"verify: ok = {_fmt_bool(ok)}")
@@ -352,7 +351,6 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="re-check a solution dump against a problem")
     p_verify.add_argument("solution", help="solution file (.csv or .bin)")
     p_verify.add_argument("config", help="INI configuration file")
-    p_verify.add_argument("--tol", type=float, default=1e-8, help="relative residual tolerance")
 
     args = parser.parse_args(argv)
     try:

@@ -14,13 +14,15 @@ import configparser
 import contextlib
 import math
 import os
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .mesh import GridSpec, ScalarField, SpaceField, read_scalar_csv, read_space_csv
+from .mesh import TWO_PI, GridSpec, ScalarField, SpaceField, read_scalar_csv, read_space_csv
 from .operator import ProblemSpec
-from .solver import SolveOptions
+from .solver import epsilon_ladder
+from .symcone import _check_k
 
 
 class ConfigError(ValueError):
@@ -115,14 +117,16 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     return fn
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ProblemConfig:
+    """The [problem] section; the fields without a default are its required keys."""
+
     spatial_dim: int
     nodes_per_axis: int
     time_nodes: int
-    spatial_period: float
+    spatial_period: float = TWO_PI
     a: str
-    b: float
+    b: float = 0.0
     f: str
     u0: str
     u1: str
@@ -130,8 +134,8 @@ class ProblemConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig(SolveOptions):
-    """The [solver] section: the Newton options plus ``solve``'s refinement levels."""
+class SolverConfig:
+    """The [solver] section: ``solve``'s dyadic refinement levels."""
 
     refinements: int = 0
 
@@ -149,7 +153,6 @@ class ScanConfig:
     seed: int = 42
     hermitian: bool = False
     threshold: float = -1e-9
-    batch_size: int = 4096
     comparison_pairs: int = 10000
 
 
@@ -161,21 +164,11 @@ class OutputConfig:
 @dataclass
 class RunConfig:
     problem: ProblemConfig | None = None
-    solver: SolverConfig = None
-    sweep: SweepConfig = None
-    scan: ScanConfig = None
-    output: OutputConfig = None
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+    scan: ScanConfig = field(default_factory=ScanConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
     base_dir: str = "."
-
-    def __post_init__(self) -> None:
-        if self.solver is None:
-            self.solver = SolverConfig()
-        if self.sweep is None:
-            self.sweep = SweepConfig()
-        if self.scan is None:
-            self.scan = ScanConfig()
-        if self.output is None:
-            self.output = OutputConfig()
 
 
 _SECTIONS = {
@@ -188,8 +181,6 @@ _SECTIONS = {
         ("output", OutputConfig),
     )
 }
-
-_PROBLEM_REQUIRED = ("spatial_dim", "nodes_per_axis", "time_nodes", "a", "f", "u0", "u1")
 
 
 def _get_typed(section, key: str, kind, where: str):
@@ -210,8 +201,16 @@ def _get_typed(section, key: str, kind, where: str):
 
 
 def _typed_section(section, cls, where: str) -> dict:
-    """The keys of ``cls`` present in ``section``, each parsed as the type of its default."""
-    return {f.name: _get_typed(section, f.name, type(f.default), where) for f in fields(cls) if f.name in section}
+    """The keys of ``cls`` present in ``section``, each parsed as its field's type (T for ``T | None``).
+
+    The fields without a default are required keys.
+    """
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in section]
+    if missing:
+        raise ConfigError(f"missing required keys {missing} in [{where}]")
+    hints = typing.get_type_hints(cls)
+    kinds = {name: (typing.get_args(hint) or (hint,))[0] for name, hint in hints.items()}
+    return {f.name: _get_typed(section, f.name, kinds[f.name], where) for f in fields(cls) if f.name in section}
 
 
 def load_config(path) -> RunConfig:
@@ -238,30 +237,10 @@ def load_config(path) -> RunConfig:
     cfg = RunConfig(base_dir=os.path.dirname(os.path.abspath(path)))
 
     if parser.has_section("problem"):
-        sec = parser["problem"]
-        missing = [key for key in _PROBLEM_REQUIRED if key not in sec]
-        if missing:
-            raise ConfigError(f"missing required keys {missing} in [problem]")
-        cfg.problem = ProblemConfig(
-            spatial_dim=_get_typed(sec, "spatial_dim", int, "problem"),
-            nodes_per_axis=_get_typed(sec, "nodes_per_axis", int, "problem"),
-            time_nodes=_get_typed(sec, "time_nodes", int, "problem"),
-            spatial_period=(
-                _get_typed(sec, "spatial_period", float, "problem")
-                if "spatial_period" in sec
-                else 2.0 * math.pi
-            ),
-            a=sec["a"].strip(),
-            b=_get_typed(sec, "b", float, "problem") if "b" in sec else 0.0,
-            f=sec["f"].strip(),
-            u0=sec["u0"].strip(),
-            u1=sec["u1"].strip(),
-            exact=sec["exact"].strip() if "exact" in sec else None,
-        )
+        cfg.problem = ProblemConfig(**_typed_section(parser["problem"], ProblemConfig, "problem"))
 
     if parser.has_section("solver"):
-        with _bad_input("[solver]"):
-            cfg.solver = SolverConfig(**_typed_section(parser["solver"], SolverConfig, "solver"))
+        cfg.solver = SolverConfig(**_typed_section(parser["solver"], SolverConfig, "solver"))
         if cfg.solver.refinements < 0:
             raise ConfigError("refinements must be nonnegative")
 
@@ -274,26 +253,21 @@ def load_config(path) -> RunConfig:
             eps = tuple(float(p) for p in parts)
         except ValueError:
             raise ConfigError(f"epsilons must be a list of floats, got {sec['epsilons']!r}") from None
-        if not eps:
-            raise ConfigError("epsilons must be nonempty")
-        if not all(math.isfinite(e) and e > 0.0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError(f"epsilons must be finite, positive and strictly decreasing, got {sec['epsilons']!r}")
-        cfg.sweep = SweepConfig(epsilons=eps)
+        with _bad_input("[sweep]"):
+            cfg.sweep = SweepConfig(epsilons=epsilon_ladder(eps))
 
     if parser.has_section("scan"):
         cfg.scan = sc = ScanConfig(**_typed_section(parser["scan"], ScanConfig, "scan"))
-        if not 1 <= sc.k <= sc.n:
-            raise ConfigError(f"scan requires 1 <= k <= n, got k={sc.k}, n={sc.n}")
+        with _bad_input("[scan]"):
+            _check_k(sc.k, sc.n)
         for key in ("trials", "seed", "comparison_pairs"):
             if getattr(sc, key) < 0:
                 raise ConfigError(f"{key} in [scan] must be nonnegative, got {getattr(sc, key)}")
-        if sc.batch_size < 1:
-            raise ConfigError(f"batch_size in [scan] must be at least 1, got {sc.batch_size}")
         if not math.isfinite(sc.threshold):
             raise ConfigError(f"threshold in [scan] must be finite, got {sc.threshold!r}")
 
     if parser.has_section("output"):
-        cfg.output = OutputConfig(directory=parser["output"]["directory"].strip())
+        cfg.output = OutputConfig(**_typed_section(parser["output"], OutputConfig, "output"))
 
     return cfg
 

@@ -365,8 +365,7 @@ class LinearSystem:
     ``solve_interior`` runs GMRES on the time-major interior unknowns,
     preconditioned by the stencil with each weight averaged over its layer;
     ``thomas`` holds that operator's per-Fourier-mode tridiagonal factors.
-    ``rhs`` is the right-hand side over interior nodes (zero unless a target
-    was given); ``iterations`` counts GMRES iterations of the latest solve.
+    ``iterations`` counts GMRES iterations of the latest solve.
     """
 
     grid: GridSpec
@@ -374,7 +373,6 @@ class LinearSystem:
     tcoef: np.ndarray
     spatial: list
     thomas: tuple
-    rhs: np.ndarray
     iterations: int = 0
 
     def _action(self, vals: np.ndarray) -> np.ndarray:
@@ -479,16 +477,15 @@ class LinearSystem:
             beta = _finite(np.linalg.norm(z))
         return x, rnorm
 
-    def solve_interior(self, g=None, rtol: float = GMRES_RTOL) -> np.ndarray:
+    def solve_interior(self, g, rtol: float = GMRES_RTOL) -> np.ndarray:
         """Solve for the interior correction with zero Dirichlet layers.
 
-        ``g`` is an interior-layer array (defaults to ``rhs``); the answer is
-        accepted once its true residual is at most ``rtol ||g||``. Returns a
-        full-shape array whose boundary layers are zero. Raises
-        :class:`LinearSolveError` when GMRES meets non-finite values or does
-        not reach ``rtol``.
+        ``g`` is an interior-layer array; the answer is accepted once its true
+        residual is at most ``rtol ||g||``. Returns a full-shape array whose
+        boundary layers are zero. Raises :class:`LinearSolveError` when GMRES
+        meets non-finite values or does not reach ``rtol``.
         """
-        target = self.rhs if g is None else np.asarray(g, dtype=float).ravel()
+        target = np.asarray(g, dtype=float).ravel()
         x, resid = self._gmres(target, rtol)
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("linear solve produced non-finite values")
@@ -498,19 +495,12 @@ class LinearSystem:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def assemble_dQ(
-    u: ScalarField,
-    spec: ProblemSpec,
-    rhs: ScalarField | None = None,
-    cone: ConeData | None = None,
-) -> LinearSystem:
+def assemble_dQ(u: ScalarField, spec: ProblemSpec, cone: ConeData | None = None) -> LinearSystem:
     """Linearization of Q at u: stencil weights and preconditioner factors, no matrix.
 
-    The weights come from ``cone`` (computed from u when not given). When
-    ``rhs`` is given, the system right-hand side is ``rhs - Q(u)`` on the
-    interior, so ``solve_interior()`` returns the Newton correction toward ``Q = rhs``.
-    Data near the top of the float range give non-finite weights or pivots
-    without a warning; ``solve_interior`` then raises a LinearSolveError.
+    The weights come from ``cone`` (computed from u when not given). Data
+    near the top of the float range give non-finite weights or pivots without
+    a warning; ``solve_interior`` then raises a LinearSolveError.
     """
     grid = spec.grid
     if cone is None:
@@ -549,6 +539,4 @@ def assemble_dQ(
     for k in range(1, diag.shape[0]):
         upper_ratio[k - 1] = upper[k - 1] * inv_pivot[k - 1]
         inv_pivot[k] = 1.0 / (diag[k] - lower[k] * upper_ratio[k - 1])
-
-    rhs_vec = np.zeros(cone.q.size) if rhs is None else (rhs.values[1:-1] - cone.q).ravel()
-    return LinearSystem(grid, center, tcoef, spatial, (lower, upper_ratio, inv_pivot), rhs_vec)
+    return LinearSystem(grid, center, tcoef, spatial, (lower, upper_ratio, inv_pivot))

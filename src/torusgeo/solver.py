@@ -20,6 +20,11 @@ probe does the same from two barriers. The epsilon sweep drives it from one
 eps of its ladder to the next on eps * f_hat, walking toward the degenerate
 limit f -> 0 while recording the weak second-order measurements that are
 expected to stay bounded uniformly in epsilon.
+
+The scheme has no tuning options: the Newton tolerance, iteration budget,
+fraction-to-boundary factor, line-search floor and homotopy step floor are the
+module constants NEWTON_TOL, MAX_NEWTON_ITERS, DAMPING, MIN_ALPHA and
+MIN_PATH_STEP.
 """
 
 from __future__ import annotations
@@ -75,34 +80,6 @@ class LinearSolveFailure(SolverError):
     """The linear solve for a Newton correction failed."""
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """Newton and continuation tuning knobs.
-
-    ``damping_fraction`` is the fraction-to-boundary parameter tau: a trial
-    step is accepted only if every cone margin stays above ``(1 - tau)``
-    times its current value pointwise.
-    """
-
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 50
-    damping_fraction: float = 0.95
-    continuation_steps: int = 10
-    min_step_shrink: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if not (self.newton_tol > 0.0 and math.isfinite(self.newton_tol)):
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
-        if self.max_newton_iters < 1:
-            raise ValueError(f"max_newton_iters must be at least 1, got {self.max_newton_iters}")
-        if not (0.0 < self.damping_fraction < 1.0):
-            raise ValueError(f"damping_fraction must lie in (0, 1), got {self.damping_fraction}")
-        if self.continuation_steps < 1:
-            raise ValueError(f"continuation_steps must be at least 1, got {self.continuation_steps}")
-        if not (0.0 < self.min_step_shrink <= 1.0):
-            raise ValueError(f"min_step_shrink must lie in (0, 1], got {self.min_step_shrink}")
-
-
 @dataclass
 class TraceRecord:
     """One line of the solver trace.
@@ -133,10 +110,23 @@ class TraceRecord:
 
 TRACE_HEADER = "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters,lin_rtol"
 
+# Newton and homotopy constants. A Newton run stops once the residual sup-norm is
+# at most NEWTON_TOL and fails after MAX_NEWTON_ITERS steps. Its line search keeps
+# every cone margin above (1 - DAMPING) times its current value pointwise (the
+# fraction-to-boundary rule) and fails once the step length drops below
+# MIN_ALPHA. The homotopy step is always a power of two; a path re-raises its
+# failure once a halving takes it below MIN_PATH_STEP, after 12 consecutive
+# halvings from the full step.
+NEWTON_TOL = 1e-10
+MAX_NEWTON_ITERS = 50
+DAMPING = 0.95
+MIN_ALPHA = 1e-4
+MIN_PATH_STEP = 2.0**-11
+
 # Eisenstat-Walker forcing terms (Eisenstat and Walker 1996, choice 2 with
 # gamma = 0.9, alpha = 2): the first step is solved to FORCING_START, each later
 # one to 0.9 (||g_k|| / ||g_{k-1}||)^2, clamped to
-# [max(GMRES_RTOL, 0.5 newton_tol / ||g_k||), FORCING_MAX]. Their safeguard
+# [max(GMRES_RTOL, 0.5 NEWTON_TOL / ||g_k||), FORCING_MAX]. Their safeguard
 # max(eta_k, 0.9 eta_{k-1}^2), applied while 0.9 eta_{k-1}^2 > 0.1, cannot fire
 # under this cap (0.9 * 0.1^2 = 0.009) and is left out. Looser values (a start
 # of 0.1, a cap of 0.5) cost Newton steps and rejected sweep rungs.
@@ -145,16 +135,16 @@ FORCING_MAX = 0.1
 FORCING_GAMMA = 0.9
 
 
-def _forcing_term(gnorm: float, prev_gnorm: float, newton_tol: float) -> float:
+def _forcing_term(gnorm: float, prev_gnorm: float) -> float:
     """Relative GMRES tolerance for a Newton step whose residual g has 2-norm ``gnorm``.
 
     ``prev_gnorm`` is that of the previous step of the same run, nan on the first.
     """
     eta = FORCING_START if math.isnan(prev_gnorm) else FORCING_GAMMA * (gnorm / prev_gnorm) ** 2
-    # The floor stops the final steps from solving past what newton_tol needs. Below
-    # newton_tol it exceeds FORCING_MAX anyway, so max(gnorm, newton_tol) only keeps
+    # The floor stops the final steps from solving past what NEWTON_TOL needs. Below
+    # NEWTON_TOL it exceeds FORCING_MAX anyway, so max(gnorm, NEWTON_TOL) only keeps
     # an underflowed zero norm from dividing.
-    return min(FORCING_MAX, max(eta, GMRES_RTOL, 0.5 * newton_tol / max(gnorm, newton_tol)))
+    return min(FORCING_MAX, max(eta, GMRES_RTOL, 0.5 * NEWTON_TOL / max(gnorm, NEWTON_TOL)))
 
 
 @dataclass
@@ -238,7 +228,6 @@ def newton_solve(
     spec: ProblemSpec,
     rhs: ScalarField,
     u_init: ScalarField,
-    opts: SolveOptions | None = None,
     *,
     phase: str = "newton",
     param: float = math.nan,
@@ -251,14 +240,14 @@ def newton_solve(
     linearization for the correction by preconditioned GMRES, up to a
     relative residual given by the Eisenstat-Walker forcing term (see
     :func:`_forcing_term`), then backtracks: first until every cone margin
-    stays above ``(1 - damping_fraction)`` times its current value, then
-    until the residual sup-norm strictly decreases.
+    stays above ``(1 - DAMPING)`` times its current value, then until the
+    residual sup-norm strictly decreases. It stops once that sup-norm is at
+    most ``NEWTON_TOL``.
 
     Raises :class:`LostAdmissibility`, :class:`StepCollapse` or
     :class:`NonConvergence`, each carrying the offending node, or
     :class:`LinearSolveFailure` when a correction cannot be computed.
     """
-    opts = opts or SolveOptions()
     grid = spec.grid
     rhs_int = _require_rhs_positive(rhs)
 
@@ -283,7 +272,7 @@ def newton_solve(
 
     res = cone.q - rhs_int
     res_sup = float(np.max(np.abs(res)))
-    floor = 1.0 - opts.damping_fraction
+    floor = 1.0 - DAMPING
     records: list[TraceRecord] = []
 
     def emit(iteration: int, alpha: float, lin_iters: int, lin_rtol: float) -> None:
@@ -295,8 +284,8 @@ def newton_solve(
     emit(0, 0.0, 0, 0.0)
     iters = 0
     gnorm = math.nan
-    while res_sup > opts.newton_tol:
-        if iters >= opts.max_newton_iters:
+    while res_sup > NEWTON_TOL:
+        if iters >= MAX_NEWTON_ITERS:
             node = full_node(argmax_node(np.abs(res)))
             raise NonConvergence(
                 f"no convergence after {iters} iterations; residual {res_sup!r} at node {node}",
@@ -308,7 +297,7 @@ def newton_solve(
         g = -res.reshape(-1)
         with np.errstate(over="ignore"):  # an overflowing norm fails the linear solve below
             prev_gnorm, gnorm = gnorm, float(np.linalg.norm(g))
-        eta = _forcing_term(gnorm, prev_gnorm, opts.newton_tol)
+        eta = _forcing_term(gnorm, prev_gnorm)
         try:
             h = ls.solve_interior(g, eta)
         except LinearSolveError as err:
@@ -331,7 +320,7 @@ def newton_solve(
                     trial_cone = t_cone
                     break
             alpha *= 0.5
-            if alpha < opts.min_step_shrink:
+            if alpha < MIN_ALPHA:
                 if margin_ok:
                     node = full_node(argmax_node(np.abs(t_res)))
                     raise StepCollapse(
@@ -347,8 +336,7 @@ def newton_solve(
                 )
                 node = full_node(argmin_node(defects))
                 raise StepCollapse(
-                    f"line search collapsed below {opts.min_step_shrink}: cone margin violated at node "
-                    f"{node}",
+                    f"line search collapsed below {MIN_ALPHA}: cone margin violated at node {node}",
                     node=node,
                     phase=phase,
                     param=param,
@@ -373,7 +361,7 @@ def newton_solve(
 
 
 def _follow_path(
-    spec: ProblemSpec, target, p0: float, p1: float, opts: SolveOptions, log: SolveResult, *, phase: str, on_record
+    spec: ProblemSpec, target, p0: float, p1: float, log: SolveResult, *, phase: str, on_record
 ) -> SolveResult:
     """The homotopy driver: follow Q(u) = target(p) from p0 to p1, starting at ``log.u``.
 
@@ -381,21 +369,20 @@ def _follow_path(
     path and starts as the full step to p1. A failed Newton run is appended
     to ``log.rejected`` as ``(phase, p, reason)`` and retried from the last
     accepted solution with half the step; the failure is re-raised once the
-    step falls below ``1 / (256 * continuation_steps)``. Every accepted rung
-    is appended to ``log`` and doubles the step. Returns ``log``.
+    step falls below ``MIN_PATH_STEP``. Every accepted rung is appended to
+    ``log`` and doubles the step. Returns ``log``.
     """
-    ds_min = 1.0 / (256.0 * opts.continuation_steps)
     ds = 1.0
     s = 0.0
     while s < 1.0:
         s_next = 1.0 if s + ds >= 1.0 - 1e-12 else s + ds
         p = p1 if s_next == 1.0 else p0 + s_next * (p1 - p0)
         try:
-            step = newton_solve(spec, target(p), log.u, opts, phase=phase, param=p, on_record=on_record)
+            step = newton_solve(spec, target(p), log.u, phase=phase, param=p, on_record=on_record)
         except SolverError as err:
             log.rejected.append((phase, p, str(err)))
             ds *= 0.5
-            if ds < ds_min:
+            if ds < MIN_PATH_STEP:
                 raise
             continue
         log.u = step.u
@@ -408,9 +395,7 @@ def _follow_path(
     return log
 
 
-def _barrier_continuation(
-    spec: ProblemSpec, scale: float, opts: SolveOptions, *, phase: str, on_record=None, rejected=None
-) -> SolveResult:
+def _barrier_continuation(spec: ProblemSpec, scale: float, *, phase: str, on_record=None, rejected=None) -> SolveResult:
     """Follow ``(1 - s) Q(U_{-c}) + s f`` from the barrier at s = 0 to s = 1, c = scale * c*."""
     if float(np.min(spec.f.values[1:-1])) <= 0.0:
         node = full_node(argmin_node(spec.f.values[1:-1]))
@@ -426,19 +411,14 @@ def _barrier_continuation(
         return ScalarField(spec.grid, (1.0 - s) * q_barrier + s * spec.f.values)
 
     # Rung s = 0 verifies that the barrier itself solves the starting problem.
-    log = newton_solve(spec, target(0.0), u, opts, phase=phase, param=0.0, on_record=on_record)
+    log = newton_solve(spec, target(0.0), u, phase=phase, param=0.0, on_record=on_record)
     if rejected is not None:
         log.rejected = rejected
-    return _follow_path(spec, target, 0.0, 1.0, opts, log, phase=phase, on_record=on_record)
+    return _follow_path(spec, target, 0.0, 1.0, log, phase=phase, on_record=on_record)
 
 
 def continuation_solve(
-    spec: ProblemSpec,
-    opts: SolveOptions | None = None,
-    *,
-    on_record=None,
-    phase: str = "continuation",
-    rejected: list | None = None,
+    spec: ProblemSpec, *, on_record=None, phase: str = "continuation", rejected: list | None = None
 ) -> SolveResult:
     """Solve Q(u) = f by continuation from the barrier.
 
@@ -446,13 +426,11 @@ def continuation_solve(
     parameter s is ``(1 - s) Q(U_{-c*}) + s f``, which stays positive for all
     s in [0, 1]. After the verification rung s = 0 the homotopy driver takes
     the path to s = 1: full step first, half the step after a failed rung,
-    re-raising below ``1 / (256 * continuation_steps)``, twice the step after
-    an accepted one. Failed rungs are appended to ``rejected``, which may be a
+    re-raising below ``MIN_PATH_STEP``, twice the step after an accepted
+    one. Failed rungs are appended to ``rejected``, which may be a
     caller-owned list that keeps them when the solve raises.
     """
-    return _barrier_continuation(
-        spec, 1.0, opts or SolveOptions(), phase=phase, on_record=on_record, rejected=rejected
-    )
+    return _barrier_continuation(spec, 1.0, phase=phase, on_record=on_record, rejected=rejected)
 
 
 @dataclass
@@ -474,13 +452,17 @@ class SweepEntry:
     rejected: list = field(default_factory=list)
 
 
-def epsilon_sweep(
-    spec: ProblemSpec,
-    epsilons,
-    opts: SolveOptions | None = None,
-    *,
-    on_record=None,
-) -> list[SweepEntry]:
+def epsilon_ladder(epsilons) -> tuple[float, ...]:
+    """The sweep's epsilons as floats; ValueError unless finite, positive and strictly decreasing."""
+    eps = tuple(float(e) for e in epsilons)
+    if not eps:
+        raise ValueError("epsilons must be nonempty")
+    if not all(math.isfinite(e) and e > 0.0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"epsilons must be finite, positive and strictly decreasing, got {list(eps)}")
+    return eps
+
+
+def epsilon_sweep(spec: ProblemSpec, epsilons, *, on_record=None) -> list[SweepEntry]:
     """Walk the right-hand side toward the degenerate limit.
 
     The target at each rung is ``eps * f_hat`` where ``f_hat`` is f scaled to
@@ -492,16 +474,9 @@ def epsilon_sweep(
     fails, the rung falls back to a cold :func:`continuation_solve` from the
     barrier. Every failed attempt of a rung, warm ones first, is in the
     entry's ``rejected`` list, also when the cold fallback fails too.
-    Epsilons must be finite, positive and strictly decreasing.
+    Epsilons must pass :func:`epsilon_ladder`.
     """
-    opts = opts or SolveOptions()
-    eps_list = [float(e) for e in epsilons]
-    if not eps_list:
-        raise ValueError("epsilon ladder is empty")
-    if not all(math.isfinite(e) and e > 0.0 for e in eps_list):
-        raise ValueError(f"epsilons must be finite and positive, got {eps_list}")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError(f"epsilons must be strictly decreasing, got {eps_list}")
+    eps_list = epsilon_ladder(epsilons)
 
     sup_f = float(np.max(spec.f.values))
     f_hat = spec.f.values / sup_f if sup_f > 0.0 else np.ones(spec.grid.field_shape)
@@ -521,11 +496,11 @@ def epsilon_sweep(
                 warm = SolveResult(prev_u, math.nan, 0, True, rejected=entry.rejected)
                 with contextlib.suppress(SolverError):  # the failed attempts stay in entry.rejected
                     entry.result = _follow_path(
-                        spec_eps, target, prev_eps, eps, opts, warm, phase="sweep", on_record=on_record
+                        spec_eps, target, prev_eps, eps, warm, phase="sweep", on_record=on_record
                     )
             if entry.result is None:
                 entry.result = continuation_solve(
-                    spec_eps, opts, on_record=on_record, phase="sweep-cold", rejected=entry.rejected
+                    spec_eps, on_record=on_record, phase="sweep-cold", rejected=entry.rejected
                 )
         except SolverError as err:
             entry.error = str(err)
@@ -538,7 +513,7 @@ def epsilon_sweep(
     return entries
 
 
-def uniqueness_probe(spec: ProblemSpec, opts: SolveOptions | None = None) -> float:
+def uniqueness_probe(spec: ProblemSpec) -> float:
     """Sup-distance between solutions reached from two distinct barriers.
 
     Runs the continuation of :func:`continuation_solve` from ``U_{-c*}`` and
@@ -546,7 +521,6 @@ def uniqueness_probe(spec: ProblemSpec, opts: SolveOptions | None = None) -> flo
     of the difference; for a well-posed instance both runs land on the same
     discrete solution up to solver tolerance.
     """
-    opts = opts or SolveOptions()
-    r1 = _barrier_continuation(spec, 1.0, opts, phase="uniqueness")
-    r2 = _barrier_continuation(spec, 2.0, opts, phase="uniqueness")
+    r1 = _barrier_continuation(spec, 1.0, phase="uniqueness")
+    r2 = _barrier_continuation(spec, 2.0, phase="uniqueness")
     return float(np.max(np.abs(r1.u.values - r2.u.values)))

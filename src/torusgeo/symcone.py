@@ -96,12 +96,15 @@ def _esym_all(lams: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+
+
 def sigma_k(eigenvalues, k: int) -> float:
     """k-th elementary symmetric function of a list of eigenvalues."""
     lams = np.asarray(eigenvalues, dtype=float).reshape(-1)
-    n = lams.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    _check_k(k, lams.size)
     return float(_esym_all(lams, k)[k])
 
 
@@ -139,8 +142,7 @@ def newton_transform(R, k: int) -> np.ndarray:
     """
     arr = _as_square(R)
     n = arr.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    _check_k(k, n)
     if k == 1:
         return np.eye(n, dtype=arr.dtype)
     t = _newton_chain(arr, k)[1]
@@ -155,18 +157,14 @@ def _f_batch(r00, r, z, k: int) -> np.ndarray:
 
 def F_k_eval(point: ConePoint, k: int) -> float:
     """F_k(r00, R, z) = r00 sigma_k(R) - z^* T_{k-1}(R) z, real for real and Hermitian triples."""
-    n = point.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    _check_k(k, point.n)
     return float(_f_batch(point.r00, point.R, point.z, k))
 
 
 def gamma_k_membership(R, k: int) -> bool:
     """True when sigma_1(R), ..., sigma_k(R) are all strictly positive."""
     arr = _as_square(R)
-    n = arr.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    _check_k(k, arr.shape[0])
     return bool(np.all(_newton_chain(arr, k)[0][1:] > 0.0))
 
 
@@ -339,6 +337,9 @@ class ScanReport:
 
 
 _MAX_RECORDED_VIOLATIONS = 25
+# Trials per vectorized block of the midpoint scan. The sampler draws one block at
+# a time from the generator, so the records of a seed depend on this size.
+_SCAN_BATCH = 4096
 
 
 def midpoint_concavity_scan(
@@ -347,7 +348,6 @@ def midpoint_concavity_scan(
     trials: int,
     seed: int,
     hermitian: bool = False,
-    batch_size: int = 4096,
     threshold: float = -1e-9,
 ) -> ScanReport:
     """Randomized midpoint log-concavity scan of F_k on the cone.
@@ -355,15 +355,13 @@ def midpoint_concavity_scan(
     For each trial, two independent cone-interior triples p, q are drawn and
     the margin log F(mid) - (log F(p) + log F(q)) / 2 is recorded for their
     average. Margins below ``threshold`` count as violations and the triples
-    are kept at full precision (up to a fixed cap). The scan is deterministic
-    for a fixed (k, n, trials, seed, hermitian, batch_size).
+    are kept at full precision (up to a fixed cap). Trials are drawn in
+    blocks of ``_SCAN_BATCH``, and the records depend on that block size, so
+    the scan is deterministic for a fixed (k, n, trials, seed, hermitian).
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    _check_k(k, n)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     margins = np.full(trials, np.nan)
     f_left = np.full(trials, np.nan)
@@ -374,7 +372,7 @@ def midpoint_concavity_scan(
 
     done = 0
     while done < trials:
-        batch = min(batch_size, trials - done)
+        batch = min(_SCAN_BATCH, trials - done)
         r00p, rp, zp, fp, goodp = _sample_cone_batch(rng, k, n, batch, hermitian)
         r00q, rq, zq, fq, goodq = _sample_cone_batch(rng, k, n, batch, hermitian)
         r00m = 0.5 * (r00p + r00q)

@@ -117,11 +117,11 @@ def fail_newton(monkeypatch, when):
     """Make every Newton run for which ``when(spec, phase, param)`` holds collapse."""
     real = solver.newton_solve
 
-    def newton(spec, rhs, u_init, opts=None, **kwargs):
+    def newton(spec, rhs, u_init, **kwargs):
         phase, param = kwargs.get("phase", ""), kwargs.get("param")
         if when(spec, phase, param):
             raise tg.StepCollapse("injected collapse", phase=phase, param=param)
-        return real(spec, rhs, u_init, opts, **kwargs)
+        return real(spec, rhs, u_init, **kwargs)
 
     monkeypatch.setattr(solver, "newton_solve", newton)
 

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import torusgeo
+from torusgeo import solver
 from torusgeo.cli import main
 from torusgeo.mesh import GridSpec, ScalarField, write_field_bin, write_field_csv
 from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem
@@ -28,9 +29,6 @@ f = 2
 u0 = 0
 u1 = 0
 exact = t*t - t
-
-[solver]
-continuation_steps = 4
 
 [sweep]
 epsilons = 1, 0.5, 0.25
@@ -56,7 +54,6 @@ u1 = 0.1*sin(x)
 exact = t*t - t + 0.1*sin(x)
 
 [solver]
-continuation_steps = 4
 refinements = 1
 """
 
@@ -134,19 +131,19 @@ def test_sweep_records_failed_warm_start(tmp_path, monkeypatch):
 
 
 def test_sweep_records_rung_that_fails_outright(tmp_path, monkeypatch):
-    # every run on the eps = 0.5 rung fails but the cold verification rung s = 0; with
-    # continuation_steps = 4 the step is halved down to 1/1024 on the warm path and cold
+    # every run on the eps = 0.5 rung fails but the cold verification rung s = 0; the
+    # step is halved down to MIN_PATH_STEP = 1/2048 on the warm path and cold
     fail_newton(monkeypatch, lambda spec, _phase, p: np.max(spec.f.values) == 0.5 and p != 0.0)
     cfg = write_cfg(tmp_path, SEPARABLE)
     out = str(tmp_path / "out")
     assert main(["sweep", cfg, "--output", out]) == 1
     rows = open(os.path.join(out, "rejections.csv")).read().splitlines()
-    assert len(rows) == 1 + 22
+    assert len(rows) == 1 + 24
     assert rows[1] == "sweep,0.5,injected collapse"
-    assert rows[12] == "sweep-cold,1,injected collapse"
-    assert rows[-1] == "sweep-cold,0.0009765625,injected collapse"
+    assert rows[13] == "sweep-cold,1,injected collapse"
+    assert rows[-1] == "sweep-cold,0.00048828125,injected collapse"
     summary = read_summary(out)
-    assert summary["rungs_rejected"] == "22"
+    assert summary["rungs_rejected"] == "24"
     assert summary["failed_rungs"] == "1"
     assert summary["rung_001_error"] == "injected collapse"
 
@@ -183,14 +180,14 @@ def test_solve_config_errors_exit_2(tmp_path):
     assert main(["solve", str(tmp_path / "absent.cfg"), "--output", out]) == 2
 
 
-def test_solve_nonconvergence_exit_1(tmp_path):
-    text = MANUFACTURED.replace("refinements = 1", "max_newton_iters = 1")
-    cfg = write_cfg(tmp_path, text)
+def test_solve_nonconvergence_exit_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+    cfg = write_cfg(tmp_path, MANUFACTURED)
     assert main(["solve", cfg, "--output", str(tmp_path / "out")]) == 1
 
 
 def test_solve_linear_solve_failure_exit_1(tmp_path, monkeypatch, capsys):
-    def fail(self, g=None, rtol=GMRES_RTOL):
+    def fail(self, g, rtol=GMRES_RTOL):
         raise LinearSolveError("injected failure")
 
     monkeypatch.setattr(LinearSystem, "solve_interior", fail)
@@ -318,11 +315,12 @@ def assert_bad_input(capsys, argv):
     "old, new",
     [
         ("nodes_per_axis = 16", "nodes_per_axis = 4"),
-        ("continuation_steps = 4", "continuation_steps = 4\ndamping_fraction = 1.5"),
+        ("[sweep]", "[solver]\ndamping_fraction = 1.5\n\n[sweep]"),  # a retired key
+        ("[sweep]", "[solver]\nrefinements = -1\n\n[sweep]"),
         ("a = 1\n", "a = 1/sin(x)+3\n"),
         ("f = 2\n", "f = 0\n"),
     ],
-    ids=["nodes_per_axis", "damping_fraction", "nonfinite_field", "f_zero"],
+    ids=["nodes_per_axis", "damping_fraction", "refinements_negative", "nonfinite_field", "f_zero"],
 )
 def test_solve_bad_input_exits_2(tmp_path, capsys, old, new):
     cfg = write_cfg(tmp_path, SEPARABLE.replace(old, new))
@@ -350,7 +348,7 @@ def test_solve_extreme_magnitude_data_exits_2(tmp_path, capsys, old, new):
 @pytest.mark.parametrize(
     "old, new",
     [
-        ("seed = 11", "seed = 11\nbatch_size = -2"),
+        ("seed = 11", "seed = 11\nbatch_size = -2"),  # a retired key
         ("trials = 2000", "trials = -1"),
         ("comparison_pairs = 500", "comparison_pairs = -1"),
         ("seed = 11", "seed = 11\nthreshold = nan"),
@@ -461,7 +459,8 @@ def test_verify_broken_dump_exits_2(tmp_path, capsys, kind, how, data):
 
 
 def test_scan_batch_size_zero_exits_2_at_once(tmp_path):
-    # batch_size = 0 once looped forever: a child process turns a hang into a failure.
+    # batch_size = 0 once looped forever; the key is retired now and must still fail at
+    # once. A child process turns a hang into a failure.
     cfg = write_cfg(tmp_path, SEPARABLE.replace("seed = 11", "seed = 11\nbatch_size = 0"))
     src = os.path.dirname(os.path.dirname(torusgeo.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -474,6 +473,24 @@ def test_scan_batch_size_zero_exits_2_at_once(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "scan"])
+def test_output_naming_a_file_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, SEPARABLE)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert_bad_input(capsys, [command, cfg, "--output", str(afile)])
+    assert afile.read_text() == "kept\n"
+
+
+def test_verify_has_no_tolerance_flag(tmp_path, capsys):
+    # The residual tolerance is fixed at VERIFY_RTOL * max(1, sup f).
+    cfg = write_cfg(tmp_path, SEPARABLE)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", str(tmp_path / "u.csv"), cfg, "--tol", "1e-3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_sweep_accepts_vanishing_f(tmp_path):

@@ -21,7 +21,6 @@ from torusgeo.config import (
     load_config,
 )
 from torusgeo.mesh import GridSpec, write_field_csv
-from torusgeo.solver import SolveOptions
 
 
 GOOD_CFG = """\
@@ -37,9 +36,6 @@ u1 = 0.1*sin(x)
 exact = t*t - t + 0.1*sin(x)
 
 [solver]
-newton_tol = 1e-9
-max_newton_iters = 30
-continuation_steps = 6
 refinements = 2
 
 [sweep]
@@ -156,17 +152,12 @@ def test_load_good_config(tmp_path):
     assert cfg.problem.b == pytest.approx(0.25)
     assert cfg.problem.spatial_period == pytest.approx(2 * math.pi)
     assert cfg.problem.exact == "t*t - t + 0.1*sin(x)"
-    assert cfg.solver.newton_tol == pytest.approx(1e-9)
-    assert cfg.solver.max_newton_iters == 30
-    assert cfg.solver.continuation_steps == 6
     assert cfg.solver.refinements == 2
-    assert cfg.solver.damping_fraction == pytest.approx(0.95)  # default kept
-    assert isinstance(cfg.solver, SolveOptions)  # handed to the solver as is
     assert cfg.sweep.epsilons == (1.0, 0.1, 0.01)
     assert cfg.scan.k == 1 and cfg.scan.n == 4
     assert cfg.scan.trials == 500 and cfg.scan.seed == 7
     assert cfg.scan.hermitian is True
-    assert cfg.scan.batch_size == 4096  # default kept
+    assert cfg.scan.threshold == -1e-9  # default kept
     assert cfg.output.directory == "results"
     assert cfg.base_dir == str(tmp_path)
 
@@ -182,20 +173,28 @@ def test_load_defaults_without_optional_sections(tmp_path):
     assert cfg.output.directory == "out"
 
 
+def test_load_output_section_defaults_its_directory(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, "[output]\n"))
+    assert cfg.output.directory == "out"
+
+
+def test_readme_config_sample_loads(tmp_path):
+    # The README's [ini] sample documents every key; it must stay a working config.
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        sample = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(write_cfg(tmp_path, sample))
+    spec = build_problem(cfg)
+    assert spec.grid.field_shape == (cfg.problem.time_nodes, cfg.problem.nodes_per_axis)
+    assert set(sample.replace(" ", "").split("\n")) >= {f"[{name}]" for name in _SECTIONS}
+
+
 def test_config_sections_accept_the_same_keys():
     # Each section's key set is derived from its dataclass; this pins the accepted keys.
     assert _SECTIONS == {
         "problem": {"spatial_dim", "nodes_per_axis", "time_nodes", "spatial_period", "a", "b", "f", "u0", "u1", "exact"},
-        "solver": {
-            "newton_tol",
-            "max_newton_iters",
-            "damping_fraction",
-            "continuation_steps",
-            "min_step_shrink",
-            "refinements",
-        },
+        "solver": {"refinements"},
         "sweep": {"epsilons"},
-        "scan": {"k", "n", "trials", "seed", "hermitian", "threshold", "batch_size", "comparison_pairs"},
+        "scan": {"k", "n", "trials", "seed", "hermitian", "threshold", "comparison_pairs"},
         "output": {"directory"},
     }
 
@@ -253,8 +252,6 @@ def test_load_scan_k_range(tmp_path):
 @pytest.mark.parametrize(
     "key, value, match",
     [
-        ("batch_size", "0", "at least 1"),
-        ("batch_size", "-4", "at least 1"),
         ("trials", "-1", "nonnegative"),
         ("comparison_pairs", "-1", "nonnegative"),
         ("seed", "-1", "nonnegative"),
@@ -272,19 +269,25 @@ def test_load_scan_rejects_bad_values(tmp_path, key, value, match):
         load_config(write_cfg(tmp_path, text))
 
 
+# Retired keys: the Newton options and the scan's block size are constants, so a
+# config that still names one fails to load, at the old default value and at the
+# values the old range check refused alike.
 @pytest.mark.parametrize(
-    "key, value, match",
+    "section, key, value",
     [
-        ("newton_tol", "0", "newton_tol must be positive"),
-        ("max_newton_iters", "0", "at least 1"),
-        ("damping_fraction", "1.5", "lie in"),
-        ("continuation_steps", "0", "at least 1"),
-        ("min_step_shrink", "2", "lie in"),
+        ("solver", "newton_tol", "1e-10"),
+        ("solver", "max_newton_iters", "50"),
+        ("solver", "damping_fraction", "0.95"),
+        ("solver", "continuation_steps", "10"),
+        ("solver", "min_step_shrink", "1e-4"),
+        ("scan", "batch_size", "4096"),
+        ("scan", "batch_size", "0"),
+        ("scan", "batch_size", "-4"),
     ],
 )
-def test_load_solver_rejects_bad_values(tmp_path, key, value, match):
-    text = f"[solver]\n{key} = {value}\n"
-    with pytest.raises(ConfigError, match=r"^\[solver\]: .*" + match):
+def test_load_rejects_retired_keys(tmp_path, section, key, value):
+    text = f"[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"^unknown keys \['{key}'\] in \[{section}\]; known: "):
         load_config(write_cfg(tmp_path, text))
 
 

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import torusgeo as tg
+from torusgeo import solver
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar
 from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem, ProblemSpec, apply_Q, cone_quantities
 from torusgeo.solver import (
     TRACE_HEADER,
     LinearSolveFailure,
     LostAdmissibility,
+    NEWTON_TOL,
     NonConvergence,
-    SolveOptions,
     barrier,
     compute_c_star,
     continuation_solve,
@@ -81,15 +82,14 @@ def test_manufactured_inverse_crime():
 
 def test_continuation_trace_structure():
     spec = random_problem(5, n=24, nt=13)
-    opts = SolveOptions(continuation_steps=6)
-    res = continuation_solve(spec, opts)
+    res = continuation_solve(spec)
     assert res.converged
     params = [p for p, _res, _m in res.continuation_trace]
     assert params[0] == 0.0
     assert params[-1] == 1.0
     assert all(b > a for a, b in zip(params, params[1:]))
     for _p, r, mins in res.continuation_trace:
-        assert r <= opts.newton_tol
+        assert r <= NEWTON_TOL
         assert min(mins) > 0.0
     # records render into the documented column layout
     cols = TRACE_HEADER.split(",")
@@ -107,7 +107,7 @@ def test_continuation_trace_structure():
 def test_continuation_bisects_then_reraises_linear_solve_failure(monkeypatch):
     calls = []
 
-    def fail(self, g=None, rtol=GMRES_RTOL):
+    def fail(self, g, rtol=GMRES_RTOL):
         calls.append(1)
         raise LinearSolveError("injected failure")
 
@@ -116,7 +116,7 @@ def test_continuation_bisects_then_reraises_linear_solve_failure(monkeypatch):
     with pytest.raises(LinearSolveFailure) as info:
         continuation_solve(spec)
     # rung s = 0 needs no step; the full step s = 1 is then halved 11 times
-    # (to 1/2048) before the step falls below 1 / (256 * continuation_steps)
+    # (to 1/2048) before the step falls below MIN_PATH_STEP
     assert len(calls) == 12
     assert info.value.phase == "continuation"
     assert info.value.param == 1.0 / 2048
@@ -231,12 +231,12 @@ def test_newton_requires_admissible_start(separable_spec):
         newton_solve(spec, spec.f, u)
 
 
-def test_newton_budget_exhaustion():
+def test_newton_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
     spec = random_problem(6, n=24, nt=13)
     u = barrier(spec, -compute_c_star(spec))
-    opts = SolveOptions(max_newton_iters=1, newton_tol=1e-12)
-    with pytest.raises(NonConvergence):
-        newton_solve(spec, spec.f, u, opts)
+    with pytest.raises(NonConvergence, match="after 1 iterations"):
+        newton_solve(spec, spec.f, u)
 
 
 def test_newton_reconverges_after_perturbation():
@@ -323,12 +323,3 @@ def test_normalize_shift_is_exact_symmetry():
     q_after = apply_Q(shifted, spec).values[1:-1]
     scale = 1.0 + float(np.max(np.abs(q_before)))
     assert np.max(np.abs(q_after - q_before)) <= 1e-12 * scale
-
-
-def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(newton_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolveOptions(damping_fraction=1.5)
-    with pytest.raises(ValueError):
-        SolveOptions(continuation_steps=0)

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -441,24 +440,6 @@ def test_scan_records_match_row_by_row_reference(tmp_path):
                 f"{rep.f_right[i]:.17g},{rep.f_mid[i]:.17g}\n"
             )
     assert new.read_bytes() == ref.read_bytes()
-
-
-def test_scan_rejects_batch_size_below_one():
-    # batch_size = 0 once looped forever; the worker thread turns a hang into a failure.
-    raised = []
-
-    def scan(batch_size):
-        try:
-            midpoint_concavity_scan(1, 2, 10, seed=0, batch_size=batch_size)
-        except ValueError as exc:
-            raised.append(exc)
-
-    for batch_size in (0, -1):
-        worker = threading.Thread(target=scan, args=(batch_size,), daemon=True)
-        worker.start()
-        worker.join(timeout=30)
-        assert not worker.is_alive(), batch_size
-    assert len(raised) == 2
 
 
 def test_comparison_check_hand_example():
