@@ -98,10 +98,12 @@ def emit_plot_data(result, outdir: str) -> None:
             fh.write(f"{param:.17g},{res:.17g}\n")
 
 
-def _outdir(args, cfg: RunConfig) -> str:
+def _outdir(args, cfg: RunConfig, make: bool = True) -> str:
+    """The output directory, made after the run; make=False, before it, fails early on a path naming a file."""
     outdir = args.output if args.output is not None else cfg.output.directory
     try:
-        os.makedirs(outdir, exist_ok=True)
+        if make or (os.path.exists(outdir) and not os.path.isdir(outdir)):
+            os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {outdir!r}: {exc.strerror}") from None
     return outdir
@@ -111,6 +113,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     if cfg.solver.refinements > 0 and (cfg.problem is None or cfg.problem.exact is None):
         raise ConfigError("refinements > 0 requires an 'exact' expression in [problem]")
+    _outdir(args, cfg, make=False)
     spec = build_problem(cfg)
 
     result = continuation_solve(spec)
@@ -194,6 +197,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if not cfg.sweep.epsilons:
         raise ConfigError("sweep requires a [sweep] section with an epsilons list")
+    _outdir(args, cfg, make=False)
     spec = build_problem(cfg)
 
     records = []
@@ -252,6 +256,7 @@ def cmd_sweep(args) -> int:
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
     sc = cfg.scan
+    _outdir(args, cfg, make=False)
 
     report = midpoint_concavity_scan(sc.k, sc.n, sc.trials, sc.seed, hermitian=sc.hermitian, threshold=sc.threshold)
     comparison = comparison_scan(sc.n, sc.comparison_pairs, sc.seed + 1)

@@ -22,7 +22,7 @@ import numpy as np
 from .mesh import TWO_PI, GridSpec, ScalarField, SpaceField, read_scalar_csv, read_space_csv
 from .operator import ProblemSpec
 from .solver import epsilon_ladder
-from .symcone import _check_k
+from .symcone import _SCAN_MAX_N, _check_k
 
 
 class ConfigError(ValueError):
@@ -259,7 +259,7 @@ def load_config(path) -> RunConfig:
     if parser.has_section("scan"):
         cfg.scan = sc = ScanConfig(**_typed_section(parser["scan"], ScanConfig, "scan"))
         with _bad_input("[scan]"):
-            _check_k(sc.k, sc.n)
+            _check_k(sc.k, sc.n, _SCAN_MAX_N)
         for key in ("trials", "seed", "comparison_pairs"):
             if getattr(sc, key) < 0:
                 raise ConfigError(f"{key} in [scan] must be nonnegative, got {getattr(sc, key)}")

@@ -13,8 +13,8 @@ requires r00 > 0, R in the Garding cone Gamma_k^+ (sigma_1, ..., sigma_k all
 positive) and F_k > 0.
 
 Both F_k and T_{k-1} come from the Newton transformation's recursion
-(:func:`_newton_chain`), with no eigendecomposition; the scan's sampler takes
-the spectrum for its cone shift from eigvalsh (k >= 2) or the diagonal (k = 1).
+(:func:`_newton_chain`), with no eigendecomposition, and so does the scan's
+cone shift, except on the rows its a-posteriori certificate flags (eigvalsh).
 
 Log-concavity of F_k along segments inside the cone is a theorem for k = 1
 (any n) and k = n; for 2 <= k <= n-1 it is scanned as a conjecture, with real
@@ -96,9 +96,11 @@ def _esym_all(lams: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-def _check_k(k: int, n: int) -> None:
+def _check_k(k: int, n: int, n_max: int | None = None) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    if n_max is not None and n > n_max:
+        raise ValueError(f"n must be at most {n_max}, got n={n}")
 
 
 def sigma_k(eigenvalues, k: int) -> float:
@@ -111,15 +113,18 @@ def sigma_k(eigenvalues, k: int) -> float:
 def _newton_chain(r: np.ndarray, k: int):
     """sigma_0..sigma_k and T_{k-1} of a batch of matrices, by the Newton recursion.
 
-    T_0 = I, sigma_j = tr(R T_{j-1}) / j and T_j = sigma_j I - R T_{j-1}: k - 1
-    batched matrix products and no eigendecomposition. T_0 is returned as None,
-    so F_1 costs no product at all. Traces are summed in index order, so a
-    matrix's sigma_j do not depend on the batch it sits in.
+    T_0 = I, sigma_j = tr(R T_{j-1}) / j and T_j = sigma_j I - R T_{j-1}: k - 2 batched matrix
+    products at most, since the last step needs only tr(R T_{k-1}) = sum_ij R_ij (T_{k-1})_ji.
+    T_0 is returned as None. Each matrix's traces are reduced on their own, so its sigma_j do
+    not depend on the batch it sits in.
     """
     n = r.shape[-1]
     sig = np.ones(r.shape[:-2] + (k + 1,))
     t = None
     for j in range(1, k + 1):
+        if j == k and t is not None:
+            sig[..., j] = np.real(np.einsum("...ij,...ji->...", r, t)) / j
+            break
         rt = r if t is None else r @ t
         diag = np.real(np.diagonal(rt, axis1=-2, axis2=-1))
         sig[..., j] = sum(diag[..., i] for i in range(n)) / j
@@ -215,14 +220,28 @@ def log_q_hessian(x: float, y: float, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _newton_descent(s: np.ndarray, sigmas, n: int, k: int, iters: int = 60) -> np.ndarray:
+    """Newton per row from above onto the largest root of the real-rooted p(s) = sigma_k(lam + s).
+
+    The last axis of ``sigmas(s)`` holds sigma_{k-1} and sigma_k of lam + s, and p' = (n - k + 1)
+    sigma_{k-1}. The iterates fall monotonically; rows with p <= 0 (the root, by rounding) or p' <= 0 stay put.
+    """
+    for _ in range(iters):
+        low, p = np.moveaxis(sigmas(s), -1, 0)
+        move = (low > 0.0) & (p > 0.0)
+        s_next = np.where(move, s - p / np.where(move, (n - k + 1) * low, 1.0), s)
+        if np.array_equal(s_next, s):
+            break
+        s = s_next
+    return s
+
+
 def _min_shift_into_cone(lams: np.ndarray, k: int, iters: int = 60) -> np.ndarray:
     """Per-row smallest s with spectrum lam + s on the boundary of Gamma_k^+.
 
     Closed forms: -mean(lam) for k = 1 (sigma_1 > 0), -min(lam) for k = n (the
     positive orthant). For 1 < k < n it is the largest root of the real-rooted
-    polynomial sigma_k(lam + s), with derivative (n - k + 1) sigma_{k-1}(lam + s):
-    Newton's method from -min(lam) decreases monotonically onto it, and stops
-    once no row moves (at most ``iters`` steps).
+    polynomial sigma_k(lam + s), which :func:`_newton_descent` reaches from -min(lam).
     """
     lams = np.asarray(lams, dtype=float)
     if k == 1:
@@ -231,15 +250,36 @@ def _min_shift_into_cone(lams: np.ndarray, k: int, iters: int = 60) -> np.ndarra
     s = -np.min(lams, axis=-1)
     if k == n:
         return s
-    for _ in range(iters):
-        sig = _esym_all(lams + s[..., None], k)
-        slope = (n - k + 1) * sig[..., k - 1]
-        # Rows at the root (sigma_k <= 0 through rounding) or at a zero slope stay put.
-        move = (slope > 0.0) & (sig[..., k] > 0.0)
-        s_next = np.where(move, s - sig[..., k] / np.where(move, slope, 1.0), s)
-        if np.array_equal(s_next, s):
-            break
-        s = s_next
+    return _newton_descent(s, lambda s: _esym_all(lams + s[..., None], k)[..., k - 1 :], n, k, iters)
+
+
+def _cone_shift(r: np.ndarray, k: int) -> np.ndarray:
+    """Per-row smallest s with R + s I on the boundary of Gamma_k^+ (k = 1: -mean of the diagonal).
+
+    Newton falls onto the largest root of sigma_k(R + s I) from the Laguerre-Samuelson bound
+    -mu + sqrt((n - 1) var) >= -lam_min. Rows whose root is not certified take eigvalsh.
+    """
+    n = r.shape[-1]
+    if k == 1:
+        return _min_shift_into_cone(np.real(np.diagonal(r, axis1=-2, axis2=-1)), 1)
+    sig = _newton_chain(r, k)[0].T.copy()
+    def shifted(x, j):  # sigma_j(R + x I) = sum_i C(n - i, j - i) sigma_i(R) x^(j - i), by Horner
+        acc = math.comb(n, j) * sig[0]
+        for i in range(1, j + 1):
+            acc = acc * x + math.comb(n - i, j - i) * sig[i]
+        return acc
+    mean, norm = sig[1] / n, np.sqrt(np.maximum(sig[1] ** 2 - 2.0 * sig[2], 0.0))  # sum lam^2 = |R|_F^2
+    s = np.sqrt((n - 1) * np.maximum(norm**2 / n - mean**2, 0.0)) - mean
+    s = _newton_descent(s, lambda s: np.stack([shifted(s, k - 1), shifted(s, k)], axis=-1), n, k)
+    at = np.array([shifted(s, j) for j in range(k + 1)])
+    # As |sigma_j(R)| <= C(n, j) |R|_F^j, sigma_j(R + s I) rounds by about C(n, j) (|R|_F + |s|)^j eps.
+    # A certified root has rounding over slope below _SHIFT_RTOL (1 + |R|_F), unlike a multiple root,
+    # and no sigma_j(R + s I) below minus its bound, unlike a lower root.
+    bound = 4 * n * np.finfo(float).eps * np.array([math.comb(n, j) * (norm + np.abs(s)) ** j for j in range(k + 1)])
+    certified = np.abs(at[k]) + bound[k] < _SHIFT_RTOL * (1.0 + norm) * (n - k + 1) * at[k - 1]
+    flagged = np.nonzero(~certified | np.any(at[1:] < -bound[1:], axis=0))[0]
+    if flagged.size:
+        s[flagged] = _min_shift_into_cone(np.linalg.eigvalsh(r[flagged]), k)
     return s
 
 
@@ -247,22 +287,18 @@ def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, her
     """Draw a batch of cone-interior triples.
 
     Matrices are symmetrized standard normals shifted into Gamma_k^+ by the
-    minimal identity multiple plus a log-uniform margin in [1e-2, 1], so the
+    minimal identity multiple (:func:`_cone_shift`) plus a log-uniform margin in [1e-2, 1], so the
     sample covers near-boundary regions while keeping enough slack that the
     scan's floating-point noise stays orders of magnitude below the violation
     threshold. z is drawn isotropically and rescaled to put the operator
     value at a uniform fraction theta in [0, 0.99) of r00 sigma_k.
     """
+    m = rng.standard_normal((batch, n, n))
     if hermitian:
-        m = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
-        r = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
-    else:
-        m = rng.standard_normal((batch, n, n))
-        r = 0.5 * (m + np.swapaxes(m, -1, -2))
-    # The shift needs the spectrum, except for k = 1 where the diagonal's mean will do.
-    lam = np.real(np.diagonal(r, axis1=-2, axis2=-1)) if k == 1 else np.linalg.eigvalsh(r)
+        m = m + 1j * rng.standard_normal((batch, n, n))
+    r = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
     margin = 10.0 ** rng.uniform(-2.0, 0.0, batch)
-    shift = _min_shift_into_cone(lam, k) + margin
+    shift = _cone_shift(r, k) + margin
     r = r + shift[:, None, None] * np.eye(n)
     r00 = np.exp(rng.normal(0.0, 0.7, batch))
     if hermitian:
@@ -337,6 +373,8 @@ class ScanReport:
 
 
 _MAX_RECORDED_VIOLATIONS = 25
+_SCAN_MAX_N = 6  # from n = 7 on the recursion's F_k errs by about 1e-9 relative, the default threshold
+_SHIFT_RTOL = 1e-12  # a certified cone shift errs by less than this times 1 + |R|_F
 # Trials per vectorized block of the midpoint scan. The sampler draws one block at
 # a time from the generator, so the records of a seed depend on this size.
 _SCAN_BATCH = 4096
@@ -359,14 +397,11 @@ def midpoint_concavity_scan(
     blocks of ``_SCAN_BATCH``, and the records depend on that block size, so
     the scan is deterministic for a fixed (k, n, trials, seed, hermitian).
     """
-    _check_k(k, n)
+    _check_k(k, n, _SCAN_MAX_N)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = np.random.default_rng(seed)
-    margins = np.full(trials, np.nan)
-    f_left = np.full(trials, np.nan)
-    f_right = np.full(trials, np.nan)
-    f_mid_all = np.full(trials, np.nan)
+    margins, f_left, f_right, f_mid_all = np.full((4, trials), np.nan)
     violations: list[ScanViolation] = []
     failures = 0
 

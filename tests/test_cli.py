@@ -484,6 +484,33 @@ def test_output_naming_a_file_exits_2(tmp_path, capsys, command):
     assert afile.read_text() == "kept\n"
 
 
+def test_scan_n_above_6_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SEPARABLE.replace("n = 2", "n = 7"))
+    out = tmp_path / "out"
+    assert_bad_input(capsys, ["scan", cfg, "--output", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, runner",
+    [("solve", "continuation_solve"), ("sweep", "epsilon_sweep"), ("scan", "midpoint_concavity_scan")],
+)
+def test_output_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch, command, runner):
+    # The output path is checked up front: the solve, sweep or scan never starts.
+    def never(*args, **kwargs):
+        raise AssertionError(f"{runner} ran although --output names a file")
+
+    monkeypatch.setattr(f"torusgeo.cli.{runner}", never)
+    cfg = write_cfg(tmp_path, SEPARABLE)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert main([command, cfg, "--output", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot make output directory {str(afile)!r}: File exists\n"
+    assert afile.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "run.cfg"]
+
+
 def test_verify_has_no_tolerance_flag(tmp_path, capsys):
     # The residual tolerance is fixed at VERIFY_RTOL * max(1, sup f).
     cfg = write_cfg(tmp_path, SEPARABLE)

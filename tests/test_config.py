@@ -249,6 +249,14 @@ def test_load_scan_k_range(tmp_path):
         load_config(write_cfg(tmp_path, GOOD_CFG.replace("k = 1", "k = 5")))
 
 
+def test_load_scan_n_at_most_6(tmp_path):
+    # The Newton recursion loses accuracy from n = 7 on, so scans stop at n = 6.
+    assert load_config(write_cfg(tmp_path, GOOD_CFG.replace("n = 4", "n = 6"))).scan.n == 6
+    for n in ("7", "12"):
+        with pytest.raises(ConfigError, match=rf"^\[scan\]: n must be at most 6, got n={n}$"):
+            load_config(write_cfg(tmp_path, GOOD_CFG.replace("n = 4", f"n = {n}")))
+
+
 @pytest.mark.parametrize(
     "key, value, match",
     [

@@ -11,14 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from torusgeo import symcone
 from torusgeo.symcone import (
     _RECORD_CHUNK,
     ComparisonReport,
     ConePoint,
     F_k_eval,
+    _cone_shift,
     _esym_all,
     _f_batch,
     _min_shift_into_cone,
+    _newton_chain,
     _q_value,
     _sample_cone_batch,
     comparison_check,
@@ -344,9 +347,135 @@ def test_f_batch_matches_eigen_route(seed, hermitian):
             assert np.all(np.abs(_f_batch(*mid, k) - want) <= 1e-10 * np.abs(want)), (n, k)
 
 
+def random_hermitian(rng, shape, hermitian):
+    m = rng.standard_normal(shape)
+    if hermitian:
+        m = m + 1j * rng.standard_normal(shape)
+    return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_newton_chain_is_batch_independent(hermitian):
+    # A row's sigma_0..sigma_k are the same bits alone, in a 7-row sub-batch and in
+    # a 4096 batch, for every 1 <= k <= n <= 6, with row scales from 1e-3 to 1e3.
+    rng = np.random.default_rng(112)
+    for n in range(1, 7):
+        r = random_hermitian(rng, (4096, n, n), hermitian) * 10.0 ** rng.uniform(-3.0, 3.0, (4096, 1, 1))
+        for k in range(1, n + 1):
+            full = _newton_chain(r, k)[0]
+            sub = np.concatenate([_newton_chain(r[i : i + 7], k)[0] for i in range(0, 4096, 7)])
+            assert np.array_equal(sub, full), (n, k)
+            for i in range(0, 4096, 97):
+                assert np.array_equal(_newton_chain(r[i], k)[0], full[i]), (n, k, i)
+
+
+def rotated(rng, lams, hermitian):
+    """Hermitian matrices U diag(lam) U^* with a random unitary (orthogonal when real) U."""
+    u, _ = np.linalg.qr(random_hermitian(rng, lams.shape + lams.shape[-1:], hermitian))
+    r = np.einsum("...ij,...j,...kj->...ik", u, lams, np.conj(u))
+    return 0.5 * (r + np.conj(np.swapaxes(r, -1, -2)))
+
+
+def exact_shift(r, k):
+    return _min_shift_into_cone(np.linalg.eigvalsh(r), k)
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_cone_shift_on_repeated_eigenvalues(hermitian):
+    # Spectra with lam_min repeated m times (up to all n), and with a repeated pair
+    # above it. The boundary root of sigma_k(lam + s) has multiplicity m - (n - k):
+    # where that is 2 or more, Newton cannot certify the root and the row must take
+    # the exact route. Every row agrees with the exact route to 1e-12 (1 + |R|_F).
+    rng = np.random.default_rng(113)
+    for n in range(3, 7):
+        rows, mults = [], []
+        for m in range(1, n + 1):
+            for _ in range(16):
+                lam = np.sort(rng.uniform(-2.0, 2.0, n))
+                lam[:m] = lam[0]
+                if m <= n - 2:
+                    lam[-2] = lam[-1]
+                rows.append(rng.permutation(lam))
+                mults.append(m)
+        r = rotated(rng, np.array(rows), hermitian)
+        mults = np.array(mults)
+        norm = np.sqrt(np.sum(np.abs(r) ** 2, axis=(-2, -1)))
+        for k in range(2, n + 1):
+            got = _cone_shift(r, k)
+            want = exact_shift(r, k)
+            multiple = mults >= n - k + 2
+            assert np.array_equal(got[multiple], want[multiple]), (n, k)
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + norm)), (n, k)
+
+
+def test_cone_shift_rejects_a_lower_root(monkeypatch):
+    # Rounding at a multiple root can throw Newton onto a lower root of sigma_k(lam + s).
+    # The lowest root of sigma_3(lam + s) at lam = (0, 1, 2, 3) is simple, with a
+    # positive slope, so only the certificate's sigma_j(lam + s) >= 0 test flags it.
+    lam, k = np.array([0.0, 1.0, 2.0, 3.0]), 3
+    coeffs = [math.comb(4 - i, k - i) * sigma_brute(lam, i) for i in range(k + 1)]
+    low = float(np.min(np.roots(coeffs).real))
+    assert np.polyval(np.polyder(coeffs), low) > 0.0
+    descent = symcone._newton_descent
+    calls = []
+
+    def lands_low(s, *args):
+        calls.append(s.size)
+        return np.full_like(s, low) if len(calls) == 1 else descent(s, *args)
+
+    r = np.diag(lam)[None]
+    want = exact_shift(r, k)[0]
+    monkeypatch.setattr(symcone, "_newton_descent", lands_low)
+    assert _cone_shift(r, k)[0] == want > low + 1.0
+    assert len(calls) == 2  # the landing, then the exact route
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    hnp.arrays(float, (6, 6), elements=st.floats(-100.0, 100.0)),
+    hnp.arrays(float, (6, 6), elements=st.floats(-100.0, 100.0)),
+    st.booleans(),
+)
+@example(np.zeros((6, 6)), np.zeros((6, 6)), False)
+@example(np.eye(6), np.zeros((6, 6)), False)
+@example(np.diag([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]), np.ones((6, 6)), True)
+def test_cone_shift_matches_eigen_route(re, im, hermitian):
+    # Certified or not, the shift is within 1e-12 (1 + |R|_F) of the exact route.
+    for n in range(1, 7):
+        m = re[:n, :n] + 1j * im[:n, :n] if hermitian else re[:n, :n]
+        r = 0.5 * (m + np.conj(m.T))[None]
+        tol = 1e-12 * (1.0 + np.sqrt(np.sum(np.abs(r) ** 2)))
+        for k in range(1, n + 1):
+            assert abs(_cone_shift(r, k)[0] - exact_shift(r, k)[0]) <= tol, (n, k, r)
+
+
+@pytest.mark.parametrize("k, n, hermitian, seed", [(3, 3, False, 46), (4, 4, False, 48), (2, 3, True, 50)])
+def test_scan_shift_rarely_needs_eigvalsh(monkeypatch, k, n, hermitian, seed):
+    # The benchmark battery's k >= 2 entries: fewer than 1% of the sampled matrices
+    # fail the shift's certificate and reach eigvalsh.
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rep = midpoint_concavity_scan(k, n, 4096, seed=seed, hermitian=hermitian)
+    assert rep.sampling_failures == 0
+    assert sum(rows) < 0.01 * 2 * 4096, rows
+
+
+def test_scan_rejects_n_above_6():
+    with pytest.raises(ValueError, match="n must be at most 6"):
+        midpoint_concavity_scan(1, 7, 10, seed=0)
+
+
 @pytest.mark.parametrize("k, n, hermitian", [(3, 3, False), (4, 4, False), (2, 3, True)])
 def test_scan_makes_no_eigh_call(monkeypatch, k, n, hermitian):
-    # F_k comes from the Newton recursion and the shift from eigvalsh: eigh is never needed.
+    # F_k comes from the Newton recursion, and so does the shift (eigvalsh only on the
+    # rows its certificate flags): eigh is never needed.
     def no_eigh(*args, **kwargs):
         raise AssertionError("numpy.linalg.eigh called")
 
