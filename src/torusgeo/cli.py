@@ -37,7 +37,7 @@ from .mesh import (
     write_field_bin,
     write_field_csv,
 )
-from .operator import InvalidProblem, ellipticity_check, residual
+from .operator import AdmissibilityReport, InvalidProblem, cone_quantities, residual
 from .solver import (
     TRACE_HEADER,
     SolverError,
@@ -315,7 +315,7 @@ def cmd_verify(args) -> int:
     if not isinstance(field, ScalarField):
         raise ConfigError(f"solution {path!r} holds a space-only field, expected a spacetime field")
 
-    report, _verdict = ellipticity_check(field, spec)
+    report = AdmissibilityReport.from_cone(cone_quantities(field.values, spec))
     _res_field, res_sup = residual(field, spec, spec.f)
     scale = max(1.0, sup_norm(spec.f))
     bnd0 = float(np.max(np.abs(field.values[0] - spec.u0.values)))

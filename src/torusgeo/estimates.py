@@ -26,7 +26,6 @@ from .mesh import (
     _pad_edge,
     argmax_node,
     d_t,
-    d_t_interior,
     full_node,
     grad_sq,
     gradient,
@@ -135,31 +134,6 @@ class FDependencies:
     sup_ft_sq_over_f: float
     sup_neg_lap_f: float
     sup_grad_sqrt_f: float
-
-
-@dataclass
-class GradientProbe:
-    """Interior maximum data for h = (|grad u|^2 + lam u^2) / 2.
-
-    When the maximum sits on a boundary layer, ``boundary_attained`` is set
-    and no first-order condition applies. Otherwise ``condition_residual``
-    holds sum_a u_{x_a} u_{x_a t} + lam u u_t at the maximizing node, which
-    should vanish to O(ht + hx) at a discrete interior maximum.
-
-    The probe assumes the caller has applied any desired normalization shift
-    beforehand; how the shift interacts with the choice of lam is left to the
-    caller.
-    """
-
-    location: tuple
-    value: float
-    boundary_attained: bool
-    condition_residual: float
-    condition_tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.boundary_attained or abs(self.condition_residual) <= self.condition_tol
 
 
 @dataclass
@@ -359,42 +333,6 @@ def f_dependencies(spec: ProblemSpec) -> FDependencies:
         sup_ft_sq_over_f=sup_ratio,
         sup_neg_lap_f=max(0.0, float(np.max(-lap_f))),
         sup_grad_sqrt_f=float(np.sqrt(np.max(d_sq))),
-    )
-
-
-def gradient_estimate_probe(u: ScalarField, spec: ProblemSpec, lam: float) -> GradientProbe:
-    """Locate the maximum of h = (|grad u|^2 + lam u^2) / 2 and test its
-    first-order condition in time when the maximum is interior."""
-    grid = spec.grid
-    gu = gradient(u)
-    h = 0.5 * grad_sq([g.values for g in gu], start=float(lam) * u.values**2)
-    loc = argmax_node(h)
-    layer = loc[0]
-    node = loc[1:]
-    if layer in (0, grid.time_nodes - 1):
-        return GradientProbe(
-            location=loc,
-            value=float(h[loc]),
-            boundary_attained=True,
-            condition_residual=0.0,
-            condition_tol=0.0,
-        )
-    ut = d_t_interior(u.values, grid.ht)
-    gut = [g[1:-1] for g in (gr.values for gr in gradient(d_t(u)))]
-    k = layer - 1
-    cond = float(lam) * u.values[layer][node] * ut[k][node]
-    for ga, gb in zip(gu, gut):
-        cond += ga.values[layer][node] * gb[k][node]
-    scale = 1.0 + float(np.max(np.abs(ut))) * (
-        max(float(np.max(np.abs(g.values))) for g in gu) + abs(float(lam)) * float(np.max(np.abs(u.values)))
-    )
-    tol = 10.0 * (grid.hx + grid.ht) * scale
-    return GradientProbe(
-        location=loc,
-        value=float(h[loc]),
-        boundary_attained=False,
-        condition_residual=float(cond),
-        condition_tol=tol,
     )
 
 

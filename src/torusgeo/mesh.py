@@ -11,14 +11,13 @@ space-time node, shape ``(Nt, N)`` or ``(Nt, N, N)``. A :class:`SpaceField`
 stores one value per spatial node only and is used for boundary data and for
 time-independent coefficients.
 
-Operators that involve a time derivative (:func:`d_tt`, :func:`d_t`,
-:func:`grad_t`) cannot produce meaningful centered values on the two boundary
-layers. By convention they return full-shape fields whose boundary layers are
-padded: :func:`d_tt` and :func:`grad_t` copy the adjacent interior layer,
-while :func:`d_t` fills the boundary layers with second-order one-sided
-differences. The padding keeps every stored value finite and makes global
-extrema of padded fields agree with interior extrema; consumers that need the
-interior only should slice with :func:`interior`.
+Centered time differences have no values on the two boundary layers.
+:func:`d_tt_interior`, :func:`d_t_interior` and :func:`grad_t_interior`
+return the interior layers only, shape ``(Nt - 2, ...)``. :func:`d_t`
+returns a full-shape field whose boundary layers hold second-order one-sided
+differences. Interior arrays that must be stored as fields are padded with
+:func:`_pad_edge`, which copies the adjacent interior layer, so every stored
+value is finite and global extrema agree with interior extrema.
 """
 
 from __future__ import annotations
@@ -227,12 +226,6 @@ def d_t_interior(values: np.ndarray, ht: float) -> np.ndarray:
     return (values[2:] - values[:-2]) / (2.0 * ht)
 
 
-def d_tt(field: ScalarField) -> ScalarField:
-    """Second time difference; boundary layers are copies of the adjacent interior layer."""
-    inner = d_tt_interior(field.values, field.grid.ht)
-    return ScalarField(field.grid, _pad_edge(inner))
-
-
 def d_t(field: ScalarField) -> ScalarField:
     """First time difference, centered inside, second-order one-sided on the boundary layers.
 
@@ -255,18 +248,6 @@ def grad_t_interior(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     ut = d_t_interior(values, grid.ht)
     axes = tuple(range(1, 1 + grid.spatial_dim))
     return _grad_arrays(ut, axes, grid.hx)
-
-
-def grad_t(field: ScalarField) -> list[ScalarField]:
-    """Mixed derivative fields d/dx_a (du/dt); boundary layers edge-padded."""
-    inner = grad_t_interior(field.values, field.grid)
-    return [ScalarField(field.grid, _pad_edge(g)) for g in inner]
-
-
-def interior(field) -> np.ndarray:
-    """View of the interior time layers of a field or full-shape array."""
-    vals = field.values if hasattr(field, "values") else np.asarray(field)
-    return vals[1:-1]
 
 
 def sup(field) -> float:

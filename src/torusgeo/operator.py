@@ -40,7 +40,6 @@ from .mesh import (
     _pad_edge,
     argmax_node,
     argmin_node,
-    d_t_interior,
     d_tt_interior,
     full_node,
     grad_sq,
@@ -157,9 +156,6 @@ class ConeData:
     def b_interior(self) -> np.ndarray:
         return self.b_full[1:-1]
 
-    def admissible(self) -> bool:
-        return AdmissibilityReport.from_cone(self).admissible
-
 
 def cone_quantities(u_values: np.ndarray, spec: ProblemSpec) -> ConeData:
     """Compute u_tt, B_u, grad u, grad u_t and Q for a full-shape value array."""
@@ -248,66 +244,6 @@ class AdmissibilityReport:
         """(name, node, value) of the smallest of the three margins."""
         margins = (("u_tt", self.loc_utt, self.min_utt), ("B", self.loc_b, self.min_b), ("Q", self.loc_q, self.min_q))
         return min(margins, key=lambda m: m[2])
-
-
-def symbol_matrix(utt: float, b_value: float, grad_ut) -> np.ndarray:
-    """Symbol of the linearization at one node: [[B, -g^T], [-g, utt * I]]."""
-    g = np.atleast_1d(np.asarray(grad_ut, dtype=float))
-    d = g.size
-    m = np.empty((d + 1, d + 1))
-    m[0, 0] = b_value
-    m[0, 1:] = -g
-    m[1:, 0] = -g
-    m[1:, 1:] = utt * np.eye(d)
-    return m
-
-
-def ellipticity_check(u: ScalarField, spec: ProblemSpec) -> tuple[AdmissibilityReport, np.ndarray]:
-    """Admissibility report plus the per-node symbol verdict.
-
-    The symbol matrix ``[[B, -grad u_t^T], [-grad u_t, u_tt I]]`` is positive
-    definite exactly when ``u_tt > 0`` and its Schur complement
-    ``B - |grad u_t|^2 / u_tt`` is positive, i.e. when ``u_tt > 0`` and
-    ``Q > 0``. The verdict array marks interior nodes where both hold.
-    """
-    cone = cone_quantities(u.values, spec)
-    report = AdmissibilityReport.from_cone(cone)
-    verdict = (cone.utt > 0.0) & (cone.q > 0.0)
-    return report, verdict
-
-
-def first_order_data(phi: ScalarField) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(phi_t, grad phi) on the interior layers, for use with :func:`q_form`."""
-    grid = phi.grid
-    phi_t = d_t_interior(phi.values, grid.ht)
-    axes = tuple(range(1, 1 + grid.spatial_dim))
-    grads = [g[1:-1] for g in _grad_arrays(phi.values, axes, grid.hx)]
-    return phi_t, grads
-
-
-def q_form(u: ScalarField, spec: ProblemSpec, dphi, dpsi) -> ScalarField:
-    """Polarized quadratic form of the linearization at u.
-
-    ``dphi`` and ``dpsi`` are ``(phi_t, [phi_x, ...])`` pairs of interior
-    arrays as produced by :func:`first_order_data`. The value at each node is
-
-        u_tt <grad phi, grad psi> + B_u phi_t psi_t
-        - <grad u_t, phi_t grad psi + psi_t grad phi>,
-
-    which is nonnegative for ``dphi == dpsi`` at admissible u because it is
-    the symbol matrix applied to the pair. Returned edge-padded.
-    """
-    cone = cone_quantities(u.values, spec)
-    phi_t, phi_g = dphi
-    psi_t, psi_g = dpsi
-    dim = spec.grid.spatial_dim
-    if len(phi_g) != dim or len(psi_g) != dim:
-        raise ValueError(f"first-order data must carry {dim} gradient components")
-    out = cone.b_interior * (phi_t * psi_t)
-    for ga, gb, gut in zip(phi_g, psi_g, cone.grad_ut):
-        out += cone.utt * (ga * gb)
-        out -= gut * (phi_t * gb + psi_t * ga)
-    return ScalarField(spec.grid, _pad_edge(out))
 
 
 # ---------------------------------------------------------------------------

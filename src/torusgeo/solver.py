@@ -202,17 +202,6 @@ def compute_c_star(spec: ProblemSpec) -> float:
     return (target + g) / (2.0 * m)
 
 
-def normalize_shift(u: ScalarField, a_slope: float, b_offset: float) -> ScalarField:
-    """Return u + a_slope * t + b_offset.
-
-    The operator value is invariant under this shift because the added field
-    is linear in t and spatially constant; boundary data move to
-    ``u0 + b_offset`` and ``u1 + a_slope + b_offset``.
-    """
-    t = u.grid.time_column()
-    return ScalarField(u.grid, u.values + float(a_slope) * t + float(b_offset))
-
-
 def _require_rhs_positive(rhs: ScalarField) -> np.ndarray:
     rhs_int = rhs.values[1:-1]
     m = float(np.min(rhs_int))

@@ -220,13 +220,17 @@ def log_q_hessian(x: float, y: float, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _newton_descent(s: np.ndarray, sigmas, n: int, k: int, iters: int = 60) -> np.ndarray:
+# Cap on the Newton descent's passes; it stops earlier, at the first pass that moves no row.
+_DESCENT_ITERS = 60
+
+
+def _newton_descent(s: np.ndarray, sigmas, n: int, k: int) -> np.ndarray:
     """Newton per row from above onto the largest root of the real-rooted p(s) = sigma_k(lam + s).
 
     The last axis of ``sigmas(s)`` holds sigma_{k-1} and sigma_k of lam + s, and p' = (n - k + 1)
     sigma_{k-1}. The iterates fall monotonically; rows with p <= 0 (the root, by rounding) or p' <= 0 stay put.
     """
-    for _ in range(iters):
+    for _ in range(_DESCENT_ITERS):
         low, p = np.moveaxis(sigmas(s), -1, 0)
         move = (low > 0.0) & (p > 0.0)
         s_next = np.where(move, s - p / np.where(move, (n - k + 1) * low, 1.0), s)
@@ -236,7 +240,7 @@ def _newton_descent(s: np.ndarray, sigmas, n: int, k: int, iters: int = 60) -> n
     return s
 
 
-def _min_shift_into_cone(lams: np.ndarray, k: int, iters: int = 60) -> np.ndarray:
+def _min_shift_into_cone(lams: np.ndarray, k: int) -> np.ndarray:
     """Per-row smallest s with spectrum lam + s on the boundary of Gamma_k^+.
 
     Closed forms: -mean(lam) for k = 1 (sigma_1 > 0), -min(lam) for k = n (the
@@ -250,7 +254,7 @@ def _min_shift_into_cone(lams: np.ndarray, k: int, iters: int = 60) -> np.ndarra
     s = -np.min(lams, axis=-1)
     if k == n:
         return s
-    return _newton_descent(s, lambda s: _esym_all(lams + s[..., None], k)[..., k - 1 :], n, k, iters)
+    return _newton_descent(s, lambda s: _esym_all(lams + s[..., None], k)[..., k - 1 :], n, k)
 
 
 def _cone_shift(r: np.ndarray, k: int) -> np.ndarray:
@@ -519,36 +523,10 @@ def write_counterexamples(report: ScanReport, path) -> None:
 # Segment comparison checks (k = 1 specialization).
 # ---------------------------------------------------------------------------
 
-
-def _q_value(point) -> float:
-    return float(point.r00 * np.real(np.trace(point.R)) - np.sum(np.abs(point.z) ** 2))
-
-
-def equalize_value(a: ConePoint, b: ConePoint) -> ConePoint:
-    """Scale b so that its Q value matches Q(a); Q scales quadratically."""
-    qa = _q_value(a)
-    qb = _q_value(b)
-    if qa <= 0.0 or qb <= 0.0:
-        raise ValueError(f"both points must have positive Q values, got {qa!r} and {qb!r}")
-    lam = math.sqrt(qa / qb)
-    return ConePoint(lam * b.r00, lam * b.R, lam * b.z)
-
-
-@dataclass
-class ComparisonReport:
-    """Segment and difference comparison for one equalized pair.
-
-    ``worst_segment_margin`` is the minimum of Q(s A + (1-s) B) - Q(A) over
-    the sampled segment (should be >= -tol scaled); ``diff_value`` is
-    Q(A - B) (should be <= tol scaled).
-    """
-
-    ok: bool
-    value_a: float
-    value_b: float
-    worst_segment_margin: float
-    diff_value: float
-    tol: float
+# The comparison battery samples each segment at COMPARISON_S_SAMPLES evenly
+# spaced points and counts a violation beyond COMPARISON_TOL * max(1, |Q(A)|).
+COMPARISON_S_SAMPLES = 11
+COMPARISON_TOL = 1e-10
 
 
 def _comparison_margins(r00, tr, z, s_samples: int):
@@ -571,43 +549,6 @@ def _comparison_margins(r00, tr, z, s_samples: int):
     return worst, q(r00[0] - r00[1], tr[0] - tr[1], z[0] - z[1])
 
 
-def comparison_check(a: ConePoint, b: ConePoint, s_samples: int = 11, tol: float = 1e-10) -> ComparisonReport:
-    """Check the two segment inequalities for an equalized admissible pair.
-
-    Requires r00 > 0 and Q > 0 for both points and |Q(A) - Q(B)| below an
-    equalization tolerance; use :func:`equalize_value` first. Along the
-    segment the value Q(s A + (1 - s) B) must not drop below the common
-    value, and the difference point A - B must have a nonpositive value.
-    """
-    if a.r00 <= 0.0 or b.r00 <= 0.0:
-        raise ValueError("comparison_check requires r00 > 0 for both points")
-    qa = _q_value(a)
-    qb = _q_value(b)
-    scale = max(1.0, abs(qa), abs(qb))
-    if qa <= 0.0 or qb <= 0.0:
-        raise ValueError(f"comparison_check requires positive values, got {qa!r} and {qb!r}")
-    if abs(qa - qb) > 1e-8 * scale:
-        raise ValueError(f"points are not equalized: Q(A)={qa!r}, Q(B)={qb!r}")
-    if s_samples < 2:
-        raise ValueError("s_samples must be at least 2")
-    worst, qdiff = _comparison_margins(
-        np.array([[a.r00], [b.r00]]),
-        np.real([[np.trace(a.R)], [np.trace(b.R)]]),
-        np.stack([a.z, b.z])[:, None, :],
-        s_samples,
-    )
-    worst, qdiff = float(worst[0]), float(qdiff[0])
-    ok = worst >= -tol * scale and qdiff <= tol * scale
-    return ComparisonReport(
-        ok=ok,
-        value_a=qa,
-        value_b=qb,
-        worst_segment_margin=worst,
-        diff_value=qdiff,
-        tol=tol,
-    )
-
-
 @dataclass
 class ComparisonScanReport:
     """Batched segment comparison over random equalized pairs."""
@@ -615,21 +556,20 @@ class ComparisonScanReport:
     n: int
     pairs: int
     seed: int
-    s_samples: int
-    tol: float
     worst_segment_margin: float
     worst_diff_value: float
     violation_count: int
 
 
-def comparison_scan(
-    n: int, pairs: int, seed: int, s_samples: int = 11, tol: float = 1e-10
-) -> ComparisonScanReport:
-    """Randomized battery of :func:`comparison_check` on equalized pairs.
+def comparison_scan(n: int, pairs: int, seed: int) -> ComparisonScanReport:
+    """Randomized battery of the two segment inequalities on equalized pairs.
 
     Points are sampled as triples (r00, trace, z) with the value held at a
     uniform positive fraction of r00 * trace, then the second point of each
-    pair is rescaled to equalize values. Deterministic for fixed inputs.
+    pair is rescaled to equalize values. Along each segment the value
+    Q(s A + (1 - s) B) must not drop below the common value Q(A), and the
+    difference point A - B must have a nonpositive value. Deterministic for
+    fixed inputs.
     """
     if pairs < 0:
         raise ValueError(f"pairs must be nonnegative, got {pairs}")
@@ -649,11 +589,11 @@ def comparison_scan(
     z[1] *= lam[:, None]
 
     if pairs:
-        worst, q_d = _comparison_margins(r00, tr, z, s_samples)
+        worst, q_d = _comparison_margins(r00, tr, z, COMPARISON_S_SAMPLES)
         scale = np.maximum(1.0, np.abs(q[0]))
         worst_margin = float(np.min(worst))
         worst_diff = float(np.max(q_d))
-        violations = int(np.count_nonzero((worst < -tol * scale) | (q_d > tol * scale)))
+        violations = int(np.count_nonzero((worst < -COMPARISON_TOL * scale) | (q_d > COMPARISON_TOL * scale)))
     else:
         worst_margin = worst_diff = math.nan
         violations = 0
@@ -661,8 +601,6 @@ def comparison_scan(
         n=n,
         pairs=pairs,
         seed=seed,
-        s_samples=s_samples,
-        tol=tol,
         worst_segment_margin=worst_margin,
         worst_diff_value=worst_diff,
         violation_count=violations,

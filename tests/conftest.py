@@ -5,7 +5,7 @@ import pytest
 
 import torusgeo as tg
 from torusgeo import solver
-from torusgeo.operator import cone_quantities
+from torusgeo.operator import AdmissibilityReport, cone_quantities
 
 
 def trig_space_values(grid, rng, amp, modes=2):
@@ -85,7 +85,7 @@ def random_admissible_field(seed, dim=1, n=10, nt=7):
             )
         except tg.InvalidProblem:
             continue
-        if cone_quantities(uvals, spec).admissible():
+        if AdmissibilityReport.from_cone(cone_quantities(uvals, spec)).admissible:
             return tg.ScalarField(grid, uvals), spec
     raise RuntimeError(f"no admissible field for seed {seed}")
 

@@ -263,6 +263,30 @@ def test_verify_accepts_solution_dumps(tmp_path, capsys):
     assert "verify: ok = true" in printed
 
 
+def test_verify_output_is_pinned(tmp_path, capsys):
+    # Every line verify prints, margins included, for a known solution dump.
+    cfg = write_cfg(tmp_path, SEPARABLE)
+    out = str(tmp_path / "out")
+    main(["solve", cfg, "--output", out])
+    capsys.readouterr()
+    assert main(["verify", os.path.join(out, "solution.bin"), cfg]) == 0
+    assert capsys.readouterr().out == (
+        "verify: admissible = true\n"
+        "verify: min_utt = 2 min_B = 1 min_Q = 2\n"
+        "verify: residual_sup = 0 (tol 1e-08 x 2)\n"
+        "verify: boundary_ok = true\n"
+        "verify: bounds_passed = true\n"
+        "verify: ok = true\n"
+    )
+    # The separable margins are integers; the manufactured ones are not.
+    cfg = write_cfg(tmp_path, MANUFACTURED, "manufactured.cfg")
+    out = str(tmp_path / "manufactured")
+    main(["solve", cfg, "--output", out])
+    capsys.readouterr()
+    assert main(["verify", os.path.join(out, "solution.bin"), cfg]) == 0
+    assert "verify: min_utt = 1.99745 min_B = 0.900988 min_Q = 1.8\n" in capsys.readouterr().out
+
+
 def test_verify_rejects_wrong_problem(tmp_path):
     cfg = write_cfg(tmp_path, SEPARABLE)
     out = str(tmp_path / "out")
@@ -555,3 +579,27 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Names dropped from the public surface with the functions that only tests called.
+DELETED_NAMES = (
+    "ComparisonReport",
+    "comparison_check",
+    "d_tt",
+    "ellipticity_check",
+    "equalize_value",
+    "first_order_data",
+    "grad_t",
+    "gradient_estimate_probe",
+    "normalize_shift",
+    "q_form",
+    "symbol_matrix",
+)
+
+
+def test_public_surface():
+    names = torusgeo.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(torusgeo, name)
+    assert [name for name in DELETED_NAMES if hasattr(torusgeo, name)] == []

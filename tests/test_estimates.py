@@ -9,7 +9,6 @@ from torusgeo.estimates import (
     check_c0,
     check_ut_bounds,
     f_dependencies,
-    gradient_estimate_probe,
     identity_suite,
     weak_c2_report,
     write_bounds_report,
@@ -140,33 +139,6 @@ def test_f_dependencies_values():
         np.isfinite(v)
         for v in (deps.sup_f, deps.sup_neg_f_tt, deps.sup_ft_sq_over_f, deps.sup_neg_lap_f, deps.sup_grad_sqrt_f)
     )
-
-
-def test_gradient_probe_interior_condition():
-    spec = _flat_spec(nt=17)
-    u = sample_scalar(spec.grid, lambda t, x: t * t - t)
-    probe = gradient_estimate_probe(u, spec, lam=1.0)
-    # |grad u| = 0, so h maximizes where u^2 does: the middle layer, interior
-    assert not probe.boundary_attained
-    assert probe.ok
-    assert abs(probe.condition_residual) <= probe.condition_tol
-
-
-def test_gradient_probe_boundary_attained():
-    spec = _flat_spec()
-    u = sample_scalar(spec.grid, lambda t, x: np.full_like(t, 0.3))
-    probe = gradient_estimate_probe(u, spec, lam=0.0)
-    # h vanishes identically; the max ties everywhere and resolves to a boundary node
-    assert probe.boundary_attained
-    assert probe.ok
-
-
-def test_gradient_probe_on_solved_instance():
-    spec = random_problem(2, n=24, nt=13)
-    res = tg.continuation_solve(spec)
-    shifted = tg.normalize_shift(res.u, 0.0, -float(np.mean(res.u.values)))
-    probe = gradient_estimate_probe(shifted, spec, lam=1.0)
-    assert probe.ok
 
 
 def test_bounds_report_render_and_write(tmp_path):

@@ -12,6 +12,7 @@ import torusgeo as tg
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar, sample_space
 import torusgeo.operator as operator_module
 from torusgeo.operator import (
+    AdmissibilityReport,
     InvalidProblem,
     LinearSolveError,
     ProblemSpec,
@@ -19,11 +20,7 @@ from torusgeo.operator import (
     assemble_dQ,
     compute_B,
     cone_quantities,
-    ellipticity_check,
-    first_order_data,
-    q_form,
     residual,
-    symbol_matrix,
 )
 
 from conftest import random_admissible_field
@@ -129,62 +126,22 @@ def test_residual_sup():
 def test_cone_quantities_and_admissibility():
     field, spec = random_admissible_field(3)
     cone = cone_quantities(field.values, spec)
-    assert cone.admissible()
-    report, verdict = ellipticity_check(field, spec)
-    assert report.admissible
-    assert verdict.all()
+    assert AdmissibilityReport.from_cone(cone).admissible
+    assert np.all(cone.utt > 0.0) and np.all(cone.b_full > 0.0) and np.all(cone.q > 0.0)
     # flipping time convexity breaks the cone
-    flipped = ScalarField(spec.grid, -field.values)
-    report2, verdict2 = ellipticity_check(flipped, spec)
-    assert not report2.admissible
-    assert not verdict2.all()
+    flipped = cone_quantities(-field.values, spec)
+    assert not AdmissibilityReport.from_cone(flipped).admissible
+    assert not np.all((flipped.utt > 0.0) & (flipped.q > 0.0))
 
 
 def test_admissibility_report_locations():
     field, spec = random_admissible_field(4)
-    report, _ = ellipticity_check(field, spec)
+    cone = cone_quantities(field.values, spec)
+    report = AdmissibilityReport.from_cone(cone)
     k = report.loc_utt[0]
     assert 1 <= k <= spec.grid.time_nodes - 2
-    cone = cone_quantities(field.values, spec)
     assert report.min_utt == pytest.approx(float(np.min(cone.utt)))
     assert report.min_q == pytest.approx(float(np.min(cone.q)))
-
-
-def test_symbol_matrix_definiteness_matches_margins():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        utt = rng.uniform(-1.0, 2.0)
-        bval = rng.uniform(-1.0, 2.0)
-        g = rng.standard_normal(2)
-        m = symbol_matrix(utt, bval, g)
-        assert np.max(np.abs(m - m.T)) == 0.0
-        eigs = np.linalg.eigvalsh(m)
-        pd = bool(np.all(eigs > 0.0))
-        q = utt * bval - float(g @ g)
-        assert pd == (utt > 0.0 and q > 0.0)
-
-
-def test_q_form_psd_and_polarization():
-    field, spec = random_admissible_field(5)
-    rng = np.random.default_rng(55)
-    phi = ScalarField(spec.grid, rng.standard_normal(spec.grid.field_shape))
-    psi = ScalarField(spec.grid, rng.standard_normal(spec.grid.field_shape))
-    dphi = first_order_data(phi)
-    dpsi = first_order_data(psi)
-    diag = q_form(field, spec, dphi, dphi).values
-    assert np.min(diag) >= -1e-12
-    ab = q_form(field, spec, dphi, dpsi).values
-    ba = q_form(field, spec, dpsi, dphi).values
-    assert np.max(np.abs(ab - ba)) <= 1e-12
-    # polarization: 4 q(phi, psi) = q(phi+psi) - q(phi-psi)
-    plus = ScalarField(spec.grid, phi.values + psi.values)
-    minus = ScalarField(spec.grid, phi.values - psi.values)
-    lhs = 4.0 * ab
-    rhs = (
-        q_form(field, spec, first_order_data(plus), first_order_data(plus)).values
-        - q_form(field, spec, first_order_data(minus), first_order_data(minus)).values
-    )
-    assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 @pytest.mark.parametrize("dim,n,nt", [(1, 10, 7), (2, 8, 7)])

@@ -14,19 +14,17 @@ from hypothesis.extra import numpy as hnp
 from torusgeo import symcone
 from torusgeo.symcone import (
     _RECORD_CHUNK,
-    ComparisonReport,
+    COMPARISON_TOL,
     ConePoint,
     F_k_eval,
+    _comparison_margins,
     _cone_shift,
     _esym_all,
     _f_batch,
     _min_shift_into_cone,
     _newton_chain,
-    _q_value,
     _sample_cone_batch,
-    comparison_check,
     comparison_scan,
-    equalize_value,
     gamma_k_membership,
     log_q_hessian,
     log_q_hessian_batch,
@@ -571,53 +569,19 @@ def test_scan_records_match_row_by_row_reference(tmp_path):
     assert new.read_bytes() == ref.read_bytes()
 
 
-def test_comparison_check_hand_example():
-    a = ConePoint(1.0, np.array([[1.0]]), np.zeros(1))
-    b = ConePoint(4.0, np.array([[1.0]]), np.zeros(1))
-    b_eq = equalize_value(a, b)
-    assert b_eq.r00 == pytest.approx(2.0)
-    assert b_eq.R[0, 0] == pytest.approx(0.5)
-    rep = comparison_check(a, b_eq, s_samples=5)
-    assert isinstance(rep, ComparisonReport)
-    assert rep.ok
-    assert rep.value_a == pytest.approx(1.0)
-    # midpoint: (1.5)(0.75) = 1.125, margin 0.125; difference: (-1)(0.5) = -0.5
-    assert rep.worst_segment_margin == pytest.approx(0.0, abs=1e-12)
-    assert rep.diff_value == pytest.approx(-0.5)
-
-
-def test_comparison_check_requires_equalized():
-    a = ConePoint(1.0, np.array([[1.0]]), np.zeros(1))
-    b = ConePoint(4.0, np.array([[1.0]]), np.zeros(1))
-    with pytest.raises(ValueError):
-        comparison_check(a, b)
-
-
-def test_equalize_rejects_nonpositive():
-    a = ConePoint(1.0, np.array([[1.0]]), np.zeros(1))
-    bad = ConePoint(1.0, np.array([[1.0]]), np.array([2.0]))
-    with pytest.raises(ValueError):
-        equalize_value(a, bad)
-
-
-@pytest.mark.filterwarnings("error")
-def test_equalize_value_keeps_hermitian_data():
-    a = ConePoint(1.0, np.eye(2), np.zeros(2))
-    b = ConePoint(2.0, np.array([[1.0, 0.5j], [-0.5j, 1.0]]), np.array([0.3j, 0.1]))
-    b_eq = equalize_value(a, b)
-    assert np.iscomplexobj(b_eq.R) and np.iscomplexobj(b_eq.z)
-    assert _q_value(b_eq) == pytest.approx(_q_value(a))
-    assert comparison_check(a, b_eq).ok
+def _q(point) -> float:
+    """Q = r00 Re tr R - |z|^2, the k = 1 value the comparison battery uses."""
+    return float(point.r00 * np.real(np.trace(point.R)) - np.sum(np.abs(point.z) ** 2))
 
 
 def comparison_brute(a, b, s_samples):
     """Segment and difference values built point by point, one combination per s."""
-    qa = _q_value(a)
+    qa = _q(a)
     worst = min(
-        _q_value(ConePoint(s * a.r00 + (1.0 - s) * b.r00, s * a.R + (1.0 - s) * b.R, s * a.z + (1.0 - s) * b.z)) - qa
+        _q(ConePoint(s * a.r00 + (1.0 - s) * b.r00, s * a.R + (1.0 - s) * b.R, s * a.z + (1.0 - s) * b.z)) - qa
         for s in np.linspace(0.0, 1.0, s_samples)
     )
-    return worst, _q_value(ConePoint(a.r00 - b.r00, a.R - b.R, a.z - b.z))
+    return worst, _q(ConePoint(a.r00 - b.r00, a.R - b.R, a.z - b.z))
 
 
 def _random_q_point(rng, n, hermitian):
@@ -635,16 +599,25 @@ def _random_q_point(rng, n, hermitian):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 5), st.integers(2, 21), st.booleans(), st.integers(0, 2**32 - 1))
 def test_comparison_check_matches_pointwise_reference(n, s_samples, hermitian, seed):
+    """The batched kernel :func:`_comparison_margins` against the point-by-point reference."""
     rng = np.random.default_rng(seed)
     a = _random_q_point(rng, n, hermitian)
-    b = equalize_value(a, _random_q_point(rng, n, hermitian))
-    rep = comparison_check(a, b, s_samples=s_samples)
-    worst, diff = comparison_brute(a, b, s_samples)
+    b = _random_q_point(rng, n, hermitian)
+    lam = math.sqrt(_q(a) / _q(b))  # equalize: Q scales quadratically
+    b = ConePoint(lam * b.r00, lam * b.R, lam * b.z)
+    worst, diff = _comparison_margins(
+        np.array([[a.r00], [b.r00]]),
+        np.real([[np.trace(a.R)], [np.trace(b.R)]]),
+        np.stack([a.z, b.z])[:, None, :],
+        s_samples,
+    )
+    worst_ref, diff_ref = comparison_brute(a, b, s_samples)
     # Q is a difference of terms up to 20 Q here (theta < 0.95); both sides round at that size.
-    tol = 1e-12 * max(1.0, _q_value(a))
-    assert abs(rep.worst_segment_margin - worst) <= tol
-    assert abs(rep.diff_value - diff) <= tol
-    assert rep.ok
+    scale = max(1.0, _q(a))
+    tol = 1e-12 * scale
+    assert abs(worst[0] - worst_ref) <= tol
+    assert abs(diff[0] - diff_ref) <= tol
+    assert worst[0] >= -COMPARISON_TOL * scale and diff[0] <= COMPARISON_TOL * scale
 
 
 def test_comparison_scan_clean_and_deterministic():
