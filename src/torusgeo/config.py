@@ -152,7 +152,6 @@ class ScanConfig:
     trials: int = 100000
     seed: int = 42
     hermitian: bool = False
-    threshold: float = -1e-9
     comparison_pairs: int = 10000
 
 
@@ -263,8 +262,6 @@ def load_config(path) -> RunConfig:
         for key in ("trials", "seed", "comparison_pairs"):
             if getattr(sc, key) < 0:
                 raise ConfigError(f"{key} in [scan] must be nonnegative, got {getattr(sc, key)}")
-        if not math.isfinite(sc.threshold):
-            raise ConfigError(f"threshold in [scan] must be finite, got {sc.threshold!r}")
 
     if parser.has_section("output"):
         cfg.output = OutputConfig(**_typed_section(parser["output"], OutputConfig, "output"))

@@ -190,17 +190,6 @@ def apply_Q(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     return ScalarField(spec.grid, _pad_edge(cone.q))
 
 
-def residual(u: ScalarField, spec: ProblemSpec, rhs: ScalarField) -> tuple[ScalarField, float]:
-    """Q(u) - rhs on the interior layers and its sup-norm.
-
-    The returned field is edge-padded, so its sup-norm equals the interior
-    sup-norm reported alongside it.
-    """
-    cone = cone_quantities(u.values, spec)
-    res = cone.q - rhs.values[1:-1]
-    return ScalarField(spec.grid, _pad_edge(res)), float(np.max(np.abs(res)))
-
-
 @dataclass
 class AdmissibilityReport:
     """Pointwise minima of the three cone margins with their locations.

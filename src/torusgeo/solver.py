@@ -155,12 +155,13 @@ class SolveResult:
     ``(s_or_eps, final_residual, (min_utt, min_B, min_Q))``. ``records`` is
     the per-iteration trace of the accepted runs. ``rejected`` lists every
     Newton run that failed and was retried as ``(phase, param, reason)``.
+    Newton and continuation runs raise on every failure, so a result they
+    return has converged.
     """
 
     u: ScalarField
     final_residual_sup: float
     newton_iters_total: int
-    converged: bool
     continuation_trace: list = field(default_factory=list)
     records: list = field(default_factory=list)
     rejected: list = field(default_factory=list)
@@ -343,7 +344,6 @@ def newton_solve(
         u=ScalarField(grid, u),
         final_residual_sup=res_sup,
         newton_iters_total=iters,
-        converged=True,
         continuation_trace=[(param, res_sup, report.mins)],
         records=records,
     )
@@ -482,7 +482,7 @@ def epsilon_sweep(spec: ProblemSpec, epsilons, *, on_record=None) -> list[SweepE
         entries.append(entry)
         try:
             if prev_u is not None:
-                warm = SolveResult(prev_u, math.nan, 0, True, rejected=entry.rejected)
+                warm = SolveResult(prev_u, math.nan, 0, rejected=entry.rejected)
                 with contextlib.suppress(SolverError):  # the failed attempts stay in entry.rejected
                     entry.result = _follow_path(
                         spec_eps, target, prev_eps, eps, warm, phase="sweep", on_record=on_record

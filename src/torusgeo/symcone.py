@@ -377,7 +377,9 @@ class ScanReport:
 
 
 _MAX_RECORDED_VIOLATIONS = 25
-_SCAN_MAX_N = 6  # from n = 7 on the recursion's F_k errs by about 1e-9 relative, the default threshold
+# Margins below SCAN_THRESHOLD count as violations. It is read at call time.
+SCAN_THRESHOLD = -1e-9
+_SCAN_MAX_N = 6  # from n = 7 on the recursion's F_k errs by about 1e-9 relative, the size of SCAN_THRESHOLD
 _SHIFT_RTOL = 1e-12  # a certified cone shift errs by less than this times 1 + |R|_F
 # Trials per vectorized block of the midpoint scan. The sampler draws one block at
 # a time from the generator, so the records of a seed depend on this size.
@@ -390,13 +392,12 @@ def midpoint_concavity_scan(
     trials: int,
     seed: int,
     hermitian: bool = False,
-    threshold: float = -1e-9,
 ) -> ScanReport:
     """Randomized midpoint log-concavity scan of F_k on the cone.
 
     For each trial, two independent cone-interior triples p, q are drawn and
     the margin log F(mid) - (log F(p) + log F(q)) / 2 is recorded for their
-    average. Margins below ``threshold`` count as violations and the triples
+    average. Margins below ``SCAN_THRESHOLD`` count as violations and the triples
     are kept at full precision (up to a fixed cap). Trials are drawn in
     blocks of ``_SCAN_BATCH``, and the records depend on that block size, so
     the scan is deterministic for a fixed (k, n, trials, seed, hermitian).
@@ -404,6 +405,7 @@ def midpoint_concavity_scan(
     _check_k(k, n, _SCAN_MAX_N)
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    threshold = SCAN_THRESHOLD
     rng = np.random.default_rng(seed)
     margins, f_left, f_right, f_mid_all = np.full((4, trials), np.nan)
     violations: list[ScanViolation] = []

@@ -278,6 +278,10 @@ def test_verify_output_is_pinned(tmp_path, capsys):
         "verify: bounds_passed = true\n"
         "verify: ok = true\n"
     )
+    # A wrong right-hand side: Q(u) = 2 against f = 3 misses by exactly 1.
+    other = write_cfg(tmp_path, SEPARABLE.replace("f = 2", "f = 3"), "other.cfg")
+    assert main(["verify", os.path.join(out, "solution.bin"), other]) == 1
+    assert "verify: residual_sup = 1 (tol 1e-08 x 3)\n" in capsys.readouterr().out
     # The separable margins are integers; the manufactured ones are not.
     cfg = write_cfg(tmp_path, MANUFACTURED, "manufactured.cfg")
     out = str(tmp_path / "manufactured")
@@ -375,7 +379,7 @@ def test_solve_extreme_magnitude_data_exits_2(tmp_path, capsys, old, new):
         ("seed = 11", "seed = 11\nbatch_size = -2"),  # a retired key
         ("trials = 2000", "trials = -1"),
         ("comparison_pairs = 500", "comparison_pairs = -1"),
-        ("seed = 11", "seed = 11\nthreshold = nan"),
+        ("seed = 11", "seed = 11\nthreshold = nan"),  # a retired key
     ],
     ids=["batch_size_negative", "trials_negative", "pairs_negative", "threshold_nan"],
 )
@@ -584,16 +588,22 @@ def test_import_does_not_load_scipy():
 # Names dropped from the public surface with the functions that only tests called.
 DELETED_NAMES = (
     "ComparisonReport",
+    "check_c0",
+    "check_ut_bounds",
     "comparison_check",
     "d_tt",
     "ellipticity_check",
     "equalize_value",
+    "f_dependencies",
     "first_order_data",
     "grad_t",
     "gradient_estimate_probe",
+    "identity_suite",
     "normalize_shift",
     "q_form",
+    "residual",
     "symbol_matrix",
+    "weak_c2_report",
 )
 
 

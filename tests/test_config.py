@@ -157,7 +157,6 @@ def test_load_good_config(tmp_path):
     assert cfg.scan.k == 1 and cfg.scan.n == 4
     assert cfg.scan.trials == 500 and cfg.scan.seed == 7
     assert cfg.scan.hermitian is True
-    assert cfg.scan.threshold == -1e-9  # default kept
     assert cfg.output.directory == "results"
     assert cfg.base_dir == str(tmp_path)
 
@@ -194,7 +193,7 @@ def test_config_sections_accept_the_same_keys():
         "problem": {"spatial_dim", "nodes_per_axis", "time_nodes", "spatial_period", "a", "b", "f", "u0", "u1", "exact"},
         "solver": {"refinements"},
         "sweep": {"epsilons"},
-        "scan": {"k", "n", "trials", "seed", "hermitian", "threshold", "comparison_pairs"},
+        "scan": {"k", "n", "trials", "seed", "hermitian", "comparison_pairs"},
         "output": {"directory"},
     }
 
@@ -263,8 +262,6 @@ def test_load_scan_n_at_most_6(tmp_path):
         ("trials", "-1", "nonnegative"),
         ("comparison_pairs", "-1", "nonnegative"),
         ("seed", "-1", "nonnegative"),
-        ("threshold", "nan", "finite"),
-        ("threshold", "-inf", "finite"),
     ],
 )
 def test_load_scan_rejects_bad_values(tmp_path, key, value, match):
@@ -291,6 +288,8 @@ def test_load_scan_rejects_bad_values(tmp_path, key, value, match):
         ("scan", "batch_size", "4096"),
         ("scan", "batch_size", "0"),
         ("scan", "batch_size", "-4"),
+        ("scan", "threshold", "nan"),
+        ("scan", "threshold", "-inf"),
     ],
 )
 def test_load_rejects_retired_keys(tmp_path, section, key, value):

@@ -20,7 +20,6 @@ from torusgeo.operator import (
     assemble_dQ,
     compute_B,
     cone_quantities,
-    residual,
 )
 
 from conftest import random_admissible_field
@@ -112,15 +111,6 @@ def test_apply_Q_matches_analytic_for_quadratic_profile():
     u = sample_scalar(spec.grid, lambda t, x: t * t - t)
     got = apply_Q(u, spec).values[1:-1]
     assert np.max(np.abs(got - 2.0 * spec.a.values[None, :])) <= 1e-12
-
-
-def test_residual_sup():
-    spec = _basic_spec()
-    u = sample_scalar(spec.grid, lambda t, x: t * t - t)
-    field, sup_val = residual(u, spec, spec.f)
-    inner = apply_Q(u, spec).values[1:-1] - spec.f.values[1:-1]
-    assert sup_val == pytest.approx(np.max(np.abs(inner)), rel=0, abs=0)
-    assert np.max(np.abs(field.values[1:-1] - inner)) == 0.0
 
 
 def test_cone_quantities_and_admissibility():

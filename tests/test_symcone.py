@@ -524,9 +524,10 @@ def test_scan_conjecture_flag():
     assert herm.violation_count == 0
 
 
-def test_scan_violation_capture():
+def test_scan_violation_capture(monkeypatch):
     # a high threshold flags many trials, exercising the capture path
-    rep = midpoint_concavity_scan(1, 2, 64, seed=34, threshold=1.0)
+    monkeypatch.setattr(symcone, "SCAN_THRESHOLD", 1.0)
+    rep = midpoint_concavity_scan(1, 2, 64, seed=34)
     assert rep.violation_count == int(np.sum(rep.margins < 1.0))
     assert rep.violation_count > 0
     assert len(rep.violations) == min(rep.violation_count, 25)
@@ -535,8 +536,9 @@ def test_scan_violation_capture():
     assert np.isfinite(v.f_mid)
 
 
-def test_scan_record_files(tmp_path):
-    rep = midpoint_concavity_scan(1, 2, 100, seed=35, threshold=1.0)
+def test_scan_record_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(symcone, "SCAN_THRESHOLD", 1.0)
+    rep = midpoint_concavity_scan(1, 2, 100, seed=35)
     rec = tmp_path / "records.csv"
     cex = tmp_path / "counterexamples.txt"
     write_scan_records(rep, rec)
