@@ -324,7 +324,7 @@ def cmd_verify(args) -> int:
     bnd1 = float(np.max(np.abs(field.values[-1] - spec.u1.values)))
     boundary_ok = max(bnd0, bnd1) <= 1e-10 * max(1.0, sup_norm(field))
     residual_ok = res_sup <= VERIFY_RTOL * scale
-    bounds = bounds_report(field, spec, compute_c_star(spec))
+    bounds = bounds_report(field, spec, compute_c_star(spec), cone=cone)
     ok = report.admissible and residual_ok and boundary_ok and bounds.passed
 
     print(f"verify: admissible = {_fmt_bool(report.admissible)}")

@@ -257,14 +257,17 @@ def _f_deps(spec: ProblemSpec) -> dict:
     )
 
 
-def bounds_report(u: ScalarField, spec: ProblemSpec, c: float, rhs: ScalarField | None = None) -> BoundsReport:
+def bounds_report(
+    u: ScalarField, spec: ProblemSpec, c: float, rhs: ScalarField | None = None, cone: ConeData | None = None
+) -> BoundsReport:
     """Assemble the full report for a computed field.
 
     ``rhs`` plays the role of f = Q(u) in the identity defects. It defaults
     to the operator value of u itself, which makes them pure stencil-algebra
     measurements; pass the solve target to test a converged solution.
+    ``cone`` is ``cone_quantities(u.values, spec)``, computed here if not given.
     """
-    cone = cone_quantities(u.values, spec)
+    cone = cone_quantities(u.values, spec) if cone is None else cone
     if rhs is None:
         rhs = ScalarField(spec.grid, _pad_edge(cone.q))
     return BoundsReport(

@@ -484,19 +484,112 @@ def midpoint_concavity_scan(
     )
 
 
+def _split(a: np.ndarray):
+    """Veltkamp's split: hi + lo = a exactly, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _value_keep() -> np.ndarray:
+    """Keep-masks of a value's 42 bytes, row (negative * 21 + X + 4) * 17 + trailing zeros of D."""
+    x = np.arange(-4, 17)[:, None, None]
+    pos = np.arange(20)  # digit j of D sits at pos 3 + j
+    integer = np.where(x >= 0, (pos >= 3) & (pos <= 3 + x), pos == 0)
+    fraction = (pos >= 4 + x) & (pos <= 19 - np.arange(17)[:, None])
+    parts = (np.array([False, True])[:, None, None, None], integer, fraction.any(axis=-1, keepdims=True), fraction)
+    return np.concatenate([np.broadcast_to(a, (2, 21, 17, a.shape[-1])) for a in parts], axis=-1).reshape(-1, 42)
+
+
 _RECORD_CHUNK = 4096
+# The records kernel. From 1e-4 to 1e17, C "%.17g" prints D 10^(X - 16) in fixed
+# notation (D the 17-digit correctly rounded significand, X the decimal exponent):
+# a keep-mask picks the sign, integer part, point and fraction out of the 42 bytes
+# [-][block].[block], block being D's 20-digit zero-padded ASCII. Rows with other
+# values, or a trial index wider than _TRIAL_DIGITS (at most 8), go to printf.
+_TRIAL_DIGITS = 8
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).view("<u4").ravel()  # "0000"...
+_VALUE_KEEP = _value_keep()
+_POW10 = np.array([float(10**s) for s in range(21)])  # exact doubles
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _significand(mag: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """mag * 10^(16 - exp) rounded half to even, exact where the result is at least 2^53.
+
+    Dekker's two-product gives it as p + e exactly, p even and |e| <= ulp(p) / 2 there.
+    """
+    s = 16 - exp
+    p = mag * _POW10[s]
+    (ah, al), bh, bl = _split(mag), _POW10_HI[s], _POW10_LO[s]
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _fixed_17g(values: np.ndarray):
+    """Per value, the digit block, keep-mask row and certificate (False: printf prints it) of "%.17g"."""
+    mag = np.abs(values)
+    ok = (mag >= 1e-4) & (mag < 1e17)
+    mag = np.where(ok, mag, 1.0)
+    exp = np.clip(np.floor(np.log10(mag)), -4, 16).astype(np.int64)
+    digits = _significand(mag, exp)
+    # log10 may be one off near a power of ten, and rounding may carry to 10^17:
+    # recompute at the next exponent, never divide D by 10 (that rounds twice).
+    step = (digits >= 10**17).astype(np.int64) - (digits < 10**16)
+    if step.any():
+        exp = np.clip(exp + step, -4, 16)
+        digits = _significand(mag, exp)
+        ok &= (digits >= 10**16) & (digits < 10**17)
+    top, low = np.divmod(digits, 10**8)
+    top, mid = np.divmod(top, 10**8)
+    block = _DIGITS4[np.stack([top, *np.divmod(mid, 10**4), *np.divmod(low, 10**4)], axis=-1)].view(np.uint8)
+    zeros = np.argmax(block[..., :2:-1] != ord("0"), axis=-1)  # D >= 10^16 has a nonzero digit at pos 3
+    return block, ((values < 0) * 21 + exp + 4) * 17 + zeros, ok
 
 
 def write_scan_records(report: ScanReport, path) -> None:
-    """Line-delimited per-trial records of a scan, written in bounded chunks of rows."""
-    row = f"%d,{report.k},{report.n},{report.variant},%.17g,%.17g,%.17g,%.17g\n"
+    """Line-delimited per-trial records of a scan, written in bounded chunks of rows.
+
+    Each row is ``row % values`` byte for byte (C "%.17g" per value), built by the
+    records kernel; rows it cannot certify are written by ``row % values`` itself.
+    """
+    head = f",{report.k},{report.n},{report.variant},"
+    row = "%d" + head + "%.17g,%.17g,%.17g,%.17g\n"
     columns = (report.margins, report.f_left, report.f_right, report.f_mid)
-    with open(path, "w") as fh:
-        fh.write("trial,k,n,variant,margin,f_left,f_right,f_mid\n")
+    width = _TRIAL_DIGITS
+    lead = width + len(head)
+    buf = np.empty((_RECORD_CHUNK, lead + 4 * 43), np.uint8)
+    keep = np.ones(buf.shape, bool)
+    buf[:, width:lead] = np.frombuffer(head.encode(), np.uint8)
+    blocks = buf[:, lead:].reshape(_RECORD_CHUNK, 4, 43)
+    keep_blocks = keep[:, lead:].reshape(_RECORD_CHUNK, 4, 43)
+    blocks[..., 0], blocks[..., 21], blocks[..., 42] = ord("-"), ord("."), np.frombuffer(b",,,\n", np.uint8)
+    trial_keep = np.arange(width) >= width - np.arange(width + 1)[:, None]
+    with open(path, "wb") as fh:
+        fh.write(b"trial,k,n,variant,margin,f_left,f_right,f_mid\n")
         for start in range(0, report.trials, _RECORD_CHUNK):
             stop = min(start + _RECORD_CHUNK, report.trials)
-            rows = zip(range(start, stop), *(col[start:stop].tolist() for col in columns))
-            fh.write("".join([row % values for values in rows]))
+            m = stop - start
+            trial = np.arange(start, stop)
+            trial_block = _DIGITS4[np.stack(np.divmod(trial % 10**8, 10**4), axis=-1)].view(np.uint8)
+            buf[:m, :width] = trial_block[:, 8 - width :]
+            keep[:m, :width] = trial_keep[np.searchsorted(10 ** np.arange(1, width), trial, side="right") + 1]
+            values = np.stack([col[start:stop] for col in columns], axis=1)
+            block, value_keep, ok = _fixed_17g(values)
+            blocks[:m, :, 1:21] = block
+            blocks[:m, :, 22:42] = block
+            keep_blocks[:m, :, :42] = _VALUE_KEEP[value_keep]
+            out = buf[:m].ravel()[keep[:m].ravel()]
+            fallback = np.flatnonzero(~ok.all(axis=1) | (trial >= 10**width))
+            if fallback.size:
+                ends = np.cumsum(np.count_nonzero(keep[:m], axis=1))
+                done = 0
+                for i in fallback.tolist():
+                    fh.write(out[done : ends[i - 1] if i else 0])
+                    fh.write((row % (start + i, *values[i].tolist())).encode())
+                    done = ends[i]
+                out = out[done:]
+            fh.write(out)
 
 
 def write_counterexamples(report: ScanReport, path) -> None:

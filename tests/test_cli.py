@@ -13,7 +13,7 @@ import torusgeo
 from torusgeo import solver
 from torusgeo.cli import main
 from torusgeo.mesh import GridSpec, ScalarField, write_field_bin, write_field_csv
-from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem
+from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem, cone_quantities
 
 from conftest import fail_newton, fail_newton_once_at
 
@@ -289,6 +289,24 @@ def test_verify_output_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", os.path.join(out, "solution.bin"), cfg]) == 0
     assert "verify: min_utt = 1.99745 min_B = 0.900988 min_Q = 1.8\n" in capsys.readouterr().out
+
+
+def test_verify_evaluates_the_cone_once(tmp_path, monkeypatch, capsys):
+    # bounds_report reuses the cone verify already computed for its own lines.
+    cfg = write_cfg(tmp_path, SEPARABLE)
+    out = str(tmp_path / "out")
+    main(["solve", cfg, "--output", out])
+    calls = []
+
+    def counted(values, spec):
+        calls.append(1)
+        return cone_quantities(values, spec)
+
+    monkeypatch.setattr("torusgeo.cli.cone_quantities", counted)
+    monkeypatch.setattr("torusgeo.estimates.cone_quantities", counted)
+    assert main(["verify", os.path.join(out, "solution.bin"), cfg]) == 0
+    assert len(calls) == 1
+    assert "verify: bounds_passed = true\n" in capsys.readouterr().out
 
 
 def test_verify_rejects_wrong_problem(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,6 +21,7 @@ from torusgeo.symcone import (
     _cone_shift,
     _esym_all,
     _f_batch,
+    _fixed_17g,
     _min_shift_into_cone,
     _newton_chain,
     _sample_cone_batch,
@@ -551,24 +552,105 @@ def test_scan_record_files(tmp_path, monkeypatch):
     assert "R_left = " in body
 
 
+def _reference_records(rep) -> bytes:
+    """The records file of ``rep`` written one row at a time with Python's %.17g."""
+    rows = ["trial,k,n,variant,margin,f_left,f_right,f_mid\n"]
+    for i in range(rep.trials):
+        rows.append(
+            f"{i},{rep.k},{rep.n},{rep.variant},"
+            f"{rep.margins[i]:.17g},{rep.f_left[i]:.17g},"
+            f"{rep.f_right[i]:.17g},{rep.f_mid[i]:.17g}\n"
+        )
+    return "".join(rows).encode()
+
+
+# Values at the edges of the records kernel's fixed-notation range: 1e-4 and its
+# neighbours, literals whose 17 digits round up to a power of ten, predecessors
+# of powers of ten (where floor(log10) is one too high), 1e17 and its predecessor,
+# exact ties at the 18th digit (1 + 2^-17 = 1.00000762939453125 rounds down to
+# even, 1 + 3 * 2^-17 up), and the values only printf writes.
+ADVERSARIAL = [
+    1e-4,
+    9.9999999999999999e-5,
+    float(np.nextafter(1e-4, 0.0)),
+    float(np.nextafter(1e-4, 1.0)),
+    9.9999999999999999e-3,
+    99.999999999999999,
+    *(float(np.nextafter(10.0**e, 0.0)) for e in range(-3, 18)),
+    1e17,
+    float(np.nextafter(1e17, 0.0)),
+    1e16,
+    1.0 + 2.0**-17,
+    1.0 + 3.0 * 2.0**-17,
+    0.0,
+    -0.0,
+    np.inf,
+    -np.inf,
+    np.nan,
+    5e-324,
+    1.7976931348623157e308,
+]
+
+
 def test_scan_records_match_row_by_row_reference(tmp_path):
     trials = 2 * _RECORD_CHUNK + 37
     rep = midpoint_concavity_scan(1, 2, trials, seed=37)
     rep.margins[[3, _RECORD_CHUNK]] = np.nan
     rep.margins[[5, trials - 1]] = -np.inf
     rep.f_mid[3] = np.nan
+    # Splice the adversarial values, and their negatives, into every column.
+    special = np.array(ADVERSARIAL + [-x for x in ADVERSARIAL])
+    for j, col in enumerate((rep.margins, rep.f_left, rep.f_right, rep.f_mid)):
+        col[_RECORD_CHUNK - 20 + j : _RECORD_CHUNK - 20 + j + special.size] = special
+        col[trials - special.size - j : trials - j] = special[::-1]
+    assert "1.0000076293945312" in _reference_records(rep).decode()
     new = tmp_path / "records.csv"
     write_scan_records(rep, new)
-    ref = tmp_path / "reference.csv"
-    with open(ref, "w") as fh:
-        fh.write("trial,k,n,variant,margin,f_left,f_right,f_mid\n")
-        for i in range(rep.trials):
-            fh.write(
-                f"{i},{rep.k},{rep.n},{rep.variant},"
-                f"{rep.margins[i]:.17g},{rep.f_left[i]:.17g},"
-                f"{rep.f_right[i]:.17g},{rep.f_mid[i]:.17g}\n"
-            )
-    assert new.read_bytes() == ref.read_bytes()
+    assert new.read_bytes() == _reference_records(rep)
+
+
+def test_scan_records_trial_index_past_the_digit_field(tmp_path, monkeypatch):
+    # With a 3-digit field, trials from 1000 on (whole chunks among them) go to printf.
+    monkeypatch.setattr(symcone, "_TRIAL_DIGITS", 3)
+    rep = midpoint_concavity_scan(1, 3, 2 * _RECORD_CHUNK + 5, seed=38)
+    new = tmp_path / "records.csv"
+    write_scan_records(rep, new)
+    assert new.read_bytes() == _reference_records(rep)
+
+
+def _bits_to_float(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 2**64 - 1).map(_bits_to_float),
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 18.0)).map(lambda t: t[0] * 10.0 ** t[1]),
+        ),
+        min_size=4,
+        max_size=64,
+    )
+)
+def test_records_kernel_matches_printf(tmp_path, values):
+    # Random bit patterns reach every class of double; the log-uniform draws fill
+    # the kernel's fixed range [1e-4, 1e17) and both of its edges.
+    values = np.array(values)
+    rep = midpoint_concavity_scan(1, 2, values.size, seed=39)
+    rep.margins[:], rep.f_left[:], rep.f_right[:], rep.f_mid[:] = values, values[::-1], -values, np.roll(values, 1)
+    new = tmp_path / "records.csv"
+    write_scan_records(rep, new)
+    assert new.read_bytes() == _reference_records(rep)
+    # The kernel, not printf, certifies every finite value of the fixed range.
+    mag = np.abs(values)
+    assert np.array_equal(_fixed_17g(values)[2], (mag >= 1e-4) & (mag < 1e17))
 
 
 def _q(point) -> float:
