@@ -3,8 +3,7 @@
 Subcommands:
 
 * ``solve``   run the continuation solver on a configured problem and write
-              the solution, bounds report, trace, rejected attempts and plot
-              data.
+              the solution, bounds report, trace and rejected attempts.
 * ``sweep``   walk the right-hand side down an epsilon ladder and check that
               the second-order measurements stay uniformly bounded.
 * ``scan``    randomized midpoint concavity scan plus the segment comparison
@@ -37,7 +36,7 @@ from .mesh import (
     write_field_bin,
     write_field_csv,
 )
-from .operator import AdmissibilityReport, InvalidProblem, cone_quantities
+from .operator import InvalidProblem, cone_quantities
 from .solver import (
     TRACE_HEADER,
     SolverError,
@@ -82,22 +81,6 @@ def _write_rejections(rejected, path: str) -> None:
             writer.writerow((phase, _fmt(param), reason))
 
 
-def emit_plot_data(result, outdir: str) -> None:
-    """Per-iteration and per-rung residual tables for plotting.
-
-    ``newton_residual.csv`` numbers every trace record consecutively;
-    ``continuation_residual.csv`` has one row per accepted ladder rung.
-    """
-    with open(os.path.join(outdir, "newton_residual.csv"), "w") as fh:
-        fh.write("iteration,residual\n")
-        for i, rec in enumerate(result.records):
-            fh.write(f"{i},{rec.residual:.17g}\n")
-    with open(os.path.join(outdir, "continuation_residual.csv"), "w") as fh:
-        fh.write("s,residual\n")
-        for param, res, _mins in result.continuation_trace:
-            fh.write(f"{param:.17g},{res:.17g}\n")
-
-
 def _outdir(args, cfg: RunConfig, make: bool = True) -> str:
     """The output directory, made after the run; make=False, before it, fails early on a path naming a file."""
     outdir = args.output if args.output is not None else cfg.output.directory
@@ -126,7 +109,6 @@ def cmd_solve(args) -> int:
     write_bounds_report(bounds, os.path.join(outdir, "bounds.txt"))
     _write_trace(result.records, os.path.join(outdir, "trace.csv"))
     _write_rejections(result.rejected, os.path.join(outdir, "rejections.csv"))
-    emit_plot_data(result, outdir)
 
     grid = spec.grid
     # continuation_solve raises on every failure, so a run that gets here converged.
@@ -141,14 +123,8 @@ def cmd_solve(args) -> int:
         f"newton_iters_total = {result.newton_iters_total}",
         f"rungs_rejected = {len(result.rejected)}",
         f"bounds_passed = {_fmt_bool(bounds.passed)}",
+        *(f"{name} = {_fmt(getattr(result.records[-1], name))}" for name in ("min_utt", "min_B", "min_Q")),
     ]
-    if result.continuation_trace:
-        _s, _res, mins = result.continuation_trace[-1]
-        lines += [
-            f"min_utt = {_fmt(mins[0])}",
-            f"min_B = {_fmt(mins[1])}",
-            f"min_Q = {_fmt(mins[2])}",
-        ]
 
     exact = build_exact(cfg)
     if exact is not None:
@@ -317,7 +293,6 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"solution {path!r} holds a space-only field, expected a spacetime field")
 
     cone = cone_quantities(field.values, spec)
-    report = AdmissibilityReport.from_cone(cone)
     res_sup = float(np.max(np.abs(cone.q - spec.f.values[1:-1])))
     scale = max(1.0, sup_norm(spec.f))
     bnd0 = float(np.max(np.abs(field.values[0] - spec.u0.values)))
@@ -325,10 +300,10 @@ def cmd_verify(args) -> int:
     boundary_ok = max(bnd0, bnd1) <= 1e-10 * max(1.0, sup_norm(field))
     residual_ok = res_sup <= VERIFY_RTOL * scale
     bounds = bounds_report(field, spec, compute_c_star(spec), cone=cone)
-    ok = report.admissible and residual_ok and boundary_ok and bounds.passed
+    ok = cone.admissible and residual_ok and boundary_ok and bounds.passed
 
-    print(f"verify: admissible = {_fmt_bool(report.admissible)}")
-    print(f"verify: min_utt = {report.min_utt:.6g} min_B = {report.min_b:.6g} min_Q = {report.min_q:.6g}")
+    print(f"verify: admissible = {_fmt_bool(cone.admissible)}")
+    print("verify: min_utt = {:.6g} min_B = {:.6g} min_Q = {:.6g}".format(*cone.mins))
     print(f"verify: residual_sup = {res_sup:.6g} (tol {VERIFY_RTOL:.6g} x {scale:.6g})")
     print(f"verify: boundary_ok = {_fmt_bool(boundary_ok)}")
     print(f"verify: bounds_passed = {_fmt_bool(bounds.passed)}")

@@ -143,7 +143,9 @@ class ConeData:
 
     All interior arrays have shape ``(Nt - 2,) + spatial_shape``; ``b_full``
     covers every time layer. ``grad_u`` holds the spatial gradient of u at
-    the interior layers, ``grad_ut`` the mixed derivatives there.
+    the interior layers, ``grad_ut`` the mixed derivatives there. The three
+    cone margins are reported here: ``margins`` as arrays, ``mins`` and
+    ``worst()`` as their minima, ``admissible`` as their sign.
     """
 
     utt: np.ndarray
@@ -155,6 +157,27 @@ class ConeData:
     @property
     def b_interior(self) -> np.ndarray:
         return self.b_full[1:-1]
+
+    @property
+    def margins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The interior arrays (u_tt, B, Q) that the fraction-to-boundary rule compares."""
+        return (self.utt, self.b_interior, self.q)
+
+    @property
+    def mins(self) -> tuple[float, float, float]:
+        """(min u_tt, min B, min Q): u_tt and Q over interior layers, B over every layer."""
+        return tuple(float(np.min(m)) for m in (self.utt, self.b_full, self.q))
+
+    @property
+    def admissible(self) -> bool:
+        """All three minima are positive; a nan minimum is not."""
+        return all(m > 0.0 for m in self.mins)
+
+    def worst(self) -> tuple[str, tuple, float]:
+        """(name, full-axis node, value) of the smallest margin; ties go to u_tt, then B, then Q, nan first."""
+        name, values = (("u_tt", self.utt), ("B", self.b_full), ("Q", self.q))[int(np.argmin(self.mins))]
+        node = argmin_node(values)
+        return name, node if name == "B" else full_node(node), float(values[node])
 
 
 def cone_quantities(u_values: np.ndarray, spec: ProblemSpec) -> ConeData:
@@ -188,51 +211,6 @@ def apply_Q(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """Q(u) on the interior layers, returned edge-padded to full shape."""
     cone = cone_quantities(u.values, spec)
     return ScalarField(spec.grid, _pad_edge(cone.q))
-
-
-@dataclass
-class AdmissibilityReport:
-    """Pointwise minima of the three cone margins with their locations.
-
-    ``min_utt`` and ``min_q`` are taken over interior layers (layer indices
-    refer to the full time axis); ``min_b`` is taken over every layer since
-    B is defined on the Dirichlet layers too.
-    """
-
-    min_utt: float
-    loc_utt: tuple
-    min_b: float
-    loc_b: tuple
-    min_q: float
-    loc_q: tuple
-    admissible: bool
-
-    @classmethod
-    def from_cone(cls, cone: ConeData) -> "AdmissibilityReport":
-        iu = argmin_node(cone.utt)
-        ib = argmin_node(cone.b_full)
-        iq = argmin_node(cone.q)
-        min_utt = float(cone.utt[iu])
-        min_b = float(cone.b_full[ib])
-        min_q = float(cone.q[iq])
-        return cls(
-            min_utt=min_utt,
-            loc_utt=full_node(iu),
-            min_b=min_b,
-            loc_b=ib,
-            min_q=min_q,
-            loc_q=full_node(iq),
-            admissible=bool(min_utt > 0.0 and min_b > 0.0 and min_q > 0.0),
-        )
-
-    @property
-    def mins(self) -> tuple[float, float, float]:
-        return (self.min_utt, self.min_b, self.min_q)
-
-    def worst(self) -> tuple[str, tuple, float]:
-        """(name, node, value) of the smallest of the three margins."""
-        margins = (("u_tt", self.loc_utt, self.min_utt), ("B", self.loc_b, self.min_b), ("Q", self.loc_q, self.min_q))
-        return min(margins, key=lambda m: m[2])
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .estimates import BoundsReport, bounds_report
 from .mesh import ScalarField, argmax_node, argmin_node, full_node, grad_sq, gradient
 from .operator import (
     GMRES_RTOL,
-    AdmissibilityReport,
     InvalidProblem,
     LinearSolveError,
     ProblemSpec,
@@ -82,7 +81,7 @@ class LinearSolveFailure(SolverError):
 
 @dataclass
 class TraceRecord:
-    """One line of the solver trace.
+    """One line of the solver trace; the fields are the columns of ``trace.csv``.
 
     ``lin_iters`` counts the step's GMRES iterations and ``lin_rtol`` is the
     relative tolerance (forcing term) its linear solve was asked for; both
@@ -94,21 +93,18 @@ class TraceRecord:
     iteration: int
     residual: float
     min_utt: float
-    min_b: float
-    min_q: float
+    min_B: float
+    min_Q: float
     alpha: float
     lin_iters: int
     lin_rtol: float
 
     def render(self) -> str:
-        return (
-            f"{self.phase},{self.param:.17g},{self.iteration},{self.residual:.17g},"
-            f"{self.min_utt:.17g},{self.min_b:.17g},{self.min_q:.17g},{self.alpha:.17g},"
-            f"{self.lin_iters},{self.lin_rtol:.17g}"
-        )
+        """The CSV row: floats as ``%.17g``, other fields as ``str``."""
+        return ",".join(format(getattr(self, f.name), ".17g" if f.type == "float" else "") for f in fields(self))
 
 
-TRACE_HEADER = "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters,lin_rtol"
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
 
 # Newton and homotopy constants. A Newton run stops once the residual sup-norm is
 # at most NEWTON_TOL and fails after MAX_NEWTON_ITERS steps. Its line search keeps
@@ -129,42 +125,60 @@ MIN_PATH_STEP = 2.0**-11
 # [max(GMRES_RTOL, 0.5 NEWTON_TOL / ||g_k||), FORCING_MAX]. Their safeguard
 # max(eta_k, 0.9 eta_{k-1}^2), applied while 0.9 eta_{k-1}^2 > 0.1, cannot fire
 # under this cap (0.9 * 0.1^2 = 0.009) and is left out. Looser values (a start
-# of 0.1, a cap of 0.5) cost Newton steps and rejected sweep rungs.
+# of 0.1, a cap of 0.5) cost Newton steps and rejected sweep rungs. A second cap,
+# max(GMRES_RTOL, 0.5 min(rhs) sqrt(N) / ||g_k||) over the N interior unknowns, keeps
+# the RMS of the linear residual under half the smallest target, however small.
 FORCING_START = 1e-2
 FORCING_MAX = 0.1
 FORCING_GAMMA = 0.9
 
 
-def _forcing_term(gnorm: float, prev_gnorm: float) -> float:
+def _forcing_term(gnorm: float, prev_gnorm: float, lin_resid_max: float) -> float:
     """Relative GMRES tolerance for a Newton step whose residual g has 2-norm ``gnorm``.
 
-    ``prev_gnorm`` is that of the previous step of the same run, nan on the first.
+    ``prev_gnorm`` is that of the previous step of the same run, nan on the first;
+    ``lin_resid_max`` = 0.5 min(rhs) sqrt(N) caps eta ||g|| down to the GMRES_RTOL floor.
     """
     eta = FORCING_START if math.isnan(prev_gnorm) else FORCING_GAMMA * (gnorm / prev_gnorm) ** 2
     # The floor stops the final steps from solving past what NEWTON_TOL needs. Below
     # NEWTON_TOL it exceeds FORCING_MAX anyway, so max(gnorm, NEWTON_TOL) only keeps
     # an underflowed zero norm from dividing.
-    return min(FORCING_MAX, max(eta, GMRES_RTOL, 0.5 * NEWTON_TOL / max(gnorm, NEWTON_TOL)))
+    gnorm = max(gnorm, NEWTON_TOL)
+    eta = min(FORCING_MAX, max(eta, GMRES_RTOL, 0.5 * NEWTON_TOL / gnorm))
+    return min(eta, max(GMRES_RTOL, lin_resid_max / gnorm))
 
 
 @dataclass
 class SolveResult:
     """Outcome of a Newton or continuation run.
 
-    ``continuation_trace`` holds one entry per accepted ladder rung:
-    ``(s_or_eps, final_residual, (min_utt, min_B, min_Q))``. ``records`` is
-    the per-iteration trace of the accepted runs. ``rejected`` lists every
-    Newton run that failed and was retried as ``(phase, param, reason)``.
-    Newton and continuation runs raise on every failure, so a result they
-    return has converged.
+    ``records`` is the per-iteration trace of the accepted Newton runs, each
+    opening with its iteration-0 row; the totals below are read off it.
+    ``rejected`` lists every Newton run that failed and was retried as
+    ``(phase, param, reason)``. Newton and continuation runs raise on every
+    failure, so a result they return has converged.
     """
 
     u: ScalarField
-    final_residual_sup: float
-    newton_iters_total: int
-    continuation_trace: list = field(default_factory=list)
     records: list = field(default_factory=list)
     rejected: list = field(default_factory=list)
+
+    @property
+    def final_residual_sup(self) -> float:
+        """Residual sup-norm of the last row; nan before any run."""
+        return self.records[-1].residual if self.records else math.nan
+
+    @property
+    def newton_iters_total(self) -> int:
+        """Newton steps over the accepted runs: the rows past iteration 0."""
+        return sum(rec.iteration > 0 for rec in self.records)
+
+    @property
+    def continuation_trace(self) -> list:
+        """One ``(param, residual, (min_utt, min_B, min_Q))`` per accepted run, from its last row."""
+        rows = self.records
+        last = [rec for rec, nxt in zip(rows, rows[1:]) if nxt.iteration == 0] + rows[-1:]
+        return [(rec.param, rec.residual, (rec.min_utt, rec.min_B, rec.min_Q)) for rec in last]
 
 
 def barrier(spec: ProblemSpec, c: float) -> ScalarField:
@@ -250,9 +264,8 @@ def newton_solve(
         raise ValueError("u_init boundary layers do not match the problem's Dirichlet data")
 
     cone = cone_quantities(u, spec)
-    report = AdmissibilityReport.from_cone(cone)
-    if not report.admissible:
-        what, node, value = report.worst()
+    if not cone.admissible:
+        what, node, value = cone.worst()
         raise LostAdmissibility(
             f"initial iterate is not admissible: {what} = {value!r} at node {node}",
             node=node,
@@ -263,10 +276,11 @@ def newton_solve(
     res = cone.q - rhs_int
     res_sup = float(np.max(np.abs(res)))
     floor = 1.0 - DAMPING
+    lin_resid_max = 0.5 * float(np.min(rhs_int)) * math.sqrt(rhs_int.size)
     records: list[TraceRecord] = []
 
     def emit(iteration: int, alpha: float, lin_iters: int, lin_rtol: float) -> None:
-        rec = TraceRecord(phase, param, iteration, res_sup, *report.mins, alpha, lin_iters, lin_rtol)
+        rec = TraceRecord(phase, param, iteration, res_sup, *cone.mins, alpha, lin_iters, lin_rtol)
         records.append(rec)
         if on_record is not None:
             on_record(rec)
@@ -287,27 +301,22 @@ def newton_solve(
         g = -res.reshape(-1)
         with np.errstate(over="ignore"):  # an overflowing norm fails the linear solve below
             prev_gnorm, gnorm = gnorm, float(np.linalg.norm(g))
-        eta = _forcing_term(gnorm, prev_gnorm)
+        eta = _forcing_term(gnorm, prev_gnorm, lin_resid_max)
         try:
             h = ls.solve_interior(g, eta)
         except LinearSolveError as err:
             raise LinearSolveFailure(f"Newton step {iters + 1}: {err}", phase=phase, param=param) from err
 
         alpha = 1.0
-        trial_cone = None
         while True:
             trial = u + alpha * h
             t_cone = cone_quantities(trial, spec)
-            margin_ok = (
-                np.all(t_cone.utt >= floor * cone.utt)
-                and np.all(t_cone.b_interior >= floor * cone.b_interior)
-                and np.all(t_cone.q >= floor * cone.q)
-            )
+            pairs = list(zip(t_cone.margins, cone.margins))
+            margin_ok = all(np.all(t >= floor * c) for t, c in pairs)
             if margin_ok:
                 t_res = t_cone.q - rhs_int
                 t_sup = float(np.max(np.abs(t_res)))
                 if t_sup < res_sup:
-                    trial_cone = t_cone
                     break
             alpha *= 0.5
             if alpha < MIN_ALPHA:
@@ -320,10 +329,7 @@ def newton_solve(
                         phase=phase,
                         param=param,
                     )
-                defects = np.minimum(
-                    t_cone.utt - floor * cone.utt,
-                    np.minimum(t_cone.b_interior - floor * cone.b_interior, t_cone.q - floor * cone.q),
-                )
+                defects = np.minimum.reduce([t - floor * c for t, c in pairs])
                 node = full_node(argmin_node(defects))
                 raise StepCollapse(
                     f"line search collapsed below {MIN_ALPHA}: cone margin violated at node {node}",
@@ -332,21 +338,13 @@ def newton_solve(
                     param=param,
                 )
 
-        u = trial
-        cone = trial_cone
-        report = AdmissibilityReport.from_cone(cone)
+        u, cone = trial, t_cone
         res = cone.q - rhs_int
         res_sup = float(np.max(np.abs(res)))
         iters += 1
         emit(iters, alpha, ls.iterations, eta)
 
-    return SolveResult(
-        u=ScalarField(grid, u),
-        final_residual_sup=res_sup,
-        newton_iters_total=iters,
-        continuation_trace=[(param, res_sup, report.mins)],
-        records=records,
-    )
+    return SolveResult(ScalarField(grid, u), records)
 
 
 def _follow_path(
@@ -375,10 +373,7 @@ def _follow_path(
                 raise
             continue
         log.u = step.u
-        log.final_residual_sup = step.final_residual_sup
-        log.newton_iters_total += step.newton_iters_total
         log.records.extend(step.records)
-        log.continuation_trace.extend(step.continuation_trace)
         s = s_next
         ds *= 2.0
     return log
@@ -482,7 +477,7 @@ def epsilon_sweep(spec: ProblemSpec, epsilons, *, on_record=None) -> list[SweepE
         entries.append(entry)
         try:
             if prev_u is not None:
-                warm = SolveResult(prev_u, math.nan, 0, rejected=entry.rejected)
+                warm = SolveResult(prev_u, rejected=entry.rejected)
                 with contextlib.suppress(SolverError):  # the failed attempts stay in entry.rejected
                     entry.result = _follow_path(
                         spec_eps, target, prev_eps, eps, warm, phase="sweep", on_record=on_record

@@ -1,6 +1,7 @@
 """Operator, cone, and linearization tests with independent oracles."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import torusgeo as tg
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar, sample_space
 import torusgeo.operator as operator_module
 from torusgeo.operator import (
-    AdmissibilityReport,
     InvalidProblem,
     LinearSolveError,
     ProblemSpec,
@@ -116,22 +116,48 @@ def test_apply_Q_matches_analytic_for_quadratic_profile():
 def test_cone_quantities_and_admissibility():
     field, spec = random_admissible_field(3)
     cone = cone_quantities(field.values, spec)
-    assert AdmissibilityReport.from_cone(cone).admissible
+    assert cone.admissible
     assert np.all(cone.utt > 0.0) and np.all(cone.b_full > 0.0) and np.all(cone.q > 0.0)
     # flipping time convexity breaks the cone
     flipped = cone_quantities(-field.values, spec)
-    assert not AdmissibilityReport.from_cone(flipped).admissible
+    assert not flipped.admissible
     assert not np.all((flipped.utt > 0.0) & (flipped.q > 0.0))
 
 
-def test_admissibility_report_locations():
+def test_cone_margin_minima_and_worst():
     field, spec = random_admissible_field(4)
     cone = cone_quantities(field.values, spec)
-    report = AdmissibilityReport.from_cone(cone)
-    k = report.loc_utt[0]
-    assert 1 <= k <= spec.grid.time_nodes - 2
-    assert report.min_utt == pytest.approx(float(np.min(cone.utt)))
-    assert report.min_q == pytest.approx(float(np.min(cone.q)))
+    utt, b, q = cone.margins
+    assert utt is cone.utt and q is cone.q and np.array_equal(b, cone.b_full[1:-1])
+    assert cone.mins == (float(np.min(cone.utt)), float(np.min(cone.b_full)), float(np.min(cone.q)))
+    name, node, value = cone.worst()
+    assert value == min(cone.mins)
+    # u_tt and Q are indexed on interior layers, worst() reports the full time axis
+    full = {"u_tt": _pad_layers(cone.utt), "B": cone.b_full, "Q": _pad_layers(cone.q)}[name]
+    assert full[node] == value
+
+    def with_values(**points):
+        arrays = {"utt": cone.utt.copy(), "b_full": cone.b_full.copy(), "q": cone.q.copy()}
+        for key, (index, v) in points.items():
+            arrays[key][index] = v
+        return replace(cone, **arrays)
+
+    assert with_values(q=((1, 3), -1.0)).worst() == ("Q", (2, 3), -1.0)
+    # B is reported over every layer, the Dirichlet layers included
+    assert with_values(b_full=((0, 5), -1.0)).worst() == ("B", (0, 5), -1.0)
+    # ties resolve u_tt, then B, then Q
+    tie = with_values(utt=((0, 0), -1.0), b_full=((3, 1), -1.0), q=((2, 2), -1.0))
+    assert tie.worst() == ("u_tt", (1, 0), -1.0) and not tie.admissible
+    assert with_values(b_full=((3, 1), -1.0), q=((2, 2), -1.0)).worst()[0] == "B"
+    # a nan minimum is the worst and never admissible, whichever margin holds it
+    for key, name in (("utt", "u_tt"), ("b_full", "B"), ("q", "Q")):
+        broken = with_values(**{key: ((1, 1), np.nan)})
+        assert not broken.admissible
+        assert broken.worst()[0] == name and np.isnan(broken.worst()[2])
+
+
+def _pad_layers(interior):
+    return np.pad(interior, [(1, 1)] + [(0, 0)] * (interior.ndim - 1), constant_values=np.inf)
 
 
 @pytest.mark.parametrize("dim,n,nt", [(1, 10, 7), (2, 8, 7)])

@@ -8,7 +8,6 @@ from torusgeo import solver
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar
 from torusgeo.operator import (
     GMRES_RTOL,
-    AdmissibilityReport,
     LinearSolveError,
     LinearSystem,
     ProblemSpec,
@@ -21,6 +20,8 @@ from torusgeo.solver import (
     LostAdmissibility,
     NEWTON_TOL,
     NonConvergence,
+    SolveResult,
+    TraceRecord,
     barrier,
     compute_c_star,
     continuation_solve,
@@ -52,7 +53,7 @@ def test_c_star_barrier_is_subsolution():
         spec = random_problem(seed, n=24, nt=13)
         c = compute_c_star(spec)
         u = barrier(spec, -c)
-        assert AdmissibilityReport.from_cone(cone_quantities(u.values, spec)).admissible
+        assert cone_quantities(u.values, spec).admissible
         # Q at the barrier dominates f on the interior
         q = apply_Q(u, spec).values[1:-1]
         assert np.min(q - spec.f.values[1:-1]) >= -1e-9
@@ -175,12 +176,12 @@ def test_sweep_keeps_attempts_of_a_rung_that_fails_outright(monkeypatch, separab
     assert [p for p, _res, _m in entries[2].result.continuation_trace] == [0.0, 1.0]
 
 
-def _roadmap_spec() -> ProblemSpec:
-    """The 2D 16^2x9 instance of a = 1 + 0.2 sin x cos y, b = 0.1,
-    f = 2 - 0.3 cos x sin y, u0 = 0.1 sin(x + y), u1 = -0.1 cos(x - y)."""
-    grid = GridSpec(spatial_dim=2, nodes_per_axis=16, time_nodes=9)
+def _roadmap_spec(n=16, nt=9, f=lambda x, y: 2.0 - 0.3 * np.cos(x) * np.sin(y)) -> ProblemSpec:
+    """The 2D n^2 x nt instance of a = 1 + 0.2 sin x cos y, b = 0.1, u0 = 0.1 sin(x + y),
+    u1 = -0.1 cos(x - y) and f(x, y), by default 2 - 0.3 cos x sin y."""
+    grid = GridSpec(spatial_dim=2, nodes_per_axis=n, time_nodes=nt)
     x, y = grid.spatial_meshes()
-    f = np.broadcast_to(2.0 - 0.3 * np.cos(x) * np.sin(y), grid.field_shape)
+    f = np.broadcast_to(f(x, y), grid.field_shape)
     return ProblemSpec(
         grid=grid,
         a=SpaceField(grid, 1.0 + 0.2 * np.sin(x) * np.cos(y)),
@@ -212,6 +213,55 @@ def test_roadmap_sweep_gmres_work():
     entries = epsilon_sweep(_roadmap_spec(), [1.0, 1e-1, 1e-2, 1e-3, 1e-4])
     assert all(e.result is not None and e.rejected == [] for e in entries)
     assert sum(_lin_iters(e.result) for e in entries) <= 215 // 2
+
+
+# Near a zero of the target, the forcing term must not allow a linear residual
+# larger than the target itself. With a relative 2-norm tolerance of up to 0.1
+# alone, the sweep below took 957 Newton iterations and rejected 225 rungs, and
+# the diagonal-data solve 353 Newton steps; capping the tolerance at half the
+# smallest target in RMS gives 36 and 0, and 23.
+@pytest.mark.filterwarnings("error")
+def test_near_degenerate_sweep_rejects_no_rung():
+    spec = _roadmap_spec(20, 11, f=lambda x, y: 1.0 + np.cos(x) + 1e-4)
+    entries = epsilon_sweep(spec, [10.0**-k for k in range(7)])
+    assert all(e.result is not None and e.rejected == [] for e in entries)
+    assert sum(e.result.newton_iters_total for e in entries) <= 40
+
+
+@pytest.mark.filterwarnings("error")
+def test_diagonal_data_solve_with_tiny_f():
+    grid = GridSpec(spatial_dim=2, nodes_per_axis=32, time_nodes=17)
+    x, y = grid.spatial_meshes()
+    spec = ProblemSpec(
+        grid=grid,
+        a=SpaceField(grid, np.ones(grid.spatial_shape)),
+        b=0.0,
+        f=ScalarField(grid, np.full(grid.field_shape, 1e-6)),
+        u0=SpaceField(grid, 0.3 * np.sin(x + y)),
+        u1=SpaceField(grid, 0.2 * np.cos(x + y) + 0.05 * np.sin(2.0 * (x + y))),
+    )
+    steps = []  # every Newton step, failed runs included
+    continuation_solve(spec, on_record=lambda rec: steps.append(rec.iteration > 0))
+    assert sum(steps) <= 30
+
+
+def _row(param, iteration, residual, mins=(1.0, 2.0, 3.0)):
+    return TraceRecord("continuation", param, iteration, residual, *mins, float(iteration > 0), iteration, 0.0)
+
+
+def test_solve_result_totals_come_from_records():
+    two_runs = SolveResult(
+        None,
+        [_row(0.0, 0, 1e-14), _row(1.0, 0, 0.5), _row(1.0, 1, 1e-3, (4.0, 5.0, 6.0)), _row(1.0, 2, 1e-11, (7.0, 8.0, 9.0))],
+    )
+    assert two_runs.final_residual_sup == 1e-11
+    assert two_runs.newton_iters_total == 2
+    assert two_runs.continuation_trace == [(0.0, 1e-14, (1.0, 2.0, 3.0)), (1.0, 1e-11, (7.0, 8.0, 9.0))]
+    # a run that converged at its start is one row
+    at_start = SolveResult(None, [_row(0.0, 0, 0.0)])
+    assert at_start.final_residual_sup == 0.0
+    assert at_start.newton_iters_total == 0
+    assert at_start.continuation_trace == [(0.0, 0.0, (1.0, 2.0, 3.0))]
 
 
 def test_newton_requires_positive_rhs(separable_spec):
@@ -254,7 +304,7 @@ def test_newton_reconverges_after_perturbation():
         (spec.grid.interior_layers,) + spec.grid.spatial_shape
     )
     start = ScalarField(spec.grid, res.u.values + pert)
-    assert AdmissibilityReport.from_cone(cone_quantities(start.values, spec)).admissible
+    assert cone_quantities(start.values, spec).admissible
     res2 = newton_solve(spec, spec.f, start)
     assert res2.final_residual_sup <= NEWTON_TOL
     assert np.max(np.abs(res2.u.values - res.u.values)) <= 1e-9
