@@ -27,15 +27,9 @@ from .mesh import (
     SpaceField,
     d_t,
     gradient,
-    inf,
     laplacian,
     read_field_bin,
-    read_scalar_csv,
-    read_space_csv,
-    sample_scalar,
-    sample_space,
-    sup,
-    sup_norm,
+    read_field_csv,
     write_field_bin,
     write_field_csv,
 )
@@ -123,7 +117,6 @@ __all__ = [
     "epsilon_sweep",
     "gamma_k_membership",
     "gradient",
-    "inf",
     "laplacian",
     "load_config",
     "log_q_hessian",
@@ -131,13 +124,8 @@ __all__ = [
     "newton_solve",
     "newton_transform",
     "read_field_bin",
-    "read_scalar_csv",
-    "read_space_csv",
-    "sample_scalar",
-    "sample_space",
+    "read_field_csv",
     "sigma_k",
-    "sup",
-    "sup_norm",
     "uniqueness_probe",
     "write_bounds_report",
     "write_counterexamples",

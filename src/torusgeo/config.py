@@ -2,9 +2,12 @@
 
 Field-valued entries (``a``, ``f``, ``u0``, ``u1``, ``exact``) are either
 arithmetic expressions in the grid coordinates or ``file:PATH`` references to
-CSV dumps. Expressions admit the names ``x``, ``y``, ``t``, ``pi``, the
-functions ``sin`` and ``cos``, numeric literals, ``+ - * / **`` and unary
-minus; nothing else parses. Evaluation is vectorized over the grid.
+CSV dumps, both built by :func:`build_field`. Expressions admit the
+coordinate names of their field (``t`` for a spacetime field, then ``x`` and,
+in 2D, ``y``), ``pi``, the functions ``sin`` and ``cos``, numeric literals,
+``+ - * / **`` and unary minus; nothing else parses. Evaluation is vectorized
+over the grid in float64, constants included, so out-of-range arithmetic
+gives inf or nan, which the field rejects.
 """
 
 from __future__ import annotations
@@ -12,14 +15,13 @@ from __future__ import annotations
 import ast
 import configparser
 import contextlib
-import math
 import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .mesh import TWO_PI, GridSpec, ScalarField, SpaceField, read_scalar_csv, read_space_csv
+from .mesh import TWO_PI, GridSpec, ScalarField, SpaceField, read_field_csv
 from .operator import ProblemSpec
 from .solver import epsilon_ladder
 from .symcone import _SCAN_MAX_N, _check_k
@@ -30,7 +32,7 @@ class ConfigError(ValueError):
 
 
 _ALLOWED_FUNCS = {"sin": np.sin, "cos": np.cos}
-_ALLOWED_CONSTS = {"pi": math.pi}
+_ALLOWED_CONSTS = {"pi": np.float64(np.pi)}
 _BINOPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
@@ -56,6 +58,10 @@ def compile_expression(text: str, variables: tuple[str, ...]):
         elif isinstance(node, ast.Constant):
             if type(node.value) not in (int, float):
                 raise ConfigError(f"literal {node.value!r} not allowed in {text!r}")
+            try:
+                float(node.value)
+            except OverflowError:
+                raise ConfigError(f"integer literal out of float range in {text!r}") from None
         elif isinstance(node, ast.Name):
             if node.id not in names and node.id not in _ALLOWED_CONSTS:
                 raise ConfigError(
@@ -93,8 +99,8 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     def evaluate(node: ast.AST, env: dict):
         if isinstance(node, ast.Expression):
             return evaluate(node.body, env)
-        if isinstance(node, ast.Constant):
-            return float(node.value)
+        if isinstance(node, ast.Constant):  # numpy scalars: out-of-range arithmetic gives inf or nan
+            return np.float64(node.value)
         if isinstance(node, ast.Name):
             if node.id in env:
                 return env[node.id]
@@ -269,10 +275,6 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-_SPACE_VARS = {1: ("x",), 2: ("x", "y")}
-_FIELD_VARS = {1: ("t", "x"), 2: ("t", "x", "y")}
-
-
 def _resolve(path: str, base_dir: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
@@ -290,35 +292,30 @@ def _bad_input(what: str):
         raise ConfigError(f"{what}: {exc.strerror}") from None
 
 
-def build_space_field(expr: str, grid: GridSpec, base_dir: str = ".") -> SpaceField:
-    """Evaluate a space-only expression (or load a file reference) on a grid."""
+def build_field(expr: str, kind: type, grid: GridSpec, base_dir: str = "."):
+    """A ``kind`` field on ``grid``: an expression in its coordinates ([t,] x[, y]) or a file reference."""
     with _bad_input(f"field {expr!r}"):
         if expr.startswith("file:"):
-            return read_space_csv(_resolve(expr[5:].strip(), base_dir), grid)
-        fn = compile_expression(expr, _SPACE_VARS[grid.spatial_dim])
-        env = dict(zip(_SPACE_VARS[grid.spatial_dim], grid.spatial_meshes()))
-        with np.errstate(all="ignore"):  # SpaceField rejects non-finite values
-            values = np.asarray(fn(**env), dtype=float)
-        return SpaceField(grid, np.broadcast_to(values, grid.spatial_shape).copy())
-
-
-def build_scalar_field(expr: str, grid: GridSpec, base_dir: str = ".") -> ScalarField:
-    """Evaluate a spacetime expression (or load a file reference) on a grid."""
-    with _bad_input(f"field {expr!r}"):
-        if expr.startswith("file:"):
-            return read_scalar_csv(_resolve(expr[5:].strip(), base_dir), grid)
-        fn = compile_expression(expr, _FIELD_VARS[grid.spatial_dim])
-        env = dict(zip(_FIELD_VARS[grid.spatial_dim], grid.field_meshes()))
-        with np.errstate(all="ignore"):  # ScalarField rejects non-finite values
-            values = np.asarray(fn(**env), dtype=float)
-        return ScalarField(grid, np.broadcast_to(values, grid.field_shape).copy())
+            return read_field_csv(_resolve(expr[5:].strip(), base_dir), kind, grid)
+        names = ("t",) * kind.timed + ("x", "y")[: grid.spatial_dim]
+        fn = compile_expression(expr, names)
+        with np.errstate(all="ignore"):  # the field rejects non-finite values
+            return kind.sample(grid, lambda *meshes: fn(**dict(zip(names, meshes))))
 
 
 def build_grid(cfg: RunConfig, refine: int = 0) -> GridSpec:
-    """Grid for the configured problem, dyadically refined ``refine`` times."""
+    """Grid for the configured problem, dyadically refined ``refine`` times.
+
+    File-backed fields pin the grid they were written on, so a refined grid
+    is refused when any field is one; expression fields evaluate on any grid.
+    """
     if cfg.problem is None:
         raise ConfigError("configuration has no [problem] section")
     prob = cfg.problem
+    if refine > 0:
+        for key in ("a", "f", "u0", "u1", "exact"):
+            if (getattr(prob, key) or "").startswith("file:"):
+                raise ConfigError(f"field {key!r} is file-backed and cannot be refined")
     factor = 2**refine
     with _bad_input("[problem]"):
         return GridSpec(
@@ -330,26 +327,16 @@ def build_grid(cfg: RunConfig, refine: int = 0) -> GridSpec:
 
 
 def build_problem(cfg: RunConfig, refine: int = 0) -> ProblemSpec:
-    """Instantiate the configured problem on its (possibly refined) grid.
-
-    File-backed fields pin the grid they were written on, so they refuse
-    refinement; expression fields evaluate on any grid.
-    """
-    if cfg.problem is None:
-        raise ConfigError("configuration has no [problem] section")
-    prob = cfg.problem
+    """Instantiate the configured problem on its (possibly refined) grid."""
     grid = build_grid(cfg, refine)
-    if refine > 0:
-        for key, expr in (("a", prob.a), ("f", prob.f), ("u0", prob.u0), ("u1", prob.u1)):
-            if expr.startswith("file:"):
-                raise ConfigError(f"field {key!r} is file-backed and cannot be refined")
+    prob = cfg.problem
     return ProblemSpec(
         grid=grid,
-        a=build_space_field(prob.a, grid, cfg.base_dir),
+        a=build_field(prob.a, SpaceField, grid, cfg.base_dir),
         b=prob.b,
-        f=build_scalar_field(prob.f, grid, cfg.base_dir),
-        u0=build_space_field(prob.u0, grid, cfg.base_dir),
-        u1=build_space_field(prob.u1, grid, cfg.base_dir),
+        f=build_field(prob.f, ScalarField, grid, cfg.base_dir),
+        u0=build_field(prob.u0, SpaceField, grid, cfg.base_dir),
+        u1=build_field(prob.u1, SpaceField, grid, cfg.base_dir),
     )
 
 
@@ -357,4 +344,4 @@ def build_exact(cfg: RunConfig, refine: int = 0) -> ScalarField | None:
     """Reference solution field when the config provides one."""
     if cfg.problem is None or cfg.problem.exact is None:
         return None
-    return build_scalar_field(cfg.problem.exact, build_grid(cfg, refine), cfg.base_dir)
+    return build_field(cfg.problem.exact, ScalarField, build_grid(cfg, refine), cfg.base_dir)

@@ -25,18 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .mesh import (
-    ScalarField,
-    _d_t_array,
-    _lap_array,
-    _pad_edge,
-    argmax_node,
-    d_t,
-    full_node,
-    grad_sq,
-    gradient,
-    laplacian,
-)
+from .mesh import ScalarField, _pad_edge, argmax_node, d_t, full_node, grad_sq, gradient, laplacian
 from .operator import ConeData, ProblemSpec, assemble_dQ, cone_quantities
 
 
@@ -166,7 +155,7 @@ def _c0(u: ScalarField, spec: ProblemSpec, c: float) -> dict:
 
 def _ut_bounds(u: ScalarField, spec: ProblemSpec, c: float) -> dict:
     grid = spec.grid
-    ut = d_t(u).values
+    ut = d_t(u.values, grid.ht)
     ut0 = ut[0]
     ut1 = ut[-1]
     delta = spec.u1.values - spec.u0.values
@@ -205,11 +194,11 @@ def _ut_bounds(u: ScalarField, spec: ProblemSpec, c: float) -> dict:
 
 def _weak_c2(u: ScalarField, cone: ConeData) -> dict:
     iu = argmax_node(cone.utt)
-    lap_abs = np.abs(laplacian(u).values)
+    lap_abs = np.abs(laplacian(u.values, u.grid))
     il = argmax_node(lap_abs)
     gut_sq = grad_sq(cone.grad_ut)
     ig = argmax_node(gut_sq)
-    gu_sq = grad_sq([g.values for g in gradient(u)])
+    gu_sq = grad_sq(cone.grad_full)
     igu = argmax_node(gu_sq)
     return dict(
         sup_utt=float(cone.utt[iu]),
@@ -242,12 +231,12 @@ def _f_deps(spec: ProblemSpec) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         f_tt = (fv[2:] - 2.0 * fv[1:-1] + fv[:-2]) / grid.ht**2
         sup_neg_f_tt = max(0.0, float(np.max(-f_tt))) if f_tt.size else 0.0
-        ft = _d_t_array(fv, grid.ht)
+        ft = d_t(fv, grid.ht)
         mask = fv > 0.0
         sup_ratio = float(np.max(ft[mask] ** 2 / fv[mask])) if np.any(mask) else 0.0
-        lap_f = _lap_array(fv, tuple(range(1, 1 + grid.spatial_dim)), grid.hx)
-    sqrt_f = ScalarField(grid, np.sqrt(np.maximum(fv, 0.0)))
-    d_sq = grad_sq([g.values for g in gradient(sqrt_f)], start=d_t(sqrt_f).values ** 2)
+        lap_f = laplacian(fv, grid)
+    sqrt_f = np.sqrt(np.maximum(fv, 0.0))
+    d_sq = grad_sq(gradient(sqrt_f, grid), start=d_t(sqrt_f, grid.ht) ** 2)
     return dict(
         dep_sup_f=float(np.max(fv)),
         dep_sup_neg_f_tt=sup_neg_f_tt,

@@ -6,23 +6,31 @@ around via index arithmetic. The time axis is an ordinary closed interval:
 layer 0 and layer Nt-1 hold Dirichlet data and are never differentiated
 across.
 
-Fields come in two flavours. A :class:`ScalarField` stores one value per
-space-time node, shape ``(Nt, N)`` or ``(Nt, N, N)``. A :class:`SpaceField`
-stores one value per spatial node only and is used for boundary data and for
-time-independent coefficients.
+Every stencil here takes a plain array and acts on its trailing
+``spatial_dim`` axes; t, when present, is the leading axis. So
+:func:`laplacian` and :func:`gradient` serve a space slice and a spacetime
+array alike, and :func:`d_t` differences along axis 0.
+
+Fields come in two flavours, which differ only in that leading axis. A
+:class:`ScalarField` stores one value per space-time node, shape ``(Nt, N)``
+or ``(Nt, N, N)``. A :class:`SpaceField` stores one value per spatial node
+only and is used for boundary data and for time-independent coefficients.
+Both share one body: shape and finiteness checks, ``copy``, ``sample`` and
+the CSV reader :func:`read_field_csv`.
 
 Centered time differences have no values on the two boundary layers.
-:func:`d_tt_interior`, :func:`d_t_interior` and :func:`grad_t_interior`
-return the interior layers only, shape ``(Nt - 2, ...)``. :func:`d_t`
-returns a full-shape field whose boundary layers hold second-order one-sided
-differences. Interior arrays that must be stored as fields are padded with
-:func:`_pad_edge`, which copies the adjacent interior layer, so every stored
-value is finite and global extrema agree with interior extrema.
+:func:`d_tt_interior` and :func:`d_t_interior` return the interior layers
+only, shape ``(Nt - 2, ...)``. :func:`d_t` returns a full-shape array whose
+boundary layers hold second-order one-sided differences. Interior arrays
+that must be stored as fields are padded with :func:`_pad_edge`, which copies
+the adjacent interior layer, so every stored value is finite and global
+extrema agree with interior extrema.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -114,89 +122,69 @@ class GridSpec:
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
-def _check_values(values: np.ndarray, shape: tuple[int, ...], kind: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{kind} values must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"{kind} contains a non-finite value at node {tuple(int(i) for i in bad)}")
-    return arr
-
-
 @dataclass
-class ScalarField:
+class _Field:
+    """Values on the lattice; ``timed`` says whether axis 0 is t, the spatial axes trail."""
+
+    timed: ClassVar[bool]
+    grid: GridSpec
+    values: np.ndarray
+
+    @classmethod
+    def shape(cls, grid: GridSpec) -> tuple[int, ...]:
+        return grid.field_shape if cls.timed else grid.spatial_shape
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.values, dtype=float)
+        kind, shape = type(self).__name__, self.shape(self.grid)
+        if arr.shape != shape:
+            raise ValueError(f"{kind} values must have shape {shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            bad = np.argwhere(~np.isfinite(arr))[0]
+            raise ValueError(f"{kind} contains a non-finite value at node {tuple(int(i) for i in bad)}")
+        self.values = arr
+
+    def copy(self):
+        return type(self)(self.grid, self.values.copy())
+
+    @classmethod
+    def sample(cls, grid: GridSpec, fn):
+        """Sample ``fn([t,] x[, y])`` on the field's coordinate meshes."""
+        meshes = grid.field_meshes() if cls.timed else grid.spatial_meshes()
+        values = np.asarray(fn(*meshes), dtype=float)
+        return cls(grid, np.broadcast_to(values, cls.shape(grid)).copy())
+
+
+class ScalarField(_Field):
     """One real value per space-time node, shape ``(Nt,) + spatial_shape``."""
 
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = _check_values(self.values, self.grid.field_shape, "ScalarField")
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
+    timed = True
 
 
-@dataclass
-class SpaceField:
+class SpaceField(_Field):
     """One real value per spatial node, shape ``spatial_shape``."""
 
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = _check_values(self.values, self.grid.spatial_shape, "SpaceField")
-
-    def copy(self) -> "SpaceField":
-        return SpaceField(self.grid, self.values.copy())
+    timed = False
 
 
-def sample_scalar(grid: GridSpec, fn) -> ScalarField:
-    """Sample ``fn(t, x[, y])`` on the full space-time lattice."""
-    meshes = grid.field_meshes()
-    return ScalarField(grid, np.asarray(fn(*meshes), dtype=float) + np.zeros(grid.field_shape))
+def laplacian(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Periodic second-difference Laplacian over the trailing ``spatial_dim`` axes of ``vals``.
 
-
-def sample_space(grid: GridSpec, fn) -> SpaceField:
-    """Sample ``fn(x[, y])`` on the spatial lattice."""
-    meshes = grid.spatial_meshes()
-    return SpaceField(grid, np.asarray(fn(*meshes), dtype=float) + np.zeros(grid.spatial_shape))
-
-
-def _spatial_axes(field) -> tuple[int, ...]:
-    dim = field.grid.spatial_dim
-    if isinstance(field, ScalarField):
-        return tuple(range(1, 1 + dim))
-    return tuple(range(dim))
-
-
-def _lap_array(vals: np.ndarray, axes: tuple[int, ...], hx: float) -> np.ndarray:
-    out = np.zeros_like(vals)
-    for ax in axes:
-        out += np.roll(vals, -1, axis=ax) - 2.0 * vals + np.roll(vals, 1, axis=ax)
-    return out / (hx * hx)
-
-
-def _grad_arrays(vals: np.ndarray, axes: tuple[int, ...], hx: float) -> list[np.ndarray]:
-    return [(np.roll(vals, -1, axis=ax) - np.roll(vals, 1, axis=ax)) / (2.0 * hx) for ax in axes]
-
-
-def laplacian(field):
-    """Periodic second-difference Laplacian, layer by layer.
-
-    Accepts a :class:`ScalarField` or :class:`SpaceField` and returns the same
-    kind. Each spatial axis contributes the standard three-point stencil
+    Each spatial axis contributes the standard three-point stencil
     ``(v[i+1] - 2 v[i] + v[i-1]) / hx**2`` with wrap-around indexing.
     """
-    out = _lap_array(field.values, _spatial_axes(field), field.grid.hx)
-    return type(field)(field.grid, out)
+    out = np.zeros_like(vals)
+    for ax in range(-grid.spatial_dim, 0):
+        out += np.roll(vals, -1, axis=ax) - 2.0 * vals + np.roll(vals, 1, axis=ax)
+    return out / (grid.hx * grid.hx)
 
 
-def gradient(field) -> list:
-    """Periodic centered gradient, one field per spatial axis."""
-    grads = _grad_arrays(field.values, _spatial_axes(field), field.grid.hx)
-    return [type(field)(field.grid, g) for g in grads]
+def gradient(vals: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+    """Periodic centered gradient over the trailing ``spatial_dim`` axes, one array per axis."""
+    return [
+        (np.roll(vals, -1, axis=ax) - np.roll(vals, 1, axis=ax)) / (2.0 * grid.hx)
+        for ax in range(-grid.spatial_dim, 0)
+    ]
 
 
 def grad_sq(components: list, start: np.ndarray | None = None) -> np.ndarray:
@@ -226,46 +214,17 @@ def d_t_interior(values: np.ndarray, ht: float) -> np.ndarray:
     return (values[2:] - values[:-2]) / (2.0 * ht)
 
 
-def d_t(field: ScalarField) -> ScalarField:
-    """First time difference, centered inside, second-order one-sided on the boundary layers.
+def d_t(vals: np.ndarray, ht: float) -> np.ndarray:
+    """First time difference along axis 0, centered inside, second-order one-sided on the boundary layers.
 
     Layer 0 uses ``(-3 v[0] + 4 v[1] - v[2]) / (2 ht)`` and layer Nt-1 its
     mirror image, so the operator is exact on quadratics in t everywhere.
     """
-    return ScalarField(field.grid, _d_t_array(field.values, field.grid.ht))
-
-
-def _d_t_array(v: np.ndarray, ht: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[1:-1] = d_t_interior(v, ht)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * ht)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * ht)
+    out = np.empty_like(vals)
+    out[1:-1] = d_t_interior(vals, ht)
+    out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * ht)
+    out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * ht)
     return out
-
-
-def grad_t_interior(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
-    """Spatial gradient of the centered time derivative on interior layers."""
-    ut = d_t_interior(values, grid.ht)
-    axes = tuple(range(1, 1 + grid.spatial_dim))
-    return _grad_arrays(ut, axes, grid.hx)
-
-
-def sup(field) -> float:
-    """Exact maximum over stored values."""
-    vals = field.values if hasattr(field, "values") else np.asarray(field)
-    return float(np.max(vals))
-
-
-def inf(field) -> float:
-    """Exact minimum over stored values."""
-    vals = field.values if hasattr(field, "values") else np.asarray(field)
-    return float(np.min(vals))
-
-
-def sup_norm(field) -> float:
-    """Exact maximum of absolute values."""
-    vals = field.values if hasattr(field, "values") else np.asarray(field)
-    return float(np.max(np.abs(vals)))
 
 
 def argmax_node(values: np.ndarray) -> tuple:
@@ -298,28 +257,17 @@ def full_node(node: tuple) -> tuple:
 
 
 def write_field_csv(field, path) -> None:
-    vals = field.values
-    if isinstance(field, SpaceField):
-        rows = vals.reshape(1, -1)
-    else:
-        rows = vals.reshape(vals.shape[0], -1)
+    rows = field.values.reshape(-1, field.grid.num_spatial)
     np.savetxt(path, rows, fmt=_CSV_FMT, delimiter=",")
 
 
-def read_scalar_csv(path, grid: GridSpec) -> ScalarField:
+def read_field_csv(path, kind: type[_Field], grid: GridSpec):
+    """Read a dump written by :func:`write_field_csv` as a ``kind`` field on ``grid``."""
     rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    expected = (grid.time_nodes, grid.num_spatial)
+    expected = (grid.time_nodes if kind.timed else 1, grid.num_spatial)
     if rows.shape != expected:
         raise ValueError(f"CSV layout {rows.shape} does not match grid layout {expected}")
-    return ScalarField(grid, rows.reshape(grid.field_shape))
-
-
-def read_space_csv(path, grid: GridSpec) -> SpaceField:
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    expected = (1, grid.num_spatial)
-    if rows.shape != expected:
-        raise ValueError(f"CSV layout {rows.shape} does not match grid layout {expected}")
-    return SpaceField(grid, rows.reshape(grid.spatial_shape))
+    return kind(grid, rows.reshape(kind.shape(grid)))
 
 
 def write_field_bin(field, path) -> None:

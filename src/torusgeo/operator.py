@@ -35,15 +35,15 @@ from .mesh import (
     GridSpec,
     ScalarField,
     SpaceField,
-    _grad_arrays,
-    _lap_array,
     _pad_edge,
     argmax_node,
     argmin_node,
+    d_t_interior,
     d_tt_interior,
     full_node,
     grad_sq,
-    grad_t_interior,
+    gradient,
+    laplacian,
 )
 
 
@@ -58,12 +58,14 @@ class InvalidProblem(ValueError):
         self.node = node
 
 
-def _space_b_values(w: np.ndarray, a: np.ndarray, b: float, grid: GridSpec) -> np.ndarray:
-    """B of a single time slice: lap w - b |grad w|^2 + a; data out of float range give inf or nan."""
-    axes = tuple(range(grid.spatial_dim))
+def _b_values(w: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, list]:
+    """(B, grad w) with B = lap w - b |grad w|^2 + a, for a slice or a full field.
+
+    Data out of float range give inf or nan, without a warning.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        lap = _lap_array(w, axes, grid.hx)
-        return lap - b * grad_sq(_grad_arrays(w, axes, grid.hx)) + a
+        grads = gradient(w, spec.grid)
+        return laplacian(w, spec.grid) - spec.b * grad_sq(grads) + spec.a.values, grads
 
 
 @dataclass
@@ -74,7 +76,7 @@ class ProblemSpec:
 
     * ``a > 0`` at every spatial node,
     * ``b >= 0`` and finite,
-    * ``f >= 0`` at every node (strict positivity is recorded, not required),
+    * ``f >= 0`` at every node (f may vanish),
     * both Dirichlet layers satisfy ``lap w - b |grad w|^2 + a > 0``, i.e.
       they belong to the discrete membrane of admissible slices.
     """
@@ -111,7 +113,7 @@ class ProblemSpec:
                 f"f must be nonnegative everywhere; f={float(self.f.values[node])!r} at node {node}", node
             )
         for name, w in (("u0", self.u0), ("u1", self.u1)):
-            bvals = _space_b_values(w.values, self.a.values, self.b, self.grid)
+            bvals = _b_values(w.values, self)[0]
             if not np.min(bvals) > 0.0:  # nan included
                 node = argmin_node(bvals)
                 raise InvalidProblem(
@@ -126,37 +128,32 @@ class ProblemSpec:
                     f"{name} is out of float range: 2 B / ht^2 overflows at B = {b_max!r}, node {node}", node
                 )
 
-    @property
-    def nondegenerate(self) -> bool:
-        """True when f is strictly positive at every node."""
-        return bool(np.min(self.f.values) > 0.0)
-
-    def boundary_b(self, which: str) -> np.ndarray:
-        """B values of one Dirichlet slice ('u0' or 'u1')."""
-        w = self.u0 if which == "u0" else self.u1
-        return _space_b_values(w.values, self.a.values, self.b, self.grid)
-
 
 @dataclass
 class ConeData:
     """Per-node quantities entering the operator, cached for reuse.
 
     All interior arrays have shape ``(Nt - 2,) + spatial_shape``; ``b_full``
-    covers every time layer. ``grad_u`` holds the spatial gradient of u at
-    the interior layers, ``grad_ut`` the mixed derivatives there. The three
+    and ``grad_full``, the spatial gradient of u, cover every time layer.
+    ``grad_u`` is that gradient at the interior layers, ``grad_ut`` the mixed
+    derivatives there. The three
     cone margins are reported here: ``margins`` as arrays, ``mins`` and
     ``worst()`` as their minima, ``admissible`` as their sign.
     """
 
     utt: np.ndarray
     b_full: np.ndarray
-    grad_u: list
+    grad_full: list
     grad_ut: list
     q: np.ndarray
 
     @property
     def b_interior(self) -> np.ndarray:
         return self.b_full[1:-1]
+
+    @property
+    def grad_u(self) -> list:
+        return [g[1:-1] for g in self.grad_full]
 
     @property
     def margins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,22 +180,13 @@ class ConeData:
 def cone_quantities(u_values: np.ndarray, spec: ProblemSpec) -> ConeData:
     """Compute u_tt, B_u, grad u, grad u_t and Q for a full-shape value array."""
     grid = spec.grid
-    axes = tuple(range(1, 1 + grid.spatial_dim))
-    lap = _lap_array(u_values, axes, grid.hx)
-    grads = _grad_arrays(u_values, axes, grid.hx)
-    b_full = lap - spec.b * grad_sq(grads) + spec.a.values
+    b_full, grads = _b_values(u_values, spec)
     utt = d_tt_interior(u_values, grid.ht)
-    grad_ut = grad_t_interior(u_values, grid)
+    grad_ut = gradient(d_t_interior(u_values, grid.ht), grid)
     q = utt * b_full[1:-1]
     for g in grad_ut:
         q -= g * g
-    return ConeData(
-        utt=utt,
-        b_full=b_full,
-        grad_u=[g[1:-1] for g in grads],
-        grad_ut=grad_ut,
-        q=q,
-    )
+    return ConeData(utt=utt, b_full=b_full, grad_full=grads, grad_ut=grad_ut, q=q)
 
 
 def compute_B(u: ScalarField, spec: ProblemSpec) -> ScalarField:

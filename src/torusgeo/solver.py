@@ -36,12 +36,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .estimates import BoundsReport, bounds_report
-from .mesh import ScalarField, argmax_node, argmin_node, full_node, grad_sq, gradient
+from .mesh import ScalarField, argmax_node, argmin_node, full_node, grad_sq
 from .operator import (
     GMRES_RTOL,
     InvalidProblem,
     LinearSolveError,
     ProblemSpec,
+    _b_values,
     apply_Q,
     assemble_dQ,
     cone_quantities,
@@ -206,12 +207,12 @@ def compute_c_star(spec: ProblemSpec) -> float:
     satisfies Q(U_{-c}) >= max(sup f, 1) >= f at every interior node on the
     lattice, not merely in the continuum.
     """
-    b0 = spec.boundary_b("u0")
-    b1 = spec.boundary_b("u1")
+    b0, grad0 = _b_values(spec.u0.values, spec)
+    b1, grad1 = _b_values(spec.u1.values, spec)
     m = min(float(np.min(b0)), float(np.min(b1)))
     if m <= 0.0:
         raise InvalidProblem(f"convex combination of boundary B values is not positive (min {m!r})")
-    gd = grad_sq([ga.values - gb.values for ga, gb in zip(gradient(spec.u0), gradient(spec.u1))])
+    gd = grad_sq([ga - gb for ga, gb in zip(grad0, grad1)])
     g = float(np.max(gd))
     target = max(float(np.max(spec.f.values)), 1.0)
     return (target + g) / (2.0 * m)

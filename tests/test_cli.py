@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import torusgeo
 from torusgeo import solver
 from torusgeo.cli import main
-from torusgeo.mesh import GridSpec, ScalarField, write_field_bin, write_field_csv
+from torusgeo.config import build_field
+from torusgeo.mesh import GridSpec, ScalarField, SpaceField, write_field_bin, write_field_csv
 from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem, cone_quantities
 
 from conftest import fail_newton, fail_newton_once_at
@@ -385,6 +386,29 @@ def test_solve_bad_input_exits_2(tmp_path, capsys, old, new):
     assert not out.exists()
 
 
+# Constant arithmetic out of float range is inf or nan, which the field rejects;
+# an integer literal that does not convert to float fails to compile.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("expr", ["1/0", "0**-1", "10**400", "pi**1000", "9" * 400, "(-1)**0.5"])
+def test_solve_out_of_range_constant_arithmetic_exits_2(tmp_path, capsys, expr):
+    cfg = write_cfg(tmp_path, SEPARABLE.replace("f = 2\n", f"f = {expr}\n"))
+    out = tmp_path / "out"
+    assert_bad_input(capsys, ["solve", cfg, "--output", str(out)])
+    assert not out.exists()
+
+
+# A file-backed field pins its grid, so a refinement ladder is refused before the level-0 solve.
+@pytest.mark.parametrize("key", ["a", "f", "u0", "u1", "exact"])
+def test_solve_refusing_to_refine_a_file_backed_field_writes_nothing(tmp_path, capsys, key):
+    expr = next(line.split(" = ", 1)[1] for line in MANUFACTURED.splitlines() if line.startswith(f"{key} = "))
+    kind = ScalarField if key in ("f", "exact") else SpaceField
+    write_field_csv(build_field(expr, kind, GridSpec(1, 16, 9)), tmp_path / f"{key}.csv")
+    cfg = write_cfg(tmp_path, MANUFACTURED.replace(f"{key} = {expr}\n", f"{key} = file:{key}.csv\n"))
+    out = tmp_path / "out"
+    assert_bad_input(capsys, ["solve", cfg, "--output", str(out)])
+    assert not out.exists()
+
+
 # a = 1e308 overflows the linearization's 2 B / ht^2; u0 = 1e300 sin(x) overflows
 # |grad u0|^2, and 0 * inf makes B nan, which the admissibility check must reject.
 @pytest.mark.filterwarnings("error")
@@ -627,9 +651,16 @@ DELETED_NAMES = (
     "grad_t",
     "gradient_estimate_probe",
     "identity_suite",
+    "inf",
     "normalize_shift",
     "q_form",
+    "read_scalar_csv",
+    "read_space_csv",
     "residual",
+    "sample_scalar",
+    "sample_space",
+    "sup",
+    "sup_norm",
     "symbol_matrix",
     "weak_c2_report",
 )

@@ -14,13 +14,12 @@ from torusgeo.config import (
     ConfigError,
     build_exact,
     build_grid,
+    build_field,
     build_problem,
-    build_scalar_field,
-    build_space_field,
     compile_expression,
     load_config,
 )
-from torusgeo.mesh import GridSpec, write_field_csv
+from torusgeo.mesh import GridSpec, ScalarField, SpaceField, write_field_csv
 
 
 GOOD_CFG = """\
@@ -127,6 +126,36 @@ def test_expression_outside_whitelist_raises_config_error(before, foreign, after
     text = " ".join(before + [foreign] + after)
     with pytest.raises(ConfigError):
         compile_expression(text, ("t", "x", "y"))
+
+
+# Well-formed expressions over the whole whitelist grammar, literals at the edges of the float range included.
+_LITERALS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "1e308", "1e-320", "9" * 400]),
+    st.integers(0, 10**400).map(str),
+    st.floats(0.0, allow_infinity=False).map(repr),
+)
+_EXPRESSIONS = st.recursive(
+    st.one_of(_LITERALS, st.sampled_from(["t", "x", "y", "pi"])),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "**"]), inner).map(lambda p: f"({p[0]}) {p[1]} ({p[2]})"),
+        inner.map(lambda e: f"-({e})"),
+        st.tuples(st.sampled_from(["sin", "cos"]), inner).map(lambda p: f"{p[0]}({p[1]})"),
+    ),
+    max_leaves=6,
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_EXPRESSIONS, st.sampled_from([ScalarField, SpaceField]), st.sampled_from([1, 2]))
+def test_well_formed_expression_builds_a_field_or_raises_config_error(text, kind, dim):
+    # Out-of-range constant arithmetic (1/0, 10**400, (-1)**0.5) included: never another exception.
+    grid = GridSpec(spatial_dim=dim, nodes_per_axis=8, time_nodes=5)
+    try:
+        fld = build_field(text, kind, grid)
+    except ConfigError:
+        return
+    assert isinstance(fld, kind) and np.all(np.isfinite(fld.values))
 
 
 @pytest.mark.parametrize("text", ["-" * 100000 + "1", "+".join(["1"] * 100000)], ids=["unary", "sum"])
@@ -342,10 +371,10 @@ def test_build_exact_absent(tmp_path):
 
 def test_constant_expression_broadcasts(tmp_path):
     grid = GridSpec(spatial_dim=2, nodes_per_axis=8, time_nodes=5)
-    fld = build_scalar_field("2", grid)
+    fld = build_field("2", ScalarField, grid)
     assert fld.values.shape == grid.field_shape
     assert np.all(fld.values == 2.0)
-    sp = build_space_field("1", grid)
+    sp = build_field("1", SpaceField, grid)
     assert sp.values.shape == grid.spatial_shape
 
 
@@ -354,8 +383,6 @@ def test_file_backed_fields_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     a_vals = 1.0 + 0.1 * rng.random(grid.spatial_shape)
     f_vals = 2.0 + 0.1 * rng.random(grid.field_shape)
-    from torusgeo.mesh import ScalarField, SpaceField
-
     write_field_csv(SpaceField(grid, a_vals), tmp_path / "a.csv")
     write_field_csv(ScalarField(grid, f_vals), tmp_path / "f.csv")
     text = (
@@ -373,8 +400,6 @@ def test_file_backed_fields_round_trip(tmp_path):
 
 def test_file_reference_resolves_relative_to_config(tmp_path):
     grid = GridSpec(spatial_dim=1, nodes_per_axis=8, time_nodes=5)
-    from torusgeo.mesh import SpaceField
-
     sub = tmp_path / "data"
     sub.mkdir()
     write_field_csv(SpaceField(grid, np.full(grid.spatial_shape, 3.0)), sub / "a.csv")

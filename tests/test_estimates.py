@@ -5,7 +5,7 @@ import pytest
 
 import torusgeo as tg
 from torusgeo.estimates import bounds_report, write_bounds_report
-from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar
+from torusgeo.mesh import GridSpec, ScalarField, SpaceField
 from torusgeo.operator import ProblemSpec, apply_Q
 
 from conftest import random_admissible_field, random_problem
@@ -21,7 +21,7 @@ def _flat_spec(n=16, nt=9):
 
 def test_c0_on_exact_profile():
     spec = _flat_spec()
-    u = sample_scalar(spec.grid, lambda t, x: t * t - t)
+    u = ScalarField.sample(spec.grid, lambda t, x: t * t - t)
     chk = bounds_report(u, spec, c=1.0)
     assert chk.c0_lower_ok and chk.c0_upper_ok
     # u equals the lower envelope exactly, so the margin is zero not negative
@@ -31,7 +31,7 @@ def test_c0_on_exact_profile():
 
 def test_c0_detects_undershoot():
     spec = _flat_spec()
-    u = sample_scalar(spec.grid, lambda t, x: 5.0 * (t * t - t))
+    u = ScalarField.sample(spec.grid, lambda t, x: 5.0 * (t * t - t))
     chk = bounds_report(u, spec, c=1.0)
     assert not chk.c0_lower_ok
     assert chk.c0_worst_lower > 0.1
@@ -39,14 +39,14 @@ def test_c0_detects_undershoot():
 
 def test_c0_detects_overshoot():
     spec = _flat_spec()
-    u = sample_scalar(spec.grid, lambda t, x: 0.5 * t * (1.0 - t))
+    u = ScalarField.sample(spec.grid, lambda t, x: 0.5 * t * (1.0 - t))
     chk = bounds_report(u, spec, c=1.0)
     assert not chk.c0_upper_ok
 
 
 def test_ut_chain_on_exact_profile():
     spec = _flat_spec()
-    u = sample_scalar(spec.grid, lambda t, x: t * t - t)
+    u = ScalarField.sample(spec.grid, lambda t, x: t * t - t)
     chk = bounds_report(u, spec, c=1.0)
     assert chk.ut_bounds_ok
     assert chk.ut_boundary_extremal
@@ -60,7 +60,7 @@ def test_ut_chain_on_exact_profile():
 
 def test_ut_chain_detects_interior_extremum():
     spec = _flat_spec(nt=17)
-    u = sample_scalar(spec.grid, lambda t, x: -np.cos(2.0 * np.pi * t) / (2.0 * np.pi))
+    u = ScalarField.sample(spec.grid, lambda t, x: -np.cos(2.0 * np.pi * t) / (2.0 * np.pi))
     chk = bounds_report(u, spec, c=0.05)
     # u_t peaks at quarter period, strictly inside the time interval
     assert not chk.ut_boundary_extremal
@@ -68,7 +68,7 @@ def test_ut_chain_detects_interior_extremum():
 
 def test_ut_chain_detects_range_violation():
     spec = _flat_spec(nt=17)
-    u = sample_scalar(spec.grid, lambda t, x: t * t - t - 0.3 * np.sin(np.pi * t))
+    u = ScalarField.sample(spec.grid, lambda t, x: t * t - t - 0.3 * np.sin(np.pi * t))
     chk = bounds_report(u, spec, c=0.5)
     # u_t(1) = 1 + 0.3 pi, far beyond delta + c = 0.5
     assert not chk.ut_bounds_ok
@@ -91,14 +91,14 @@ def test_weak_c2_oracle_values():
     zero = SpaceField(grid, np.zeros(grid.spatial_shape))
     f = ScalarField(grid, np.full(grid.field_shape, 2.0))
     spec = ProblemSpec(grid=grid, a=a, b=0.0, f=f, u0=zero, u1=zero)
-    u = sample_scalar(grid, lambda t, x: 3.0 * (t * t - t))
+    u = ScalarField.sample(grid, lambda t, x: 3.0 * (t * t - t))
     rep = bounds_report(u, spec, c=1.0)
     assert rep.sup_utt == pytest.approx(6.0, abs=1e-12)
     assert rep.sup_lap_u <= 1e-12
     assert rep.sup_grad_ut <= 1e-12
     assert rep.sup_grad_u <= 1e-12
     # sinusoidal profile: discrete laplacian of sin is -(2 - 2 cos hx)/hx^2 sin
-    v = sample_scalar(grid, lambda t, x: 0.2 * np.sin(x))
+    v = ScalarField.sample(grid, lambda t, x: 0.2 * np.sin(x))
     rep2 = bounds_report(v, spec, c=1.0)
     factor = (2.0 - 2.0 * np.cos(grid.hx)) / grid.hx**2
     assert rep2.sup_lap_u == pytest.approx(0.2 * factor * np.max(np.abs(np.sin(grid.axis_coords()))), rel=1e-10)
@@ -121,7 +121,7 @@ def test_f_dependencies_values():
     tt, xx = grid.field_meshes()
     fvals = 2.0 + np.sin(xx) * np.cos(np.pi * tt)
     spec = ProblemSpec(grid=grid, a=a, b=0.0, f=ScalarField(grid, fvals), u0=zero, u1=zero)
-    deps = bounds_report(sample_scalar(grid, lambda t, x: t * t - t), spec, c=1.0)
+    deps = bounds_report(ScalarField.sample(grid, lambda t, x: t * t - t), spec, c=1.0)
     assert deps.dep_sup_f == pytest.approx(float(np.max(fvals)))
     assert deps.dep_sup_neg_f_tt >= 0.0
     assert np.isfinite(deps.dep_sup_ft_sq_over_f)
@@ -181,7 +181,7 @@ BOUNDS_KEYS = [
 
 def test_bounds_report_render_and_write(tmp_path):
     spec = _flat_spec()
-    u = sample_scalar(spec.grid, lambda t, x: t * t - t)
+    u = ScalarField.sample(spec.grid, lambda t, x: t * t - t)
     rep = bounds_report(u, spec, c=1.0)
     assert rep.passed
     text = rep.render()
@@ -195,6 +195,6 @@ def test_bounds_report_render_and_write(tmp_path):
 
 def test_bounds_report_uses_supplied_rhs():
     spec = _flat_spec()
-    u = sample_scalar(spec.grid, lambda t, x: t * t - t)
+    u = ScalarField.sample(spec.grid, lambda t, x: t * t - t)
     rep = bounds_report(u, spec, c=1.0, rhs=spec.f)
     assert rep.identity_err_dq_u <= 1e-10

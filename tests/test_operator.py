@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import torusgeo as tg
-from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar, sample_space
+from torusgeo.mesh import GridSpec, ScalarField, SpaceField
 import torusgeo.operator as operator_module
 from torusgeo.operator import (
     InvalidProblem,
@@ -22,7 +22,7 @@ from torusgeo.operator import (
     cone_quantities,
 )
 
-from conftest import random_admissible_field
+from conftest import random_admissible_field, random_problem
 
 
 def _basic_spec(n=16, nt=9, b=0.3):
@@ -57,13 +57,31 @@ def test_spec_validation_errors():
         ProblemSpec(grid=grid, a=SpaceField(other, np.ones(other.spatial_shape)), b=0.0, f=f, u0=zero, u1=zero)
 
 
-def test_nondegenerate_flag():
+def test_problem_spec_accepts_vanishing_f():
     spec = _basic_spec()
-    assert spec.nondegenerate
     grid = spec.grid
     f0 = ScalarField(grid, np.zeros(grid.field_shape))
     spec0 = ProblemSpec(grid=grid, a=spec.a, b=spec.b, f=f0, u0=spec.u0, u1=spec.u1)
-    assert not spec0.nondegenerate
+    assert np.all(spec0.f.values == 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cone_b_on_dirichlet_layers_is_the_slice_b_the_spec_checks(dim):
+    spec = random_problem(3, dim=dim, n=12, nt=7)
+    grid = spec.grid
+    u = 0.01 * np.random.default_rng(dim).standard_normal(grid.field_shape)
+    u[0], u[-1] = spec.u0.values, spec.u1.values
+    cone = cone_quantities(u, spec)
+    for layer, w in ((0, spec.u0), (-1, spec.u1)):
+        assert cone.b_full[layer].tobytes() == operator_module._b_values(w.values, spec)[0].tobytes()
+    # an inadmissible slice: ProblemSpec reports the very value cone_quantities computes there
+    steep = SpaceField(grid, 3.0 * np.sin(grid.spatial_meshes()[0]))
+    with pytest.raises(InvalidProblem) as info:
+        ProblemSpec(grid=grid, a=spec.a, b=spec.b, f=spec.f, u0=steep, u1=spec.u1)
+    u[0] = steep.values
+    b0 = cone_quantities(u, spec).b_full[0]
+    assert info.value.node == tg.mesh.argmin_node(b0)
+    assert f"= {float(b0[info.value.node])!r} at node" in str(info.value)
 
 
 def _roll_lap(vals, hx):
@@ -77,7 +95,7 @@ def _roll_grad(vals, hx):
 def test_compute_B_against_direct_rolls():
     spec = _basic_spec(b=0.4)
     grid = spec.grid
-    u = sample_scalar(grid, lambda t, x: (t * t - t) * np.cos(x) * 0.2 + 0.1 * np.sin(x))
+    u = ScalarField.sample(grid, lambda t, x: (t * t - t) * np.cos(x) * 0.2 + 0.1 * np.sin(x))
     got = compute_B(u, spec).values
     want = (
         _roll_lap(u.values, grid.hx)
@@ -90,7 +108,7 @@ def test_compute_B_against_direct_rolls():
 def test_apply_Q_against_direct_rolls():
     spec = _basic_spec(b=0.25)
     grid = spec.grid
-    u = sample_scalar(grid, lambda t, x: -1.3 * t * (1 - t) + 0.1 * np.sin(x) * t)
+    u = ScalarField.sample(grid, lambda t, x: -1.3 * t * (1 - t) + 0.1 * np.sin(x) * t)
     got = apply_Q(u, spec).values[1:-1]
     vals = u.values
     utt = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / grid.ht**2
@@ -108,7 +126,7 @@ def test_apply_Q_against_direct_rolls():
 def test_apply_Q_matches_analytic_for_quadratic_profile():
     # u = t^2 - t is spatially flat: Q(u) = 2 a(x) exactly on the grid
     spec = _basic_spec(b=0.7)
-    u = sample_scalar(spec.grid, lambda t, x: t * t - t)
+    u = ScalarField.sample(spec.grid, lambda t, x: t * t - t)
     got = apply_Q(u, spec).values[1:-1]
     assert np.max(np.abs(got - 2.0 * spec.a.values[None, :])) <= 1e-12
 
@@ -300,7 +318,7 @@ def test_preconditioner_exact_for_layerwise_constant_coefficients(dim):
     zero = SpaceField(grid, np.zeros(grid.spatial_shape))
     f = ScalarField(grid, np.ones(grid.field_shape))
     spec = ProblemSpec(grid=grid, a=a, b=0.4, f=f, u0=zero, u1=zero)
-    u = sample_scalar(grid, lambda t, *xs: -t * (1.0 - t) - 0.3 * t**3 * (1.0 - t))
+    u = ScalarField.sample(grid, lambda t, *xs: -t * (1.0 - t) - 0.3 * t**3 * (1.0 - t))
     system = assemble_dQ(u, spec)
     g = np.random.default_rng(62).standard_normal(grid.interior_layers * grid.num_spatial)
     h = system.solve_interior(g)

@@ -5,7 +5,7 @@ import pytest
 
 import torusgeo as tg
 from torusgeo import solver
-from torusgeo.mesh import GridSpec, ScalarField, SpaceField, sample_scalar
+from torusgeo.mesh import GridSpec, ScalarField, SpaceField
 from torusgeo.operator import (
     GMRES_RTOL,
     LinearSolveError,
@@ -64,7 +64,7 @@ def test_separable_solved_by_barrier_exactly(separable_spec):
     assert res.final_residual_sup <= NEWTON_TOL
     assert res.newton_iters_total == 0
     assert res.final_residual_sup <= 1e-12
-    exact = sample_scalar(separable_spec.grid, lambda t, x: t * t - t)
+    exact = ScalarField.sample(separable_spec.grid, lambda t, x: t * t - t)
     assert np.max(np.abs(res.u.values - exact.values)) <= 1e-10
 
 
@@ -73,7 +73,7 @@ def test_manufactured_inverse_crime():
     grid = GridSpec(spatial_dim=1, nodes_per_axis=24, time_nodes=13)
     x, = grid.spatial_meshes()
     a = SpaceField(grid, 1.0 + 0.2 * np.cos(x))
-    star = sample_scalar(grid, lambda t, xx: -1.1 * t * (1 - t) + 0.1 * np.sin(xx) * (1 - t))
+    star = ScalarField.sample(grid, lambda t, xx: -1.1 * t * (1 - t) + 0.1 * np.sin(xx) * (1 - t))
     u0 = SpaceField(grid, star.values[0].copy())
     u1 = SpaceField(grid, star.values[-1].copy())
     probe = ProblemSpec(
