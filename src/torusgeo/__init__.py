@@ -16,11 +16,7 @@ from .config import (
     compile_expression,
     load_config,
 )
-from .estimates import (
-    BoundsReport,
-    bounds_report,
-    write_bounds_report,
-)
+from .estimates import BoundsReport, bounds_report
 from .mesh import (
     GridSpec,
     ScalarField,
@@ -44,7 +40,6 @@ from .operator import (
     cone_quantities,
 )
 from .solver import (
-    TRACE_HEADER,
     LostAdmissibility,
     NonConvergence,
     SolveResult,
@@ -99,7 +94,6 @@ __all__ = [
     "SpaceField",
     "StepCollapse",
     "SweepEntry",
-    "TRACE_HEADER",
     "TraceRecord",
     "apply_Q",
     "assemble_dQ",
@@ -127,7 +121,6 @@ __all__ = [
     "read_field_csv",
     "sigma_k",
     "uniqueness_probe",
-    "write_bounds_report",
     "write_counterexamples",
     "write_field_bin",
     "write_field_csv",

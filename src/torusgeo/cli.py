@@ -23,20 +23,15 @@ import csv
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, build_exact, build_grid, build_problem, load_config
-from .estimates import _fmt_bool, bounds_report, write_bounds_report
+from .estimates import bounds_report
 from .mesh import ScalarField, read_field_bin, read_field_csv, write_field_bin, write_field_csv
 from .operator import InvalidProblem, cone_quantities
-from .solver import (
-    TRACE_HEADER,
-    SolverError,
-    compute_c_star,
-    continuation_solve,
-    epsilon_sweep,
-)
+from .solver import SolverError, TraceRecord, compute_c_star, continuation_solve, epsilon_sweep
 from .symcone import (
     comparison_scan,
     midpoint_concavity_scan,
@@ -49,29 +44,46 @@ from .symcone import (
 VERIFY_RTOL = 1e-8
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _text(value) -> str:
+    """How a value prints in summary, bounds and CSV files.
+
+    Bools (numpy's included) as true/false, floats (numpy's included) to 17
+    significant digits in printf's %g style, node tuples as (i,j,k), anything
+    else with str.
+    """
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.17g}"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return "(" + ",".join(str(int(i)) for i in value) + ")"
+    return str(value)
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_pairs(path: str, pairs) -> None:
+    """One ``key = value`` line per pair."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{key} = {_text(value)}\n" for key, value in pairs)
 
 
-def _write_trace(records, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.render() + "\n")
-
-
-def _write_rejections(rejected, path: str) -> None:
-    # The reason is free text; the csv module quotes it when it holds commas.
+def _write_table(path: str, header, rows) -> None:
+    # The csv module quotes a field that holds a comma, such as a rejection reason.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("phase", "param", "reason"))
-        for phase, param, reason in rejected:
-            writer.writerow((phase, _fmt(param), reason))
+        writer.writerow(header)
+        writer.writerows([_text(value) for value in row] for row in rows)
+
+
+def _bounds_pairs(report) -> list:
+    """``bounds.txt``: the report's fields in order, then ``checks_passed``."""
+    return [(f.name, getattr(report, f.name)) for f in fields(report)] + [("checks_passed", report.passed)]
+
+
+def _write_run(outdir: str, records, rejected) -> None:
+    """``trace.csv``, whose columns are the fields of TraceRecord, and ``rejections.csv``."""
+    names = [f.name for f in fields(TraceRecord)]
+    _write_table(os.path.join(outdir, "trace.csv"), names, ([getattr(rec, n) for n in names] for rec in records))
+    _write_table(os.path.join(outdir, "rejections.csv"), ("phase", "param", "reason"), rejected)
 
 
 def _outdir(args, cfg: RunConfig, make: bool = True) -> str:
@@ -96,61 +108,51 @@ def cmd_solve(args) -> int:
     result = continuation_solve(spec)
     c_star = compute_c_star(spec)
     bounds = bounds_report(result.u, spec, c_star)
-    outdir = _outdir(args, cfg)
-
-    write_field_csv(result.u, os.path.join(outdir, "solution.csv"))
-    write_field_bin(result.u, os.path.join(outdir, "solution.bin"))
-    write_bounds_report(bounds, os.path.join(outdir, "bounds.txt"))
-    _write_trace(result.records, os.path.join(outdir, "trace.csv"))
-    _write_rejections(result.rejected, os.path.join(outdir, "rejections.csv"))
 
     grid = spec.grid
     # continuation_solve raises on every failure, so a run that gets here converged.
-    lines = [
-        "command = solve",
-        f"spatial_dim = {grid.spatial_dim}",
-        f"nodes_per_axis = {grid.nodes_per_axis}",
-        f"time_nodes = {grid.time_nodes}",
-        f"c_star = {_fmt(c_star)}",
-        "converged = true",
-        f"residual_sup = {_fmt(result.final_residual_sup)}",
-        f"newton_iters_total = {result.newton_iters_total}",
-        f"rungs_rejected = {len(result.rejected)}",
-        f"bounds_passed = {_fmt_bool(bounds.passed)}",
-        *(f"{name} = {_fmt(getattr(result.records[-1], name))}" for name in ("min_utt", "min_B", "min_Q")),
+    summary = [
+        ("command", "solve"),
+        ("spatial_dim", grid.spatial_dim),
+        ("nodes_per_axis", grid.nodes_per_axis),
+        ("time_nodes", grid.time_nodes),
+        ("c_star", c_star),
+        ("converged", True),
+        ("residual_sup", result.final_residual_sup),
+        ("newton_iters_total", result.newton_iters_total),
+        ("rungs_rejected", len(result.rejected)),
+        ("bounds_passed", bounds.passed),
+        *((name, getattr(result.records[-1], name)) for name in ("min_utt", "min_B", "min_Q")),
     ]
 
+    # Every refinement level runs before the output directory exists, so a
+    # level that fails leaves no directory behind.
+    refinements = []
     exact = build_exact(cfg)
     if exact is not None:
         err0 = float(np.max(np.abs(result.u.values - exact.values)))
-        lines.append(f"exact_sup_error_l0 = {_fmt(err0)}")
+        summary.append(("exact_sup_error_l0", err0))
         if cfg.solver.refinements > 0:
-            errors = [err0]
-            rows = [
-                f"0,{grid.nodes_per_axis},{grid.time_nodes},{_fmt(err0)},nan",
-            ]
+            refinements.append((0, grid.nodes_per_axis, grid.time_nodes, err0, math.nan))
             for level in range(1, cfg.solver.refinements + 1):
                 spec_r = build_problem(cfg, refine=level)
                 exact_r = build_exact(cfg, refine=level)
                 result_r = continuation_solve(spec_r)
                 err = float(np.max(np.abs(result_r.u.values - exact_r.values)))
-                order = (
-                    math.log2(errors[-1] / err)
-                    if err > 0.0 and errors[-1] > 0.0
-                    else math.nan
-                )
-                errors.append(err)
-                rows.append(
-                    f"{level},{spec_r.grid.nodes_per_axis},{spec_r.grid.time_nodes},"
-                    f"{_fmt(err)},{_fmt(order)}"
-                )
-                lines.append(f"exact_sup_error_l{level} = {_fmt(err)}")
-                lines.append(f"refinement_order_l{level} = {_fmt(order)}")
-            with open(os.path.join(outdir, "refinements.csv"), "w") as fh:
-                fh.write("level,nodes_per_axis,time_nodes,sup_error,order\n")
-                fh.write("\n".join(rows) + "\n")
+                prev = refinements[-1][3]
+                order = math.log2(prev / err) if err > 0.0 and prev > 0.0 else math.nan
+                refinements.append((level, spec_r.grid.nodes_per_axis, spec_r.grid.time_nodes, err, order))
+                summary += [(f"exact_sup_error_l{level}", err), (f"refinement_order_l{level}", order)]
 
-    _write_lines(os.path.join(outdir, "summary.txt"), lines)
+    outdir = _outdir(args, cfg)
+    write_field_csv(result.u, os.path.join(outdir, "solution.csv"))
+    write_field_bin(result.u, os.path.join(outdir, "solution.bin"))
+    _write_pairs(os.path.join(outdir, "bounds.txt"), _bounds_pairs(bounds))
+    _write_run(outdir, result.records, result.rejected)
+    if refinements:
+        header = ("level", "nodes_per_axis", "time_nodes", "sup_error", "order")
+        _write_table(os.path.join(outdir, "refinements.csv"), header, refinements)
+    _write_pairs(os.path.join(outdir, "summary.txt"), summary)
     print(f"solve: converged=true residual={result.final_residual_sup:.6g}")
     print(f"solve: bounds {'passed' if bounds.passed else 'FAILED'}; output in {outdir}")
     return 0 if bounds.passed else 1
@@ -174,53 +176,42 @@ def cmd_sweep(args) -> int:
     records = []
     entries = epsilon_sweep(spec, cfg.sweep.epsilons, on_record=records.append)
     outdir = _outdir(args, cfg)
-    _write_trace(records, os.path.join(outdir, "trace.csv"))
     rejected = [row for entry in entries for row in entry.rejected]
-    _write_rejections(rejected, os.path.join(outdir, "rejections.csv"))
+    _write_run(outdir, records, rejected)
 
-    measurements = []
-    lines = [
-        "command = sweep",
-        f"rungs = {len(entries)}",
-        f"rungs_rejected = {len(rejected)}",
+    # The BoundsReport fields that must stay bounded uniformly in eps: the
+    # columns of sweep_measurements.csv and the uniform_/first_/last_ keys.
+    measured = ("sup_utt", "sup_lap_u", "sup_grad_ut")
+    solved = [(i, entry) for i, entry in enumerate(entries) if entry.result is not None]
+    columns = [[getattr(entry.bounds, name) for _, entry in solved] for name in measured]
+    rows = zip([entry.epsilon for _, entry in solved], *columns, [entry.drift for _, entry in solved])
+    _write_table(os.path.join(outdir, "sweep_measurements.csv"), ("epsilon", *measured, "drift"), rows)
+    for i, entry in solved:
+        _write_pairs(os.path.join(outdir, f"bounds_{i:03d}.txt"), _bounds_pairs(entry.bounds))
+
+    failures = len(entries) - len(solved)
+    summary = [
+        ("command", "sweep"),
+        ("rungs", len(entries)),
+        ("rungs_rejected", len(rejected)),
+        ("failed_rungs", failures),
+        *((f"rung_{i:03d}_error", entry.error) for i, entry in enumerate(entries) if entry.error is not None),
     ]
-    with open(os.path.join(outdir, "sweep_measurements.csv"), "w") as fh:
-        fh.write("epsilon,sup_utt,sup_lap_u,sup_grad_ut,drift\n")
-        for i, entry in enumerate(entries):
-            if entry.result is None:
-                continue
-            bnd = entry.bounds
-            fh.write(
-                f"{entry.epsilon:.17g},{bnd.sup_utt:.17g},{bnd.sup_lap_u:.17g},"
-                f"{bnd.sup_grad_ut:.17g},{entry.drift:.17g}\n"
-            )
-            measurements.append((entry.epsilon, bnd.sup_utt, bnd.sup_lap_u, bnd.sup_grad_ut))
-            write_bounds_report(entry.bounds, os.path.join(outdir, f"bounds_{i:03d}.txt"))
-
-    failures = [(i, e) for i, e in enumerate(entries) if e.result is None]
-    lines.append(f"failed_rungs = {len(failures)}")
-    for i, entry in enumerate(entries):
-        if entry.error is not None:
-            lines.append(f"rung_{i:03d}_error = {entry.error}")
-
-    ok = not failures and bool(measurements)
-    if measurements:
-        last = entries[-1]
-        for name, col in (("sup_utt", 1), ("sup_lap_u", 2), ("sup_grad_ut", 3)):
-            vals = [m[col] for m in measurements]
-            uniform = _uniform_over_rungs(vals)
+    ok = not failures and bool(solved)
+    if solved:
+        for name, values in zip(measured, columns):
+            uniform = _uniform_over_rungs(values)
             ok = ok and uniform
-            lines.append(f"uniform_{name} = {_fmt_bool(uniform)}")
-            lines.append(f"first_{name} = {_fmt(vals[0])}")
-            lines.append(f"last_{name} = {_fmt(vals[-1])}")
+            summary += [(f"uniform_{name}", uniform), (f"first_{name}", values[0]), (f"last_{name}", values[-1])]
+        last = entries[-1]
         if last.result is not None:
             write_field_csv(last.result.u, os.path.join(outdir, "solution_final.csv"))
-            lines.append(f"final_residual_sup = {_fmt(last.result.final_residual_sup)}")
-            lines.append(f"final_bounds_passed = {_fmt_bool(last.bounds.passed)}")
+            summary.append(("final_residual_sup", last.result.final_residual_sup))
+            summary.append(("final_bounds_passed", last.bounds.passed))
             ok = ok and last.bounds.passed
-    lines.append(f"sweep_uniform = {_fmt_bool(ok)}")
-    _write_lines(os.path.join(outdir, "summary.txt"), lines)
-    print(f"sweep: {len(entries)} rungs, {len(failures)} failures, uniform={_fmt_bool(ok)}")
+    summary.append(("sweep_uniform", ok))
+    _write_pairs(os.path.join(outdir, "summary.txt"), summary)
+    print(f"sweep: {len(entries)} rungs, {failures} failures, uniform={_text(ok)}")
     return 0 if ok else 1
 
 
@@ -237,26 +228,19 @@ def cmd_scan(args) -> int:
 
     scan_ok = report.violation_count == 0 or not report.theorem_backed
     comparison_ok = comparison.violation_count == 0
-    lines = [
-        "command = scan",
-        f"k = {report.k}",
-        f"n = {report.n}",
-        f"variant = {report.variant}",
-        f"trials = {report.trials}",
-        f"seed = {report.seed}",
-        f"theorem_backed = {_fmt_bool(report.theorem_backed)}",
-        f"threshold = {_fmt(report.threshold)}",
-        f"worst_margin = {_fmt(report.worst_margin)}",
-        f"worst_trial = {report.worst_trial}",
-        f"violation_count = {report.violation_count}",
-        f"sampling_failures = {report.sampling_failures}",
-        f"comparison_pairs = {comparison.pairs}",
-        f"comparison_violations = {comparison.violation_count}",
-        f"comparison_worst_segment = {_fmt(comparison.worst_segment_margin)}",
-        f"comparison_worst_diff = {_fmt(comparison.worst_diff_value)}",
-        f"scan_ok = {_fmt_bool(scan_ok and comparison_ok)}",
+    summary = [
+        ("command", "scan"),
+        *((name, getattr(report, name)) for name in (
+            "k", "n", "variant", "trials", "seed", "theorem_backed", "threshold",
+            "worst_margin", "worst_trial", "violation_count", "sampling_failures",
+        )),
+        ("comparison_pairs", comparison.pairs),
+        ("comparison_violations", comparison.violation_count),
+        ("comparison_worst_segment", comparison.worst_segment_margin),
+        ("comparison_worst_diff", comparison.worst_diff_value),
+        ("scan_ok", scan_ok and comparison_ok),
     ]
-    _write_lines(os.path.join(outdir, "summary.txt"), lines)
+    _write_pairs(os.path.join(outdir, "summary.txt"), summary)
     gate = "theorem" if report.theorem_backed else "conjecture"
     print(
         f"scan: k={report.k} n={report.n} {report.variant} ({gate}), "
@@ -296,12 +280,12 @@ def cmd_verify(args) -> int:
     bounds = bounds_report(field, spec, compute_c_star(spec), cone=cone)
     ok = cone.admissible and residual_ok and boundary_ok and bounds.passed
 
-    print(f"verify: admissible = {_fmt_bool(cone.admissible)}")
+    print(f"verify: admissible = {_text(cone.admissible)}")
     print("verify: min_utt = {:.6g} min_B = {:.6g} min_Q = {:.6g}".format(*cone.mins))
     print(f"verify: residual_sup = {res_sup:.6g} (tol {VERIFY_RTOL:.6g} x {scale:.6g})")
-    print(f"verify: boundary_ok = {_fmt_bool(boundary_ok)}")
-    print(f"verify: bounds_passed = {_fmt_bool(bounds.passed)}")
-    print(f"verify: ok = {_fmt_bool(ok)}")
+    print(f"verify: boundary_ok = {_text(boundary_ok)}")
+    print(f"verify: bounds_passed = {_text(bounds.passed)}")
+    print(f"verify: ok = {_text(ok)}")
     return 0 if ok else 1
 
 
@@ -311,40 +295,29 @@ def main(argv=None) -> int:
         description="Degenerate fully nonlinear solver and cone scanners on flat tori.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="run the continuation solver on a configured problem")
-    p_solve.add_argument("config", help="INI configuration file")
-    p_solve.add_argument("--output", help="output directory (overrides [output] directory)")
-
-    p_sweep = sub.add_parser("sweep", help="epsilon ladder toward the degenerate limit")
-    p_sweep.add_argument("config", help="INI configuration file")
-    p_sweep.add_argument("--output", help="output directory (overrides [output] directory)")
-
-    p_scan = sub.add_parser("scan", help="randomized concavity scan on the model cone")
-    p_scan.add_argument("config", help="INI configuration file")
-    p_scan.add_argument("--output", help="output directory (overrides [output] directory)")
+    for name, help_text in (
+        ("solve", "run the continuation solver on a configured problem"),
+        ("sweep", "epsilon ladder toward the degenerate limit"),
+        ("scan", "randomized concavity scan on the model cone"),
+    ):
+        p_run = sub.add_parser(name, help=help_text)
+        p_run.add_argument("config", help="INI configuration file")
+        p_run.add_argument("--output", help="output directory (overrides [output] directory)")
 
     p_verify = sub.add_parser("verify", help="re-check a solution dump against a problem")
     p_verify.add_argument("solution", help="solution file (.csv or .bin)")
     p_verify.add_argument("config", help="INI configuration file")
 
     args = parser.parse_args(argv)
+    commands = {"solve": cmd_solve, "sweep": cmd_sweep, "scan": cmd_scan, "verify": cmd_verify}
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return commands[args.command](args)
     except (ConfigError, InvalidProblem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ applies) or up to a truncation-sized slack, which each check carries
 explicitly and reports alongside the verdict.
 
 The report is one flat :class:`BoundsReport` whose fields are the keys of
-``bounds.txt``, in file order; ``render`` writes one ``key = value`` line per
-field and then ``checks_passed``. Each block of keys comes from one private
-helper that returns the keyword arguments of its block, so a new line of
-``bounds.txt`` is one field plus its computation.
+``bounds.txt``, in file order (the command line front end writes one
+``key = value`` line per field and then ``checks_passed``). Each block of keys
+comes from one private helper that returns the keyword arguments of its block,
+so a new line of ``bounds.txt`` is one field plus its computation.
 
 Conventions. ``c`` always denotes the curvature of the quadratic time barrier
 ``-c t (1 - t) + (1 - t) u0 + t u1`` used as the lower envelope; the linear
@@ -21,7 +21,7 @@ checks are exact on quadratics in t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,24 +116,6 @@ class BoundsReport:
     @property
     def passed(self) -> bool:
         return self.c0_lower_ok and self.c0_upper_ok and self.ut_bounds_ok
-
-    def render(self) -> str:
-        """Stable key = value text rendering, one line per field, then ``checks_passed``."""
-        lines = [f"{f.name} = {_FORMATS[f.type](getattr(self, f.name))}" for f in fields(self)]
-        lines.append(f"checks_passed = {_fmt_bool(self.passed)}")
-        return "\n".join(lines) + "\n"
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
-def _format_loc(loc: tuple) -> str:
-    return "(" + ",".join(str(int(i)) for i in loc) + ")"
-
-
-# One formatter per field annotation (a string under postponed evaluation).
-_FORMATS = {"bool": _fmt_bool, "tuple": _format_loc, "float": lambda v: f"{v:.17g}"}
 
 
 def _c0(u: ScalarField, spec: ProblemSpec, c: float) -> dict:
@@ -267,8 +249,3 @@ def bounds_report(
         **_identities(u, spec, rhs, cone),
         **_f_deps(spec),
     )
-
-
-def write_bounds_report(report: BoundsReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(report.render())

@@ -15,8 +15,8 @@ Fields come in two flavours, which differ only in that leading axis. A
 :class:`ScalarField` stores one value per space-time node, shape ``(Nt, N)``
 or ``(Nt, N, N)``. A :class:`SpaceField` stores one value per spatial node
 only and is used for boundary data and for time-independent coefficients.
-Both share one body: shape and finiteness checks, ``copy``, ``sample`` and
-the CSV reader :func:`read_field_csv`.
+Both share one body: shape and finiteness checks, ``sample`` and the CSV
+reader :func:`read_field_csv`.
 
 Centered time differences have no values on the two boundary layers.
 :func:`d_tt_interior` and :func:`d_t_interior` return the interior layers
@@ -143,9 +143,6 @@ class _Field:
             bad = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(f"{kind} contains a non-finite value at node {tuple(int(i) for i in bad)}")
         self.values = arr
-
-    def copy(self):
-        return type(self)(self.grid, self.values.copy())
 
     @classmethod
     def sample(cls, grid: GridSpec, fn):
@@ -305,11 +302,11 @@ def read_field_bin(path, grid: GridSpec | None = None, spatial_period: float = T
     else:
         target = GridSpec(dim, n, nt, spatial_period)
     payload = np.frombuffer(raw[header_bytes:], dtype=_BIN_VALUE_DTYPE)
+    for kind in (ScalarField, SpaceField):
+        shape = kind.shape(target)
+        if payload.size == np.prod(shape):
+            return kind(target, payload.reshape(shape).copy())
     nsp = target.num_spatial
-    if payload.size == nt * nsp:
-        return ScalarField(target, payload.reshape(target.field_shape).copy())
-    if payload.size == nsp:
-        return SpaceField(target, payload.reshape(target.spatial_shape).copy())
     raise ValueError(
         f"field dump payload has {payload.size} values, expected {nt * nsp} (scalar) or {nsp} (space)"
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,13 +99,6 @@ class TraceRecord:
     alpha: float
     lin_iters: int
     lin_rtol: float
-
-    def render(self) -> str:
-        """The CSV row: floats as ``%.17g``, other fields as ``str``."""
-        return ",".join(format(getattr(self, f.name), ".17g" if f.type == "float" else "") for f in fields(self))
-
-
-TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
 
 # Newton and homotopy constants. A Newton run stops once the residual sup-norm is
 # at most NEWTON_TOL and fails after MAX_NEWTON_ITERS steps. Its line search keeps

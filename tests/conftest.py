@@ -113,20 +113,20 @@ def manufactured_spec(n=32, nt=17):
     return spec, exact
 
 
-def fail_newton(monkeypatch, when):
-    """Make every Newton run for which ``when(spec, phase, param)`` holds collapse."""
+def fail_newton(monkeypatch, when, reason="injected collapse"):
+    """Make every Newton run for which ``when(spec, phase, param)`` holds collapse with ``reason``."""
     real = solver.newton_solve
 
     def newton(spec, rhs, u_init, **kwargs):
         phase, param = kwargs.get("phase", ""), kwargs.get("param")
         if when(spec, phase, param):
-            raise tg.StepCollapse("injected collapse", phase=phase, param=param)
+            raise tg.StepCollapse(reason, phase=phase, param=param)
         return real(spec, rhs, u_init, **kwargs)
 
     monkeypatch.setattr(solver, "newton_solve", newton)
 
 
-def fail_newton_once_at(monkeypatch, param):
+def fail_newton_once_at(monkeypatch, param, reason="injected collapse"):
     """Make the first Newton run at continuation or sweep parameter ``param`` collapse."""
     failed = []
 
@@ -136,4 +136,4 @@ def fail_newton_once_at(monkeypatch, param):
             return True
         return False
 
-    fail_newton(monkeypatch, once)
+    fail_newton(monkeypatch, once, reason)

@@ -1,8 +1,10 @@
 """Command line behavior: artifacts, exit codes, determinism."""
 
+import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from torusgeo.cli import main
 from torusgeo.config import build_field
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, write_field_bin, write_field_csv
 from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem, cone_quantities
+from torusgeo.solver import TraceRecord
 
 from conftest import fail_newton, fail_newton_once_at
 
@@ -89,9 +92,10 @@ def test_solve_writes_artifacts(tmp_path):
         "summary.txt",
         "trace.csv",
     ]
-    assert first_line(os.path.join(out, "trace.csv")) == (
-        "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters,lin_rtol"
-    )
+    header, *rows = open(os.path.join(out, "trace.csv")).read().splitlines()
+    assert header == "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters,lin_rtol"
+    assert header.split(",") == [f.name for f in fields(TraceRecord)]
+    assert rows and all(len(row.split(",")) == len(fields(TraceRecord)) for row in rows)
     assert open(os.path.join(out, "rejections.csv")).read() == "phase,param,reason\n"
     summary = read_summary(out)
     assert summary["command"] == "solve"
@@ -140,6 +144,26 @@ def test_sweep_records_failed_warm_start(tmp_path, monkeypatch):
     assert read_summary(out)["rungs_rejected"] == "1"
 
 
+@pytest.mark.parametrize(
+    "command, text, phase, param",
+    [
+        ("solve", MANUFACTURED.replace("refinements = 1", "refinements = 0"), "continuation", 1.0),
+        ("sweep", SEPARABLE, "sweep", 0.5),
+    ],
+    ids=("solve", "sweep"),
+)
+def test_rejection_reason_with_commas_round_trips(tmp_path, monkeypatch, command, text, phase, param):
+    reason = "cone margin violated at node (1, 2, 3)"
+    fail_newton_once_at(monkeypatch, param, reason)
+    cfg = write_cfg(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main([command, cfg, "--output", out]) == 0
+    path = os.path.join(out, "rejections.csv")
+    assert open(path).read().splitlines()[1] == f'{phase},{param:g},"{reason}"'
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["phase", "param", "reason"], [phase, f"{param:g}", reason]]
+
+
 def test_sweep_records_rung_that_fails_outright(tmp_path, monkeypatch):
     # every run on the eps = 0.5 rung fails but the cold verification rung s = 0; the
     # step is halved down to MIN_PATH_STEP = 1/2048 on the warm path and cold
@@ -170,6 +194,15 @@ def test_solve_refinement_table(tmp_path):
     assert level1[1] == "32" and level1[2] == "17"
     summary = read_summary(out)
     assert float(summary["refinement_order_l1"]) >= 1.5
+
+
+def test_solve_failed_refinement_level_leaves_no_directory(tmp_path, monkeypatch):
+    # the coarse solve succeeds; every run on the 32-node refinement level fails
+    fail_newton(monkeypatch, lambda spec, _phase, _param: spec.grid.nodes_per_axis == 32)
+    cfg = write_cfg(tmp_path, MANUFACTURED)
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--output", str(out)]) == 1
+    assert not os.path.exists(out)
 
 
 def test_solve_refinements_need_exact(tmp_path):
@@ -640,6 +673,7 @@ def test_import_does_not_load_scipy():
 DELETED_NAMES = (
     "AdmissibilityReport",
     "ComparisonReport",
+    "TRACE_HEADER",
     "check_c0",
     "check_ut_bounds",
     "comparison_check",
@@ -663,6 +697,7 @@ DELETED_NAMES = (
     "sup_norm",
     "symbol_matrix",
     "weak_c2_report",
+    "write_bounds_report",
 )
 
 

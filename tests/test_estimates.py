@@ -1,10 +1,11 @@
-"""Bound checks, identity suite, and report rendering tests."""
+"""Bound checks, identity suite, and bounds.txt tests."""
 
 import numpy as np
 import pytest
 
 import torusgeo as tg
-from torusgeo.estimates import bounds_report, write_bounds_report
+from torusgeo.cli import _bounds_pairs, _write_pairs
+from torusgeo.estimates import bounds_report
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField
 from torusgeo.operator import ProblemSpec, apply_Q
 
@@ -184,13 +185,15 @@ def test_bounds_report_render_and_write(tmp_path):
     u = ScalarField.sample(spec.grid, lambda t, x: t * t - t)
     rep = bounds_report(u, spec, c=1.0)
     assert rep.passed
-    text = rep.render()
-    assert [line.split(" = ")[0] for line in text.splitlines()] == BOUNDS_KEYS
     path = tmp_path / "bounds.txt"
-    write_bounds_report(rep, path)
-    assert path.read_text() == text
-    # stable under re-rendering
-    assert rep.render() == text
+    _write_pairs(path, _bounds_pairs(rep))
+    pairs = [line.split(" = ") for line in path.read_text().splitlines()]
+    assert [key for key, _value in pairs] == BOUNDS_KEYS
+    values = dict(pairs)
+    assert values["checks_passed"] == values["c0_lower_ok"] == "true"
+    assert float(values["c_used"]) == rep.c_used
+    assert float(values["sup_utt"]) == rep.sup_utt
+    assert values["sup_utt_loc"] == "({},{})".format(*rep.sup_utt_loc)
 
 
 def test_bounds_report_uses_supplied_rhs():

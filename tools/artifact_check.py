@@ -8,7 +8,10 @@ SRC is a directory holding the ``torusgeo`` package (``src`` of this or of any
 other checkout); OUTDIR must not exist yet. The script runs ``solve``,
 ``sweep`` and ``scan`` on the bundled configs of SRC and on the perfbench
 solve-2d, sweep-2d and scan configs of seeds 0-3 (written by
-``perfbench/workloads.prepare``), then ``verify`` on every ``solution*`` dump.
+``perfbench/workloads.prepare``) and one ``sweep`` that fails, then ``verify``
+on every ``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200)
+writes rejection rows and a ``rung_000_error`` summary line, which no passing
+run reaches.
 Artifacts land under OUTDIR; ``OUTDIR/commands.log`` holds each command with
 its exit code and its stdout and stderr, the paths of OUTDIR and SRC replaced
 by placeholders. Two trees give the same results when ``diff -r`` finds their
@@ -26,6 +29,23 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 SEEDS = (0, 1, 2, 3)
+
+# A sweep whose only rung fails on every attempt: at eps = 1e200 its Newton
+# runs cannot succeed, so each retry lands in rejections.csv.
+FAILING_SWEEP = """\
+[problem]
+spatial_dim = 1
+nodes_per_axis = 8
+time_nodes = 5
+a = 1
+b = 0
+f = 2
+u0 = 0
+u1 = 0
+
+[sweep]
+epsilons = 1e200
+"""
 
 
 def main(argv: list[str]) -> int:
@@ -85,6 +105,12 @@ def main(argv: list[str]) -> int:
             for command in workload.operation:
                 run(command.argv)
                 verify_dumps(command.outdir, command.argv[1])
+    failing = os.path.join(outdir, "failing")
+    os.makedirs(failing)
+    cfg = os.path.join(failing, "sweep.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(FAILING_SWEEP)
+    run(["sweep", cfg, "--output", os.path.join(failing, "sweep")])
 
     with open(os.path.join(outdir, "commands.log"), "w") as fh:
         fh.write("\n".join(log))
