@@ -56,16 +56,14 @@ from .solver import (
 )
 from .symcone import (
     ComparisonScanReport,
-    ConePoint,
-    F_k_eval,
+    F_k,
     ScanReport,
     ScanViolation,
     comparison_scan,
-    gamma_k_membership,
-    log_q_hessian,
+    elementary_symmetric,
+    log_q_hessian_batch,
     midpoint_concavity_scan,
-    newton_transform,
-    sigma_k,
+    newton_chain,
     write_counterexamples,
     write_scan_records,
 )
@@ -76,9 +74,8 @@ __all__ = [
     "BoundsReport",
     "ComparisonScanReport",
     "ConeData",
-    "ConePoint",
     "ConfigError",
-    "F_k_eval",
+    "F_k",
     "GridSpec",
     "InvalidProblem",
     "LinearSystem",
@@ -108,18 +105,17 @@ __all__ = [
     "cone_quantities",
     "continuation_solve",
     "d_t",
+    "elementary_symmetric",
     "epsilon_sweep",
-    "gamma_k_membership",
     "gradient",
     "laplacian",
     "load_config",
-    "log_q_hessian",
+    "log_q_hessian_batch",
     "midpoint_concavity_scan",
+    "newton_chain",
     "newton_solve",
-    "newton_transform",
     "read_field_bin",
     "read_field_csv",
-    "sigma_k",
     "uniqueness_probe",
     "write_counterexamples",
     "write_field_bin",

@@ -11,9 +11,9 @@ Subcommands:
 * ``verify``  re-check a solution dump against a configured problem.
 
 Exit codes: 0 success, 1 run failure (non-convergence, failed verification,
-violated theorem-backed scan), 2 bad input (config, shapes, inadmissible
-problem data). All output files are deterministic: rerunning a command with
-the same inputs writes byte-identical files.
+violated theorem-backed scan, out of memory), 2 bad input (config, shapes,
+inadmissible problem data). All output files are deterministic: rerunning a
+command with the same inputs writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -317,6 +317,9 @@ def main(argv=None) -> int:
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's array allocation errors among them
+        print(f"run failure: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,9 +1,9 @@
 """Elementary symmetric function algebra, cone membership, and concavity scans.
 
 The objects here are triples (r00, R, z) with r00 a positive real, R an
-n x n matrix and z a vector. One :class:`ConePoint` type holds both the real
-form (R symmetric) and the complex form (R Hermitian), chosen by the dtype of
-R and z, and one family of operators covers both:
+n x n matrix and z a vector, held as arrays with any leading batch shape.
+Real triples (R symmetric) and complex ones (R Hermitian) go through the same
+kernels, which read the form from the dtype of R and z:
 
     F_k(r00, R, z) = r00 * sigma_k(R) - z^* T_{k-1}(R) z,
 
@@ -12,9 +12,10 @@ and T_{k-1} is the (k-1)-th Newton transformation. The admissibility cone
 requires r00 > 0, R in the Garding cone Gamma_k^+ (sigma_1, ..., sigma_k all
 positive) and F_k > 0.
 
-Both F_k and T_{k-1} come from the Newton transformation's recursion
-(:func:`_newton_chain`), with no eigendecomposition, and so does the scan's
-cone shift, except on the rows its a-posteriori certificate flags (eigvalsh).
+:func:`F_k`, and sigma_0..sigma_k with T_{k-1} (:func:`newton_chain`), come from
+the Newton transformation's recursion, with no eigendecomposition, and so does
+the scan's cone shift, except on the rows its a-posteriori certificate flags
+(eigvalsh, then :func:`elementary_symmetric` of the spectrum).
 
 Log-concavity of F_k along segments inside the cone is a theorem for k = 1
 (any n) and k = n; for 2 <= k <= n-1 it is scanned as a conjecture, with real
@@ -26,72 +27,25 @@ and any counterexamples at full precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-def _as_square(matrix) -> np.ndarray:
-    """``matrix`` as a Hermitian complex array if it is complex, else as a symmetric real one."""
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    hermitian = np.iscomplexobj(arr)
-    arr = arr.astype(complex if hermitian else float)
-    defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    scale = 1.0 + (float(np.max(np.abs(arr))) if arr.size else 0.0)
-    if defect > 1e-10 * scale:
-        kind = "Hermitian" if hermitian else "symmetric"
-        raise ValueError(f"matrix is not {kind}: defect {defect!r}")
-    return arr
-
-
-@dataclass
-class ConePoint:
-    """Triple (r00, R, z) with R n x n and z of length n.
-
-    The point is complex, with R Hermitian, when R or z is complex, and real,
-    with R symmetric, otherwise.
-    """
-
-    r00: float
-    R: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.r00 = float(self.r00)
-        z = np.asarray(self.z)
-        dtype = complex if np.iscomplexobj(self.R) or np.iscomplexobj(z) else float
-        self.R = _as_square(np.asarray(self.R, dtype=dtype))
-        self.z = z.astype(dtype).reshape(-1)
-        if self.z.size != self.R.shape[0]:
-            raise ValueError(f"z has length {self.z.size}, expected {self.R.shape[0]}")
-
-    @property
-    def n(self) -> int:
-        return self.R.shape[0]
-
-    def admissible(self, k: int) -> bool:
-        return (
-            self.r00 > 0.0
-            and gamma_k_membership(self.R, k)
-            and F_k_eval(self, k) > 0.0
-        )
-
-
-def _esym_all(lams: np.ndarray, kmax: int) -> np.ndarray:
-    """Elementary symmetric functions e_0..e_kmax of the last axis.
+def elementary_symmetric(lams, k: int) -> np.ndarray:
+    """Elementary symmetric functions e_0..e_k of the last axis, 1 <= k <= its size.
 
     Stable one-pass recurrence: fold eigenvalues in one at a time, updating
     e_j += lam * e_{j-1} from the top down. Works on any leading batch shape.
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.shape[-1]
-    out = np.zeros(lams.shape[:-1] + (kmax + 1,))
+    _check_k(k, n)
+    out = np.zeros(lams.shape[:-1] + (k + 1,))
     out[..., 0] = 1.0
     for i in range(n):
         lam_i = lams[..., i]
-        for j in range(min(i + 1, kmax), 0, -1):
+        for j in range(min(i + 1, k), 0, -1):
             out[..., j] += lam_i * out[..., j - 1]
     return out
 
@@ -103,22 +57,16 @@ def _check_k(k: int, n: int, n_max: int | None = None) -> None:
         raise ValueError(f"n must be at most {n_max}, got n={n}")
 
 
-def sigma_k(eigenvalues, k: int) -> float:
-    """k-th elementary symmetric function of a list of eigenvalues."""
-    lams = np.asarray(eigenvalues, dtype=float).reshape(-1)
-    _check_k(k, lams.size)
-    return float(_esym_all(lams, k)[k])
-
-
-def _newton_chain(r: np.ndarray, k: int):
-    """sigma_0..sigma_k and T_{k-1} of a batch of matrices, by the Newton recursion.
+def newton_chain(r: np.ndarray, k: int):
+    """sigma_0..sigma_k and T_{k-1} of matrices with any leading batch shape, by the Newton recursion.
 
     T_0 = I, sigma_j = tr(R T_{j-1}) / j and T_j = sigma_j I - R T_{j-1}: k - 2 batched matrix
     products at most, since the last step needs only tr(R T_{k-1}) = sum_ij R_ij (T_{k-1})_ji.
-    T_0 is returned as None. Each matrix's traces are reduced on their own, so its sigma_j do
-    not depend on the batch it sits in.
+    T_0 (k = 1) is returned as None, which :func:`_form` reads as the identity. Each matrix's
+    traces are reduced on their own, so its sigma_j do not depend on the batch it sits in.
     """
     n = r.shape[-1]
+    _check_k(k, n)
     sig = np.ones(r.shape[:-2] + (k + 1,))
     t = None
     for j in range(1, k + 1):
@@ -140,37 +88,13 @@ def _form(t, z: np.ndarray) -> np.ndarray:
     return np.real(np.sum(np.conj(z) * (t @ z[..., None])[..., 0], axis=-1))
 
 
-def newton_transform(R, k: int) -> np.ndarray:
-    """Newton transformation T_{k-1}(R), Hermitian, with tr(T_{k-1} R) = k sigma_k(R).
+def F_k(r00, r, z, k: int) -> np.ndarray:
+    """F_k of triples with any leading batch shape, real for real and Hermitian data.
 
-    T_0 is the identity (returned exactly).
+    For k = 1 this is r00 Re tr R - |z|^2.
     """
-    arr = _as_square(R)
-    n = arr.shape[0]
-    _check_k(k, n)
-    if k == 1:
-        return np.eye(n, dtype=arr.dtype)
-    t = _newton_chain(arr, k)[1]
-    return 0.5 * (t + t.conj().T)
-
-
-def _f_batch(r00, r, z, k: int) -> np.ndarray:
-    """F_k of a batch of triples; for k = 1 this is r00 Re tr R - |z|^2."""
-    sig, t = _newton_chain(r, k)
+    sig, t = newton_chain(r, k)
     return r00 * sig[..., k] - _form(t, z)
-
-
-def F_k_eval(point: ConePoint, k: int) -> float:
-    """F_k(r00, R, z) = r00 sigma_k(R) - z^* T_{k-1}(R) z, real for real and Hermitian triples."""
-    _check_k(k, point.n)
-    return float(_f_batch(point.r00, point.R, point.z, k))
-
-
-def gamma_k_membership(R, k: int) -> bool:
-    """True when sigma_1(R), ..., sigma_k(R) are all strictly positive."""
-    arr = _as_square(R)
-    _check_k(k, arr.shape[0])
-    return bool(np.all(_newton_chain(arr, k)[0][1:] > 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +132,6 @@ def log_q_hessian_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarr
         :, None, None
     ] * np.einsum("bi,bj->bij", z, z)
     return h
-
-
-def log_q_hessian(x: float, y: float, z) -> np.ndarray:
-    """Single-point :func:`log_q_hessian_batch`: the (n + 2) x (n + 2) Hessian at (x, y, z)."""
-    return log_q_hessian_batch([float(x)], [float(y)], np.asarray(z, dtype=float).reshape(1, -1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +173,7 @@ def _min_shift_into_cone(lams: np.ndarray, k: int) -> np.ndarray:
     s = -np.min(lams, axis=-1)
     if k == n:
         return s
-    return _newton_descent(s, lambda s: _esym_all(lams + s[..., None], k)[..., k - 1 :], n, k)
+    return _newton_descent(s, lambda s: elementary_symmetric(lams + s[..., None], k)[..., k - 1 :], n, k)
 
 
 def _cone_shift(r: np.ndarray, k: int) -> np.ndarray:
@@ -266,7 +185,7 @@ def _cone_shift(r: np.ndarray, k: int) -> np.ndarray:
     n = r.shape[-1]
     if k == 1:
         return _min_shift_into_cone(np.real(np.diagonal(r, axis1=-2, axis2=-1)), 1)
-    sig = _newton_chain(r, k)[0].T.copy()
+    sig = newton_chain(r, k)[0].T.copy()
     def shifted(x, j):  # sigma_j(R + x I) = sum_i C(n - i, j - i) sigma_i(R) x^(j - i), by Horner
         acc = math.comb(n, j) * sig[0]
         for i in range(1, j + 1):
@@ -310,7 +229,7 @@ def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, her
     else:
         zdir = rng.standard_normal((batch, n))
     theta = rng.uniform(0.0, 0.99, batch)
-    sigs, t = _newton_chain(r, k)
+    sigs, t = newton_chain(r, k)
     sig = sigs[:, k]
     t_form = _form(t, zdir)
     # Only samples inside Gamma_k^+ (sigma_1..sigma_k all positive) are scored.
@@ -360,12 +279,12 @@ class ScanReport:
     worst_margin: float
     worst_trial: int
     violation_count: int
-    violations: list = field(default_factory=list)
-    sampling_failures: int = 0
-    margins: np.ndarray | None = None
-    f_left: np.ndarray | None = None
-    f_right: np.ndarray | None = None
-    f_mid: np.ndarray | None = None
+    violations: list
+    sampling_failures: int
+    margins: np.ndarray
+    f_left: np.ndarray
+    f_right: np.ndarray
+    f_mid: np.ndarray
 
     @property
     def theorem_backed(self) -> bool:
@@ -419,7 +338,7 @@ def midpoint_concavity_scan(
         r00m = 0.5 * (r00p + r00q)
         rm = 0.5 * (rp + rq)
         zm = 0.5 * (zp + zq)
-        fm = _f_batch(r00m, rm, zm, k)
+        fm = F_k(r00m, rm, zm, k)
         good = goodp & goodq & np.isfinite(fm)
         failures += int(batch - np.count_nonzero(good))
 

@@ -587,6 +587,18 @@ def test_scan_batch_size_zero_exits_2_at_once(tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("key", ["trials", "comparison_pairs"])
+def test_scan_too_large_to_allocate_exits_1(tmp_path, capsys, key):
+    # 10^15 rows, petabytes past the address space: the allocation fails at once and nothing is written.
+    text = SEPARABLE.replace("trials = 2000", "trials = 0").replace("comparison_pairs = 500", "comparison_pairs = 0")
+    cfg = write_cfg(tmp_path, text.replace(f"{key} = 0", f"{key} = 1000000000000000"))
+    out = tmp_path / "out"
+    assert main(["scan", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failure: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["solve", "scan"])
 def test_output_naming_a_file_exits_2(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path, SEPARABLE)
@@ -673,6 +685,8 @@ def test_import_does_not_load_scipy():
 DELETED_NAMES = (
     "AdmissibilityReport",
     "ComparisonReport",
+    "ConePoint",
+    "F_k_eval",
     "TRACE_HEADER",
     "check_c0",
     "check_ut_bounds",
@@ -682,10 +696,13 @@ DELETED_NAMES = (
     "equalize_value",
     "f_dependencies",
     "first_order_data",
+    "gamma_k_membership",
     "grad_t",
     "gradient_estimate_probe",
     "identity_suite",
     "inf",
+    "log_q_hessian",
+    "newton_transform",
     "normalize_shift",
     "q_form",
     "read_scalar_csv",
@@ -693,6 +710,7 @@ DELETED_NAMES = (
     "residual",
     "sample_scalar",
     "sample_space",
+    "sigma_k",
     "sup",
     "sup_norm",
     "symbol_matrix",

@@ -15,23 +15,17 @@ from torusgeo import symcone
 from torusgeo.symcone import (
     _RECORD_CHUNK,
     COMPARISON_TOL,
-    ConePoint,
-    F_k_eval,
+    F_k,
     _comparison_margins,
     _cone_shift,
-    _esym_all,
-    _f_batch,
     _fixed_17g,
     _min_shift_into_cone,
-    _newton_chain,
     _sample_cone_batch,
     comparison_scan,
-    gamma_k_membership,
-    log_q_hessian,
+    elementary_symmetric,
     log_q_hessian_batch,
     midpoint_concavity_scan,
-    newton_transform,
-    sigma_k,
+    newton_chain,
     write_counterexamples,
     write_scan_records,
 )
@@ -65,14 +59,16 @@ def newton_brute(r, k):
 
 def f_eig_reference(r00, r, z, k):
     """F_k of a batch through eigh: T_{k-1} is diagonal in R's eigenbasis, with
-    entry i equal to sigma_{k-1} of the eigenvalues with the i-th removed."""
+    entry i equal to sigma_{k-1} of the eigenvalues with the i-th removed (1 for k = 1)."""
     lam, u = np.linalg.eigh(r)
     n = lam.shape[-1]
-    loo = np.stack(
-        [_esym_all(np.delete(lam, i, axis=-1), k - 1)[..., k - 1] for i in range(n)], axis=-1
-    )
+    loo = np.ones(lam.shape)
+    if k > 1:
+        loo = np.stack(
+            [elementary_symmetric(np.delete(lam, i, axis=-1), k - 1)[..., k - 1] for i in range(n)], axis=-1
+        )
     w = np.einsum("...ji,...j->...i", np.conj(u), z)
-    return r00 * _esym_all(lam, k)[..., k] - np.sum(loo * np.abs(w) ** 2, axis=-1)
+    return r00 * elementary_symmetric(lam, k)[..., k] - np.sum(loo * np.abs(w) ** 2, axis=-1)
 
 
 def min_shift_bisection(lams, k, iters=60):
@@ -83,22 +79,37 @@ def min_shift_bisection(lams, k, iters=60):
     hi = np.maximum(0.0, -np.min(lams, axis=-1)) + 1e-9 * scale
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        sig = _esym_all(lams + mid[..., None], k)
+        sig = elementary_symmetric(lams + mid[..., None], k)
         inside = np.all(sig[..., 1 : k + 1] > 0.0, axis=-1)
         hi = np.where(inside, mid, hi)
         lo = np.where(inside, lo, mid)
     return hi
 
 
+def transform(r, k):
+    """T_{k-1}(R) from the Newton chain, which hands back T_0 = I as None."""
+    t = newton_chain(r, k)[1]
+    return np.eye(r.shape[-1]) if t is None else t
+
+
 def test_sigma_frozen_values():
-    assert sigma_k([1.0, 2.0, 3.0], 1) == pytest.approx(6.0)
-    assert sigma_k([1.0, 2.0, 3.0], 2) == pytest.approx(11.0)
-    assert sigma_k([1.0, 2.0, 3.0], 3) == pytest.approx(6.0)
-    assert sigma_k([2.0, -1.0], 2) == pytest.approx(-2.0)
-    with pytest.raises(ValueError):
-        sigma_k([1.0, 2.0], 3)
-    with pytest.raises(ValueError):
-        sigma_k([1.0, 2.0], 0)
+    assert np.array_equal(elementary_symmetric([1.0, 2.0, 3.0], 3), [1.0, 6.0, 11.0, 6.0])
+    assert np.array_equal(elementary_symmetric([2.0, -1.0], 2), [1.0, 1.0, -2.0])
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda k: elementary_symmetric([1.0, 2.0], k),
+        lambda k: newton_chain(np.eye(2), k),
+        lambda k: F_k(1.0, np.eye(2), np.zeros(2), k),
+    ],
+    ids=["elementary_symmetric", "newton_chain", "F_k"],
+)
+@pytest.mark.parametrize("k", [0, 3])
+def test_kernels_reject_k_outside_1_to_n(kernel, k):
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        kernel(k)
 
 
 def test_sigma_against_enumeration():
@@ -106,22 +117,21 @@ def test_sigma_against_enumeration():
     for n in range(1, 7):
         for _ in range(40):
             lams = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
+            got = elementary_symmetric(lams, n)
             for k in range(1, n + 1):
-                got = sigma_k(lams, k)
                 want = sigma_brute(lams, k)
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_newton_transform_identity_and_frozen():
     r = np.diag([1.0, 2.0, 3.0])
-    t0 = newton_transform(r, 1)
-    assert np.array_equal(t0, np.eye(3))
-    t1 = newton_transform(r, 2)
+    assert newton_chain(r, 1)[1] is None  # T_0 = I
+    t1 = transform(r, 2)
     assert np.allclose(t1, np.diag([5.0, 4.0, 3.0]), atol=1e-12)
     # identity matrix input: T_{k-1}(I) = C(n-1, k-1) I
     for n in range(1, 6):
         for k in range(1, n + 1):
-            t = newton_transform(np.eye(n), k)
+            t = transform(np.eye(n), k)
             assert np.allclose(t, math.comb(n - 1, k - 1) * np.eye(n), atol=1e-10)
 
 
@@ -132,7 +142,7 @@ def test_newton_transform_against_minor_recursion():
             m = rng.standard_normal((n, n))
             r = 0.5 * (m + m.T)
             for k in range(1, n + 1):
-                got = newton_transform(r, k)
+                got = transform(r, k)
                 want = newton_brute(r, k)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) <= 1e-10 * scale
@@ -144,27 +154,28 @@ def test_trace_identity():
         for _ in range(20):
             m = rng.standard_normal((n, n))
             r = 0.5 * (m + m.T)
-            lam = np.linalg.eigvalsh(r)
+            sig = elementary_symmetric(np.linalg.eigvalsh(r), n)
             for k in range(1, n + 1):
-                t = newton_transform(r, k)
+                t = transform(r, k)
                 lhs = float(np.trace(t @ r))
-                rhs = k * sigma_k(lam, k)
+                rhs = k * sig[k]
                 assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
 def test_F_frozen_values():
-    p = ConePoint(2.0, np.diag([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]))
+    p = (2.0, np.diag([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]))
     # F_1 = r00 tr - |z|^2 = 12 - 2; F_2 = 2*11 - (sigma_1 drop 1st + sigma_1 drop 3rd)
-    assert F_k_eval(p, 1) == pytest.approx(10.0)
-    assert F_k_eval(p, 2) == pytest.approx(2.0 * 11.0 - (5.0 + 3.0))
-    assert F_k_eval(p, 3) == pytest.approx(2.0 * 6.0 - (6.0 * 1.0 + 2.0 * 1.0))
+    assert F_k(*p, 1) == pytest.approx(10.0)
+    assert F_k(*p, 2) == pytest.approx(2.0 * 11.0 - (5.0 + 3.0))
+    assert F_k(*p, 3) == pytest.approx(2.0 * 6.0 - (6.0 * 1.0 + 2.0 * 1.0))
 
 
 def test_G_frozen_value_complex():
-    # Complex z alone makes the point complex: F_1 = 2 * 3 - (1 + |i|^2) = 4.
-    p = ConePoint(2.0, np.diag([2.0, 1.0]), np.array([1.0, 1j]))
-    assert np.iscomplexobj(p.R) and np.iscomplexobj(p.z)
-    assert F_k_eval(p, 1) == pytest.approx(4.0)
+    # Complex z alone makes the form Hermitian: F_1 = 2 * 3 - (1 + |i|^2) = 4, and F_2 = 2 * 2 - (1 * 1 + 2 * 1) = 1.
+    p = (2.0, np.diag([2.0, 1.0]), np.array([1.0, 1j]))
+    for k, want in ((1, 4.0), (2, 1.0)):
+        got = F_k(*p, k)
+        assert np.isrealobj(got) and got == pytest.approx(want)
 
 
 def test_F_n_equals_block_determinant():
@@ -181,7 +192,7 @@ def test_F_n_equals_block_determinant():
             block[1:, 0] = z
             block[1:, 1:] = r
             det = float(np.linalg.det(block))
-            got = F_k_eval(ConePoint(r00, r, z), n)
+            got = F_k(r00, r, z, n)
             scale = max(1.0, abs(det))
             assert abs(got - det) <= 1e-10 * scale
 
@@ -195,38 +206,41 @@ def test_F_is_dtype_invariant(seed):
         for k in range(1, n + 1):
             r00, r, z, _f, good = _sample_cone_batch(rng, k, n, 1, hermitian=False)
             assert good[0]
-            real = ConePoint(r00[0], r[0], z[0])
-            cplx = ConePoint(r00[0], r[0].astype(complex), z[0].astype(complex))
-            assert not np.iscomplexobj(real.R) and np.iscomplexobj(cplx.R)
+            assert not np.iscomplexobj(r) and not np.iscomplexobj(z)
+            real = F_k(r00[0], r[0], z[0], k)
+            cplx = F_k(r00[0], r[0].astype(complex), z[0].astype(complex), k)
             lam = np.abs(np.linalg.eigvalsh(r[0]))
             scale = r00[0] * sigma_brute(lam, k) + float(np.sum(z[0] ** 2)) * sigma_brute(lam, k - 1)
-            assert abs(F_k_eval(real, k) - F_k_eval(cplx, k)) <= 1e-12 * scale, (n, k)
+            assert abs(real - cplx) <= 1e-12 * scale, (n, k)
+
+
+def in_gamma(r, k):
+    """R in Gamma_k^+: sigma_1(R), ..., sigma_k(R) all strictly positive, per matrix of a batch."""
+    return np.all(newton_chain(r, k)[0][..., 1:] > 0.0, axis=-1)
 
 
 def test_gamma_membership():
-    assert gamma_k_membership(np.diag([1.0, -0.5]), 1)
-    assert not gamma_k_membership(np.diag([1.0, -0.5]), 2)
-    assert gamma_k_membership(np.eye(3), 3)
-    assert not gamma_k_membership(-np.eye(3), 1)
-    with pytest.raises(ValueError):
-        gamma_k_membership(np.eye(2), 3)
+    assert in_gamma(np.diag([1.0, -0.5]), 1)
+    assert not in_gamma(np.diag([1.0, -0.5]), 2)
+    assert in_gamma(np.eye(3), 3)
+    assert not in_gamma(-np.eye(3), 1)
+    batch = np.stack([np.eye(3), -np.eye(3), np.diag([3.0, 1.0, -0.5])])
+    assert np.array_equal(in_gamma(batch, 2), [True, False, True])
 
 
 def test_cone_point_admissibility():
-    p = ConePoint(1.0, np.eye(2), np.zeros(2))
-    assert p.admissible(1) and p.admissible(2)
-    q = ConePoint(1.0, np.eye(2), np.array([2.0, 0.0]))  # F_1 = 2 - 4 < 0
-    assert not q.admissible(1)
-    with pytest.raises(ValueError):
-        ConePoint(1.0, np.eye(2), np.zeros(3))
-    with pytest.raises(ValueError):
-        ConePoint(1.0, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        ConePoint(1.0, np.array([[1.0, 1j], [1j, 1.0]]), np.zeros(2))
+    # The admissibility cone: r00 > 0, R in Gamma_k^+ and F_k > 0.
+    def admissible(r00, r, z, k):
+        return r00 > 0.0 and in_gamma(r, k) and F_k(r00, r, z, k) > 0.0
+
+    assert admissible(1.0, np.eye(2), np.zeros(2), 1) and admissible(1.0, np.eye(2), np.zeros(2), 2)
+    assert not admissible(1.0, np.eye(2), np.array([2.0, 0.0]), 1)  # F_1 = 2 - 4 < 0
+    assert not admissible(-1.0, np.eye(2), np.zeros(2), 1)
+    assert not admissible(1.0, np.diag([1.0, -0.5]), np.zeros(2), 2)
 
 
 def test_log_q_hessian_frozen_point():
-    h = log_q_hessian(1.0, 1.0, np.zeros(3))
+    h = log_q_hessian_batch([1.0], [1.0], np.zeros((1, 3)))[0]
     assert np.allclose(h, np.diag([-1.0, -1.0, -2.0, -2.0, -2.0]), atol=1e-14)
 
 
@@ -235,8 +249,7 @@ def test_log_q_hessian_scaling():
     x, y = 1.3, 0.9
     z = 0.3 * rng.standard_normal(4)
     lam = 2.7
-    h1 = log_q_hessian(x, y, z)
-    h2 = log_q_hessian(lam * x, lam * y, lam * z)
+    h1, h2 = log_q_hessian_batch([x, lam * x], [y, lam * y], np.stack([z, lam * z]))
     assert np.max(np.abs(h2 - h1 / lam**2)) <= 1e-12
 
 
@@ -259,9 +272,12 @@ def test_log_q_hessian_against_sympy():
 
 def test_log_q_hessian_rejects_outside_cone():
     with pytest.raises(ValueError):
-        log_q_hessian(-1.0, 1.0, np.zeros(2))
+        log_q_hessian_batch([-1.0], [1.0], np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        log_q_hessian(1.0, 1.0, np.array([1.1, 0.0]))
+        log_q_hessian_batch([1.0], [1.0], np.array([[1.1, 0.0]]))
+    # One point outside the cone rejects the whole batch.
+    with pytest.raises(ValueError):
+        log_q_hessian_batch([1.0, 1.0], [1.0, 1.0], np.array([[0.0, 0.0], [1.1, 0.0]]))
 
 
 def test_log_q_hessian_batch_matches_single():
@@ -273,7 +289,7 @@ def test_log_q_hessian_batch_matches_single():
     z = zd * np.sqrt(th * x * y / np.sum(zd**2, axis=1))[:, None]
     hb = log_q_hessian_batch(x, y, z)
     for i in range(50):
-        single = log_q_hessian(x[i], y[i], z[i])
+        single = log_q_hessian_batch(x[i : i + 1], y[i : i + 1], z[i : i + 1])[0]
         scale = max(1.0, float(np.max(np.abs(single))))
         assert np.max(np.abs(hb[i] - single)) <= 1e-12 * scale
 
@@ -339,11 +355,11 @@ def test_f_batch_matches_eigen_route(seed, hermitian):
             r00q, rq, zq, _fq, goodq = _sample_cone_batch(rng, k, n, 16, hermitian)
             assert goodp.all() and goodq.all()
             want = f_eig_reference(r00p, rp, zp, k)
-            assert np.all(np.abs(_f_batch(r00p, rp, zp, k) - want) <= 1e-10 * np.abs(want)), (n, k)
+            assert np.all(np.abs(F_k(r00p, rp, zp, k) - want) <= 1e-10 * np.abs(want)), (n, k)
             assert np.all(np.abs(fp - want) <= 1e-10 * np.abs(want)), (n, k)
             mid = (0.5 * (r00p + r00q), 0.5 * (rp + rq), 0.5 * (zp + zq))
             want = f_eig_reference(*mid, k)
-            assert np.all(np.abs(_f_batch(*mid, k) - want) <= 1e-10 * np.abs(want)), (n, k)
+            assert np.all(np.abs(F_k(*mid, k) - want) <= 1e-10 * np.abs(want)), (n, k)
 
 
 def random_hermitian(rng, shape, hermitian):
@@ -355,17 +371,24 @@ def random_hermitian(rng, shape, hermitian):
 
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
 def test_newton_chain_is_batch_independent(hermitian):
-    # A row's sigma_0..sigma_k are the same bits alone, in a 7-row sub-batch and in
-    # a 4096 batch, for every 1 <= k <= n <= 6, with row scales from 1e-3 to 1e3.
+    # A row's sigma_0..sigma_k and F_k are the same bits alone, in a 7-row sub-batch
+    # and in a 4096 batch, for every 1 <= k <= n <= 6, with row scales from 1e-3 to 1e3.
     rng = np.random.default_rng(112)
     for n in range(1, 7):
         r = random_hermitian(rng, (4096, n, n), hermitian) * 10.0 ** rng.uniform(-3.0, 3.0, (4096, 1, 1))
+        z = rng.standard_normal((4096, n)) + (1j * rng.standard_normal((4096, n)) if hermitian else 0.0)
+        r00 = np.exp(rng.normal(0.0, 0.7, 4096))
         for k in range(1, n + 1):
-            full = _newton_chain(r, k)[0]
-            sub = np.concatenate([_newton_chain(r[i : i + 7], k)[0] for i in range(0, 4096, 7)])
-            assert np.array_equal(sub, full), (n, k)
-            for i in range(0, 4096, 97):
-                assert np.array_equal(_newton_chain(r[i], k)[0], full[i]), (n, k, i)
+            kernels = {
+                "newton_chain": lambda rows: newton_chain(r[rows], k)[0],
+                "F_k": lambda rows: F_k(r00[rows], r[rows], z[rows], k),
+            }
+            for name, run in kernels.items():
+                full = run(slice(None))
+                sub = np.concatenate([run(slice(i, i + 7)) for i in range(0, 4096, 7)])
+                assert np.array_equal(sub, full), (name, n, k)
+                for i in range(0, 4096, 97):
+                    assert np.array_equal(run(i), full[i]), (name, n, k, i)
 
 
 def rotated(rng, lams, hermitian):
@@ -490,9 +513,9 @@ def test_f1_batch_matches_pointwise_eval(n, hermitian):
     rng = np.random.default_rng(110 + n)
     r00, r, z, f_sampled, good = _sample_cone_batch(rng, 1, n, 200, hermitian)
     assert good.all()
-    f_batch = _f_batch(r00, r, z, 1)
+    f_batch = F_k(r00, r, z, 1)
     for i in range(200):
-        want = F_k_eval(ConePoint(r00[i], r[i], z[i]), 1)
+        want = F_k(r00[i], r[i], z[i], 1)
         # The reference sums eigenvalues of both signs, so its own rounding is
         # relative to r00 * sum |lam|, not to the trace.
         scale = r00[i] * float(np.sum(np.abs(np.linalg.eigvalsh(r[i])))) + float(np.sum(np.abs(z[i]) ** 2))
@@ -654,18 +677,18 @@ def test_records_kernel_matches_printf(tmp_path, values):
 
 
 def _q(point) -> float:
-    """Q = r00 Re tr R - |z|^2, the k = 1 value the comparison battery uses."""
-    return float(point.r00 * np.real(np.trace(point.R)) - np.sum(np.abs(point.z) ** 2))
+    """Q = r00 Re tr R - |z|^2 of a triple (r00, R, z), the k = 1 value the comparison battery uses."""
+    r00, r, z = point
+    return float(r00 * np.real(np.trace(r)) - np.sum(np.abs(z) ** 2))
 
 
 def comparison_brute(a, b, s_samples):
     """Segment and difference values built point by point, one combination per s."""
     qa = _q(a)
     worst = min(
-        _q(ConePoint(s * a.r00 + (1.0 - s) * b.r00, s * a.R + (1.0 - s) * b.R, s * a.z + (1.0 - s) * b.z)) - qa
-        for s in np.linspace(0.0, 1.0, s_samples)
+        _q(tuple(s * pa + (1.0 - s) * pb for pa, pb in zip(a, b))) - qa for s in np.linspace(0.0, 1.0, s_samples)
     )
-    return worst, _q(ConePoint(a.r00 - b.r00, a.R - b.R, a.z - b.z))
+    return worst, _q(tuple(pa - pb for pa, pb in zip(a, b)))
 
 
 def _random_q_point(rng, n, hermitian):
@@ -677,7 +700,7 @@ def _random_q_point(rng, n, hermitian):
     zdir = rng.standard_normal(n) + (1j * rng.standard_normal(n) if hermitian else 0.0)
     theta = rng.uniform(0.0, 0.95)
     z = zdir * np.sqrt(theta * r00 * np.real(np.trace(r)) / max(float(np.sum(np.abs(zdir) ** 2)), 1e-300))
-    return ConePoint(r00, r, z)
+    return r00, r, z
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -688,11 +711,11 @@ def test_comparison_check_matches_pointwise_reference(n, s_samples, hermitian, s
     a = _random_q_point(rng, n, hermitian)
     b = _random_q_point(rng, n, hermitian)
     lam = math.sqrt(_q(a) / _q(b))  # equalize: Q scales quadratically
-    b = ConePoint(lam * b.r00, lam * b.R, lam * b.z)
+    b = tuple(lam * pb for pb in b)
     worst, diff = _comparison_margins(
-        np.array([[a.r00], [b.r00]]),
-        np.real([[np.trace(a.R)], [np.trace(b.R)]]),
-        np.stack([a.z, b.z])[:, None, :],
+        np.array([[a[0]], [b[0]]]),
+        np.real([[np.trace(a[1])], [np.trace(b[1])]]),
+        np.stack([a[2], b[2]])[:, None, :],
         s_samples,
     )
     worst_ref, diff_ref = comparison_brute(a, b, s_samples)

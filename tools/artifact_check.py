@@ -8,10 +8,13 @@ SRC is a directory holding the ``torusgeo`` package (``src`` of this or of any
 other checkout); OUTDIR must not exist yet. The script runs ``solve``,
 ``sweep`` and ``scan`` on the bundled configs of SRC and on the perfbench
 solve-2d, sweep-2d and scan configs of seeds 0-3 (written by
-``perfbench/workloads.prepare``) and one ``sweep`` that fails, then ``verify``
-on every ``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200)
-writes rejection rows and a ``rung_000_error`` summary line, which no passing
-run reaches.
+``perfbench/workloads.prepare``), one ``sweep`` that fails and two Hermitian
+``scan`` runs at 20000 trials, then ``verify`` on every ``solution*`` dump.
+The failing sweep (1D 8x5 grid, eps = 1e200) writes rejection rows and a
+``rung_000_error`` summary line, which no passing run reaches. The scans,
+(k, n) = (5, 6) and (6, 6) with seed 7, send 429 and 15016 sampled matrices
+whose cone shift fails its certificate to eigvalsh: the first reaches the
+1 < k < n root finder on the spectrum, the second the k = n closed form.
 Artifacts land under OUTDIR; ``OUTDIR/commands.log`` holds each command with
 its exit code and its stdout and stderr, the paths of OUTDIR and SRC replaced
 by placeholders. Two trees give the same results when ``diff -r`` finds their
@@ -45,6 +48,17 @@ u1 = 0
 
 [sweep]
 epsilons = 1e200
+"""
+
+# The Hermitian scans: (k, n) pairs whose cone shifts reach the eigvalsh fallback.
+FALLBACK_SCANS = ((5, 6), (6, 6))
+FALLBACK_SCAN = """\
+[scan]
+k = {k}
+n = {n}
+trials = 20000
+seed = 7
+hermitian = true
 """
 
 
@@ -111,6 +125,13 @@ def main(argv: list[str]) -> int:
     with open(cfg, "w") as fh:
         fh.write(FAILING_SWEEP)
     run(["sweep", cfg, "--output", os.path.join(failing, "sweep")])
+    fallback = os.path.join(outdir, "fallback")
+    os.makedirs(fallback)
+    for k, n in FALLBACK_SCANS:
+        cfg = os.path.join(fallback, f"scan-{k}-{n}.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(FALLBACK_SCAN.format(k=k, n=n))
+        run(["scan", cfg, "--output", os.path.join(fallback, f"scan-{k}-{n}")])
 
     with open(os.path.join(outdir, "commands.log"), "w") as fh:
         fh.write("\n".join(log))
