@@ -52,73 +52,60 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     """
     names = set(variables)
 
-    def check(node: ast.AST) -> None:
-        if isinstance(node, ast.Expression):
-            check(node.body)
-        elif isinstance(node, ast.Constant):
+    def build(node: ast.AST):
+        """Check ``node`` against the whitelist and return its evaluator, a function of the variables."""
+        if isinstance(node, ast.Constant):
             if type(node.value) not in (int, float):
                 raise ConfigError(f"literal {node.value!r} not allowed in {text!r}")
-            try:
-                float(node.value)
+            try:  # numpy scalars: out-of-range arithmetic gives inf or nan
+                value = np.float64(node.value)
             except OverflowError:
                 raise ConfigError(f"integer literal out of float range in {text!r}") from None
-        elif isinstance(node, ast.Name):
-            if node.id not in names and node.id not in _ALLOWED_CONSTS:
-                raise ConfigError(
-                    f"name {node.id!r} not allowed in {text!r}; "
-                    f"allowed names: {sorted(names | set(_ALLOWED_CONSTS))}"
-                )
-        elif isinstance(node, ast.BinOp):
+            return lambda env: value
+        if isinstance(node, ast.Name):
+            if node.id in names:
+                return lambda env: env[node.id]
+            if node.id in _ALLOWED_CONSTS:
+                return lambda env: _ALLOWED_CONSTS[node.id]
+            raise ConfigError(
+                f"name {node.id!r} not allowed in {text!r}; "
+                f"allowed names: {sorted(names | set(_ALLOWED_CONSTS))}"
+            )
+        if isinstance(node, ast.BinOp):
             if type(node.op) not in _BINOPS:
                 raise ConfigError(f"operator {type(node.op).__name__} not allowed in {text!r}")
-            check(node.left)
-            check(node.right)
-        elif isinstance(node, ast.UnaryOp):
+            op, left, right = _BINOPS[type(node.op)], build(node.left), build(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp):
             if not isinstance(node.op, (ast.USub, ast.UAdd)):
                 raise ConfigError(f"operator {type(node.op).__name__} not allowed in {text!r}")
-            check(node.operand)
-        elif isinstance(node, ast.Call):
+            operand = build(node.operand)
+            if isinstance(node.op, ast.USub):
+                return lambda env: -operand(env)
+            return lambda env: +operand(env)
+        if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
                 raise ConfigError(f"only {sorted(_ALLOWED_FUNCS)} calls are allowed in {text!r}")
             if node.keywords or len(node.args) != 1:
                 raise ConfigError(f"{node.func.id} takes exactly one positional argument in {text!r}")
-            check(node.args[0])
-        else:
-            raise ConfigError(f"syntax {type(node).__name__} not allowed in {text!r}")
+            func, arg = _ALLOWED_FUNCS[node.func.id], build(node.args[0])
+            return lambda env: func(arg(env))
+        raise ConfigError(f"syntax {type(node).__name__} not allowed in {text!r}")
 
     if "#" in text:
         raise ConfigError(f"comments are not allowed in expression {text!r}")
     try:
-        tree = ast.parse(text, mode="eval")
-        check(tree)
+        evaluate = build(ast.parse(text, mode="eval").body)
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from None
     except (RecursionError, MemoryError):
         raise ConfigError(f"expression nests too deeply: {text[:40]!r}...") from None
 
-    def evaluate(node: ast.AST, env: dict):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
-        if isinstance(node, ast.Constant):  # numpy scalars: out-of-range arithmetic gives inf or nan
-            return np.float64(node.value)
-        if isinstance(node, ast.Name):
-            if node.id in env:
-                return env[node.id]
-            return _ALLOWED_CONSTS[node.id]
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](evaluate(node.left, env), evaluate(node.right, env))
-        if isinstance(node, ast.UnaryOp):
-            val = evaluate(node.operand, env)
-            return -val if isinstance(node.op, ast.USub) else +val
-        if isinstance(node, ast.Call):
-            return _ALLOWED_FUNCS[node.func.id](evaluate(node.args[0], env))
-        raise AssertionError(f"unreachable node {node!r}")
-
     def fn(**kwargs):
         unknown = set(kwargs) - names
         if unknown:
             raise ConfigError(f"unexpected variables {sorted(unknown)} for expression {text!r}")
-        return evaluate(tree, kwargs)
+        return evaluate(kwargs)
 
     return fn
 
@@ -191,14 +178,7 @@ _SECTIONS = {
 def _get_typed(section, key: str, kind, where: str):
     raw = section[key]
     try:
-        if kind is bool:
-            low = raw.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
+        return section.getboolean(key) if kind is bool else kind(raw)
     except (TypeError, ValueError):
         raise ConfigError(
             f"key {key!r} in [{where}] must be {kind.__name__}, got {raw!r}"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ScalarField, _pad_edge, argmax_node, d_t, full_node, grad_sq, gradient, laplacian
+from .mesh import ScalarField, _pad_edge, argmax_node, d_t, d_tt_interior, full_node, grad_sq, gradient, laplacian
 from .operator import ConeData, ProblemSpec, assemble_dQ, cone_quantities
 
 
@@ -211,7 +211,7 @@ def _f_deps(spec: ProblemSpec) -> dict:
     grid = spec.grid
     fv = spec.f.values
     with np.errstate(over="ignore", invalid="ignore"):
-        f_tt = (fv[2:] - 2.0 * fv[1:-1] + fv[:-2]) / grid.ht**2
+        f_tt = d_tt_interior(fv, grid.ht)
         sup_neg_f_tt = max(0.0, float(np.max(-f_tt))) if f_tt.size else 0.0
         ft = d_t(fv, grid.ht)
         mask = fv > 0.0

@@ -2,7 +2,8 @@
 
 The computational domain is T^d x [0, 1] with d = 1 or 2. Spatial axes are
 periodic with a common period and node count, so every spatial stencil wraps
-around via index arithmetic. The time axis is an ordinary closed interval:
+around; :func:`_wrap_neighbours` supplies the neighbours of Q and of its
+linearization alike. The time axis is an ordinary closed interval:
 layer 0 and layer Nt-1 hold Dirichlet data and are never differentiated
 across.
 
@@ -15,8 +16,8 @@ Fields come in two flavours, which differ only in that leading axis. A
 :class:`ScalarField` stores one value per space-time node, shape ``(Nt, N)``
 or ``(Nt, N, N)``. A :class:`SpaceField` stores one value per spatial node
 only and is used for boundary data and for time-independent coefficients.
-Both share one body: shape and finiteness checks, ``sample`` and the CSV
-reader :func:`read_field_csv`.
+Both share one body: shape and finiteness checks, ``sample`` and the readers
+:func:`read_field_csv` and :func:`read_field_bin`, which take the kind.
 
 Centered time differences have no values on the two boundary layers.
 :func:`d_tt_interior` and :func:`d_t_interior` return the interior layers
@@ -164,6 +165,25 @@ class SpaceField(_Field):
     timed = False
 
 
+def _wrap_neighbours(vals: np.ndarray, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Wrap-around (plus, minus) neighbour views of ``vals`` along each of its trailing ``dim`` axes.
+
+    ``vals`` is copied once into an array with one periodic ghost node on
+    both ends of each of those axes; every view has the shape of ``vals``.
+    """
+    lead = vals.ndim - dim
+    padded = np.empty(vals.shape[:lead] + tuple(n + 2 for n in vals.shape[lead:]), dtype=vals.dtype)
+    inner = slice(1, -1)
+    padded[(...,) + (inner,) * dim] = vals
+    views = []
+    for ax in range(dim):
+        before, after = (...,) + (inner,) * ax, (inner,) * (dim - 1 - ax)
+        padded[before + (0,) + after] = padded[before + (-2,) + after]
+        padded[before + (-1,) + after] = padded[before + (1,) + after]
+        views.append((padded[before + (slice(2, None),) + after], padded[before + (slice(None, -2),) + after]))
+    return views
+
+
 def laplacian(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Periodic second-difference Laplacian over the trailing ``spatial_dim`` axes of ``vals``.
 
@@ -171,17 +191,14 @@ def laplacian(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
     ``(v[i+1] - 2 v[i] + v[i-1]) / hx**2`` with wrap-around indexing.
     """
     out = np.zeros_like(vals)
-    for ax in range(-grid.spatial_dim, 0):
-        out += np.roll(vals, -1, axis=ax) - 2.0 * vals + np.roll(vals, 1, axis=ax)
+    for plus, minus in _wrap_neighbours(vals, grid.spatial_dim):
+        out += plus - 2.0 * vals + minus
     return out / (grid.hx * grid.hx)
 
 
 def gradient(vals: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
     """Periodic centered gradient over the trailing ``spatial_dim`` axes, one array per axis."""
-    return [
-        (np.roll(vals, -1, axis=ax) - np.roll(vals, 1, axis=ax)) / (2.0 * grid.hx)
-        for ax in range(-grid.spatial_dim, 0)
-    ]
+    return [(plus - minus) / (2.0 * grid.hx) for plus, minus in _wrap_neighbours(vals, grid.spatial_dim)]
 
 
 def grad_sq(components: list, start: np.ndarray | None = None) -> np.ndarray:
@@ -248,8 +265,10 @@ def full_node(node: tuple) -> tuple:
 #
 # Binary: header of three little-endian int64 (spatial_dim, nodes_per_axis,
 # time_nodes) followed by the values as little-endian float64 in row-major
-# order. The payload length distinguishes a ScalarField (Nt * N^d values)
-# from a SpaceField (N^d values).
+# order: Nt * N^d for a ScalarField, N^d for a SpaceField.
+#
+# Neither format tags the kind of field; both readers take it, and the grid,
+# from the caller, and refuse a dump whose layout does not match them.
 # ---------------------------------------------------------------------------
 
 
@@ -276,15 +295,11 @@ def write_field_bin(field, path) -> None:
         fh.write(payload.tobytes())
 
 
-def read_field_bin(path, grid: GridSpec | None = None, spatial_period: float = TWO_PI):
-    """Read a field dump written by :func:`write_field_bin`.
+def read_field_bin(path, kind: type[_Field], grid: GridSpec):
+    """Read a dump written by :func:`write_field_bin` as a ``kind`` field on ``grid``.
 
-    When ``grid`` is given its layout must match the header and its spatial
-    period is kept; otherwise a grid with the default period is built from
-    the header. Returns a :class:`ScalarField` or :class:`SpaceField`
-    depending on the payload length, which is the format's only field-kind
-    tag: a spacetime dump truncated to exactly ``24 + 8 N^d`` bytes reads
-    back as a :class:`SpaceField` holding its first time layer.
+    The header must match the layout of ``grid`` and the payload must hold
+    exactly the values of a ``kind`` field; anything else raises.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -292,21 +307,15 @@ def read_field_bin(path, grid: GridSpec | None = None, spatial_period: float = T
     if len(raw) < header_bytes:
         raise ValueError(f"field dump {path} is truncated: no header")
     dim, n, nt = (int(v) for v in np.frombuffer(raw[:header_bytes], dtype=_BIN_HEADER_DTYPE))
-    if grid is not None:
-        if (grid.spatial_dim, grid.nodes_per_axis, grid.time_nodes) != (dim, n, nt):
-            raise ValueError(
-                f"field dump layout (dim={dim}, n={n}, nt={nt}) does not match grid "
-                f"(dim={grid.spatial_dim}, n={grid.nodes_per_axis}, nt={grid.time_nodes})"
-            )
-        target = grid
-    else:
-        target = GridSpec(dim, n, nt, spatial_period)
+    if (grid.spatial_dim, grid.nodes_per_axis, grid.time_nodes) != (dim, n, nt):
+        raise ValueError(
+            f"field dump layout (dim={dim}, n={n}, nt={nt}) does not match grid "
+            f"(dim={grid.spatial_dim}, n={grid.nodes_per_axis}, nt={grid.time_nodes})"
+        )
     payload = np.frombuffer(raw[header_bytes:], dtype=_BIN_VALUE_DTYPE)
-    for kind in (ScalarField, SpaceField):
-        shape = kind.shape(target)
-        if payload.size == np.prod(shape):
-            return kind(target, payload.reshape(shape).copy())
-    nsp = target.num_spatial
-    raise ValueError(
-        f"field dump payload has {payload.size} values, expected {nt * nsp} (scalar) or {nsp} (space)"
-    )
+    shape = kind.shape(grid)
+    if payload.size != np.prod(shape):
+        raise ValueError(
+            f"field dump payload has {payload.size} values, expected {np.prod(shape)} for a {kind.__name__}"
+        )
+    return kind(grid, payload.reshape(shape).copy())

@@ -36,6 +36,7 @@ from .mesh import (
     ScalarField,
     SpaceField,
     _pad_edge,
+    _wrap_neighbours,
     argmax_node,
     argmin_node,
     d_t_interior,
@@ -226,24 +227,6 @@ def _finite(norm) -> float:
     return norm
 
 
-def _wrap_pad(vals: np.ndarray, dim: int) -> np.ndarray:
-    """Copy of ``vals`` with one periodic ghost node on both ends of each spatial axis."""
-    padded = np.empty((vals.shape[0],) + tuple(n + 2 for n in vals.shape[1:]))
-    padded[(slice(None),) + (slice(1, -1),) * dim] = vals
-    for ax in range(1, dim + 1):
-        lead = (slice(None),) * ax
-        padded[lead + (0,)] = padded[lead + (-2,)]
-        padded[lead + (-1,)] = padded[lead + (1,)]
-    return padded
-
-
-def _shifted(padded: np.ndarray, dim: int, ax: int, offset: int) -> np.ndarray:
-    """View of a padded array at spatial offset ``offset`` along axis ``ax``."""
-    index = [slice(None)] + [slice(1, -1)] * dim
-    index[ax] = slice(1 + offset, padded.shape[ax] - 1 + offset)
-    return padded[tuple(index)]
-
-
 @dataclass
 class LinearSystem:
     """Matrix-free linearization of Q at a fixed field, with its preconditioner.
@@ -267,15 +250,12 @@ class LinearSystem:
     iterations: int = 0
 
     def _action(self, vals: np.ndarray) -> np.ndarray:
-        dim = self.grid.spatial_dim
-        padded = _wrap_pad(vals, dim)
-        inner = padded[1:-1]
-        dt = padded[2:] - padded[:-2]
         out = self.center * vals[1:-1] + self.tcoef * (vals[2:] + vals[:-2])
-        for ax, (plus, minus, mixed) in enumerate(self.spatial, start=1):
-            out += plus * _shifted(inner, dim, ax, 1)
-            out += minus * _shifted(inner, dim, ax, -1)
-            out -= mixed * (_shifted(dt, dim, ax, 1) - _shifted(dt, dim, ax, -1))
+        neighbours = _wrap_neighbours(vals, self.grid.spatial_dim)
+        for (w_plus, w_minus, mixed), (plus, minus) in zip(self.spatial, neighbours):
+            out += w_plus * plus[1:-1]
+            out += w_minus * minus[1:-1]
+            out -= mixed * ((plus[2:] - plus[:-2]) - (minus[2:] - minus[:-2]))
         return out
 
     @np.errstate(over="ignore", invalid="ignore")

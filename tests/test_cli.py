@@ -74,6 +74,11 @@ def read_summary(outdir):
         return {k: v for k, v in pairs}
 
 
+def read_text(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def first_line(path):
     with open(path) as fh:
         return fh.readline().rstrip("\n")
@@ -92,11 +97,11 @@ def test_solve_writes_artifacts(tmp_path):
         "summary.txt",
         "trace.csv",
     ]
-    header, *rows = open(os.path.join(out, "trace.csv")).read().splitlines()
+    header, *rows = read_text(os.path.join(out, "trace.csv")).splitlines()
     assert header == "phase,param,iteration,residual,min_utt,min_B,min_Q,alpha,lin_iters,lin_rtol"
     assert header.split(",") == [f.name for f in fields(TraceRecord)]
     assert rows and all(len(row.split(",")) == len(fields(TraceRecord)) for row in rows)
-    assert open(os.path.join(out, "rejections.csv")).read() == "phase,param,reason\n"
+    assert read_text(os.path.join(out, "rejections.csv")) == "phase,param,reason\n"
     summary = read_summary(out)
     assert summary["command"] == "solve"
     assert summary["converged"] == "true"
@@ -112,7 +117,7 @@ def test_solve_summary_reads_the_last_trace_row(tmp_path):
     cfg = write_cfg(tmp_path, MANUFACTURED.replace("refinements = 1", "refinements = 0"))
     out = str(tmp_path / "out")
     assert main(["solve", cfg, "--output", out]) == 0
-    header, *lines = open(os.path.join(out, "trace.csv")).read().splitlines()
+    header, *lines = read_text(os.path.join(out, "trace.csv")).splitlines()
     rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
     summary = read_summary(out)
     for name in ("min_utt", "min_B", "min_Q"):
@@ -126,11 +131,11 @@ def test_solve_records_rejected_rung(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, MANUFACTURED.replace("refinements = 1", "refinements = 0"))
     out = str(tmp_path / "out")
     assert main(["solve", cfg, "--output", out]) == 0
-    rows = open(os.path.join(out, "rejections.csv")).read().splitlines()
+    rows = read_text(os.path.join(out, "rejections.csv")).splitlines()
     assert rows == ["phase,param,reason", "continuation,1,injected collapse"]
     assert read_summary(out)["rungs_rejected"] == "1"
     # trace.csv keeps the accepted runs only: rungs 0, 0.5 and 1
-    params = {line.split(",")[1] for line in open(os.path.join(out, "trace.csv")).read().splitlines()[1:]}
+    params = {line.split(",")[1] for line in read_text(os.path.join(out, "trace.csv")).splitlines()[1:]}
     assert params == {"0", "0.5", "1"}
 
 
@@ -139,7 +144,7 @@ def test_sweep_records_failed_warm_start(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, SEPARABLE)
     out = str(tmp_path / "out")
     assert main(["sweep", cfg, "--output", out]) == 0
-    rows = open(os.path.join(out, "rejections.csv")).read().splitlines()
+    rows = read_text(os.path.join(out, "rejections.csv")).splitlines()
     assert rows == ["phase,param,reason", "sweep,0.5,injected collapse"]
     assert read_summary(out)["rungs_rejected"] == "1"
 
@@ -159,7 +164,7 @@ def test_rejection_reason_with_commas_round_trips(tmp_path, monkeypatch, command
     out = str(tmp_path / "out")
     assert main([command, cfg, "--output", out]) == 0
     path = os.path.join(out, "rejections.csv")
-    assert open(path).read().splitlines()[1] == f'{phase},{param:g},"{reason}"'
+    assert read_text(path).splitlines()[1] == f'{phase},{param:g},"{reason}"'
     with open(path, newline="") as fh:
         assert list(csv.reader(fh)) == [["phase", "param", "reason"], [phase, f"{param:g}", reason]]
 
@@ -171,7 +176,7 @@ def test_sweep_records_rung_that_fails_outright(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, SEPARABLE)
     out = str(tmp_path / "out")
     assert main(["sweep", cfg, "--output", out]) == 1
-    rows = open(os.path.join(out, "rejections.csv")).read().splitlines()
+    rows = read_text(os.path.join(out, "rejections.csv")).splitlines()
     assert len(rows) == 1 + 24
     assert rows[1] == "sweep,0.5,injected collapse"
     assert rows[13] == "sweep-cold,1,injected collapse"
@@ -188,7 +193,7 @@ def test_solve_refinement_table(tmp_path):
     assert main(["solve", cfg, "--output", out]) == 0
     path = os.path.join(out, "refinements.csv")
     assert first_line(path) == "level,nodes_per_axis,time_nodes,sup_error,order"
-    rows = open(path).read().splitlines()[1:]
+    rows = read_text(path).splitlines()[1:]
     assert len(rows) == 2
     level1 = rows[1].split(",")
     assert level1[1] == "32" and level1[2] == "17"
@@ -212,8 +217,10 @@ def test_solve_refinements_need_exact(tmp_path):
     assert not os.path.exists(tmp_path / "out")
 
 
-def test_solve_config_errors_exit_2(tmp_path):
+def test_solve_config_errors_exit_2(tmp_path, capsys):
     out = str(tmp_path / "out")
+    no_problem = write_cfg(tmp_path, "[solver]\nrefinements = 0\n", "p.cfg")
+    assert_bad_input(capsys, ["solve", no_problem, "--output", out])
     bad_key = write_cfg(tmp_path, SEPARABLE + "\n[problem2]\nq = 1\n", "k.cfg")
     assert main(["solve", bad_key, "--output", out]) == 2
     bad_expr = write_cfg(tmp_path, SEPARABLE.replace("f = 2", "f = exp(x)"), "e.cfg")
@@ -255,7 +262,7 @@ def test_sweep_writes_measurements(tmp_path):
     assert main(["sweep", cfg, "--output", out]) == 0
     table = os.path.join(out, "sweep_measurements.csv")
     assert first_line(table) == "epsilon,sup_utt,sup_lap_u,sup_grad_ut,drift"
-    assert len(open(table).read().splitlines()) == 4
+    assert len(read_text(table).splitlines()) == 4
     assert os.path.exists(os.path.join(out, "bounds_000.txt"))
     assert os.path.exists(os.path.join(out, "bounds_002.txt"))
     assert os.path.exists(os.path.join(out, "solution_final.csv"))
@@ -278,7 +285,7 @@ def test_scan_clean_run(tmp_path):
     assert main(["scan", cfg, "--output", out]) == 0
     rec = os.path.join(out, "scan_records.csv")
     assert first_line(rec) == "trial,k,n,variant,margin,f_left,f_right,f_mid"
-    assert len(open(rec).read().splitlines()) == 2001
+    assert len(read_text(rec).splitlines()) == 2001
     assert os.path.exists(os.path.join(out, "counterexamples.txt"))
     summary = read_summary(out)
     assert summary["theorem_backed"] == "true"
@@ -376,6 +383,16 @@ def test_verify_bad_inputs_exit_2(tmp_path):
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"xx")
     assert main(["verify", str(garbage), cfg]) == 2
+
+
+@pytest.mark.parametrize("ext", ["bin", "csv"])
+def test_verify_space_field_dump_exits_2(tmp_path, capsys, ext):
+    # A dump of the right grid but of one time layer is not a solution.
+    cfg = write_cfg(tmp_path, SEPARABLE)
+    grid = GridSpec(spatial_dim=1, nodes_per_axis=16, time_nodes=9)
+    path = tmp_path / f"w.{ext}"
+    (write_field_bin if ext == "bin" else write_field_csv)(SpaceField(grid, np.zeros(grid.spatial_shape)), path)
+    assert_bad_input(capsys, ["verify", str(path), cfg])
 
 
 def test_rerun_is_byte_identical(tmp_path):

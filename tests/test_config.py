@@ -94,6 +94,8 @@ def test_expression_constants_and_unary():
         "x; x",  # statements never parse in eval mode
         "True",  # bool literals are not numbers
         "2#x",  # a comment would hide the rest from the whitelist
+        "~x",  # unary operators other than + and -
+        "not x",
     ],
 )
 def test_expression_rejects(bad):
@@ -230,6 +232,8 @@ def test_config_sections_accept_the_same_keys():
 def test_load_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")
+    with pytest.raises(ConfigError, match="malformed config"):
+        load_config(write_cfg(tmp_path, "spatial_dim = 1\n"))  # a key before any section header
 
 
 def test_load_unknown_section(tmp_path):
@@ -262,6 +266,8 @@ def test_load_bad_epsilons(tmp_path):
         load_config(write_cfg(tmp_path, GOOD_CFG.replace("epsilons = 1, 0.1, 0.01", "epsilons = 1, x")))
     with pytest.raises(ConfigError, match="nonempty"):
         load_config(write_cfg(tmp_path, GOOD_CFG.replace("epsilons = 1, 0.1, 0.01", "epsilons =")))
+    with pytest.raises(ConfigError, match="requires key 'epsilons'"):
+        load_config(write_cfg(tmp_path, GOOD_CFG.replace("epsilons = 1, 0.1, 0.01", "")))
     for bad in ("1, 2", "1, 1", "-1", "0", "nan", "inf", "1, nan"):
         with pytest.raises(ConfigError, match="finite, positive and strictly decreasing"):
             load_config(write_cfg(tmp_path, GOOD_CFG.replace("epsilons = 1, 0.1, 0.01", f"epsilons = {bad}")))

@@ -20,6 +20,7 @@ from torusgeo.solver import (
     NEWTON_TOL,
     NonConvergence,
     SolveResult,
+    StepCollapse,
     TraceRecord,
     barrier,
     compute_c_star,
@@ -289,6 +290,21 @@ def test_newton_budget_exhaustion(monkeypatch):
     u = barrier(spec, -compute_c_star(spec))
     with pytest.raises(NonConvergence, match="after 1 iterations"):
         newton_solve(spec, spec.f, u)
+
+
+def test_line_search_collapse_names_the_node_that_leaves_the_cone(monkeypatch, separable_spec):
+    # The correction is one spike. Scaled by any alpha >= MIN_ALPHA it lowers
+    # u_tt at its node by 2 alpha spike / ht^2 >= 2 u_tt, while every other
+    # node keeps all three margins, so the search collapses on that node.
+    spec = separable_spec
+    u = barrier(spec, -2.0)  # u_tt = 4, B = 1, Q = 4 > f = 2
+    node = (5, 11)
+    spike = np.zeros(spec.grid.field_shape)
+    spike[node] = 2.0 * 4.0 * spec.grid.ht**2 / solver.MIN_ALPHA
+    monkeypatch.setattr(LinearSystem, "solve_interior", lambda self, g, rtol=GMRES_RTOL: spike)
+    with pytest.raises(StepCollapse, match=r"cone margin violated at node \(5, 11\)") as info:
+        newton_solve(spec, spec.f, u)
+    assert info.value.node == node
 
 
 def test_newton_reconverges_after_perturbation():
