@@ -16,12 +16,15 @@ The linearization of Q at u acting on a perturbation h is
 applied here matrix-free as a space-time stencil whose weights are cached
 per Newton step. Newton corrections solve dQ(h) = g on the interior nodes by
 restarted GMRES (modified Gram-Schmidt, Givens rotations; Saad and Schultz
-1986), written out here in numpy and left-preconditioned by the same stencil
+1986), written out here in numpy and right-preconditioned by the same stencil
 with each weight averaged over its time layer: FFT in space turns that
 operator into one tridiagonal system in t per Fourier mode, solved by a
-batched Thomas sweep. The caller picks the relative tolerance of each solve;
-the Newton iteration passes its forcing term, so early corrections are only
-solved as far as the nonlinear residual warrants.
+batched Thomas sweep. Right preconditioning makes the residual GMRES
+minimizes the true residual, which is what the caller's relative tolerance
+bounds; the Newton iteration passes its forcing term, so early corrections
+are only solved as far as the nonlinear residual warrants. Every Krylov
+reduction runs in numpy's own loops, not in BLAS, so results do not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -219,6 +222,11 @@ class LinearSolveError(RuntimeError):
     """The Krylov solve of the linearization failed or returned a bad answer."""
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm from numpy's own summation loop, so the result does not depend on the BLAS thread count."""
+    return math.sqrt(np.sum(v * v))
+
+
 def _finite(norm) -> float:
     """``norm`` as a float; a nan or inf raises :class:`LinearSolveError`."""
     norm = float(norm)
@@ -237,8 +245,8 @@ class LinearSystem:
     u_{x_a t} / (2 hx ht) on the (t, x_a) corners). ``apply`` evaluates the
     stencil on a full-shape field, Dirichlet layers included.
     ``solve_interior`` runs GMRES on the time-major interior unknowns,
-    preconditioned by the stencil with each weight averaged over its layer;
-    ``thomas`` holds that operator's per-Fourier-mode tridiagonal factors.
+    right-preconditioned by the stencil with each weight averaged over its
+    layer; ``thomas`` holds that operator's per-Fourier-mode tridiagonal factors.
     ``iterations`` counts GMRES iterations of the latest solve.
     """
 
@@ -284,84 +292,62 @@ class LinearSystem:
         return np.fft.irfftn(y, s=grid.spatial_shape, axes=axes).ravel()
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # checked: see _finite
-    def _gmres(self, b: np.ndarray, rtol: float) -> tuple[np.ndarray, float]:
-        """Restarted GMRES from x = 0, left-preconditioned; returns x and its true residual norm.
+    def solve_interior(self, g, rtol: float = GMRES_RTOL) -> np.ndarray:
+        """Solve for the interior correction with zero Dirichlet layers.
 
-        A cycle ends on breakdown or once the preconditioned residual estimate
-        reaches ``ptol`` (rtol ||M b||, refreshed per cycle as in scipy's
-        ``gmres``); restarts end once the true residual reaches rtol ||b||.
-        A cycle restarts from the preconditioned residual of the Arnoldi relation.
-        A non-finite ||b||, ||M r|| or Krylov vector norm (non-finite data, a
-        singular preconditioner pivot, overflow) raises at once.
+        ``g`` is an interior-layer array. Restarted GMRES from x = 0,
+        right-preconditioned: each iteration applies the stencil to M v, so the
+        Givens residual estimate is the true residual ||g - A x||, and a cycle
+        ends once it reaches rtol ||g||. A cycle adds M (V y) to x and the next
+        one restarts from the true residual g - A x. Returns a full-shape array
+        whose boundary layers are zero. Raises :class:`LinearSolveError` at once
+        on a non-finite norm (non-finite data, a singular preconditioner pivot,
+        overflow), and when ``GMRES_MAXITER`` cycles do not reach ``rtol``.
         """
+        b = np.asarray(g, dtype=float).ravel()
         x = np.zeros_like(b)
         self.iterations = 0
-        bnorm = _finite(np.linalg.norm(b))
-        if bnorm == 0.0:
-            return x, 0.0
-        atol, eps, m = rtol * bnorm, np.finfo(float).eps, min(GMRES_RESTART, b.size)
+        beta = _finite(_norm(b))
+        atol, eps, m = rtol * beta, np.finfo(float).eps, min(GMRES_RESTART, b.size)
         basis, tri = np.empty((m + 1, b.size)), np.zeros((m, m))
-        z = self._precondition(b)
-        beta = _finite(np.linalg.norm(z))
-        ptol, factor = beta * rtol, 1.0
-        for _ in range(GMRES_MAXITER):
-            basis[0] = z * (1.0 / beta)
+        basis[0] = b
+        cycles = 0
+        while beta > atol:
+            if cycles == GMRES_MAXITER:
+                raise LinearSolveError(f"GMRES did not converge in {self.iterations} iterations")
+            cycles += 1
+            basis[0] *= 1.0 / beta
             s_vec, rotations = [beta], []
             for col in range(m):
-                w = self._precondition(self._action(self._embed(basis[col])).ravel())
-                h0, hcol = _finite(np.linalg.norm(w)), []
+                w = self._action(self._embed(self._precondition(basis[col]))).ravel()
+                h0, hcol = _finite(_norm(w)), []
                 for k in range(col + 1):  # modified Gram-Schmidt
-                    hcol.append(basis[k] @ w)
+                    hcol.append(np.sum(basis[k] * w))
                     w -= hcol[k] * basis[k]
-                h1 = np.linalg.norm(w)
-                breakdown = h1 <= eps * h0  # exact solution in the current basis
+                h1 = _norm(w)
+                breakdown = h1 <= eps * h0  # exact solution in the current basis: the estimate below is 0
                 basis[col + 1] = w if breakdown else w * (1.0 / h1)
                 hcol.append(0.0 if breakdown else h1)
                 for k, (c, s) in enumerate(rotations):
                     hcol[k], hcol[k + 1] = c * hcol[k] + s * hcol[k + 1], c * hcol[k + 1] - s * hcol[k]
-                f, g = hcol[col], hcol[col + 1]
-                r = math.copysign(math.hypot(f, g), f) if g else f
-                c, s = (abs(f) / abs(r), g / r) if g else (1.0, 0.0)
+                p, q = hcol[col], hcol[col + 1]
+                r = math.copysign(math.hypot(p, q), p) if q else p
+                c, s = (abs(p) / abs(r), q / r) if q else (1.0, 0.0)
                 rotations.append((c, s))
                 tri[: col + 1, col] = hcol[:col] + [r]
                 s_vec[col:] = [c * s_vec[col], -s * s_vec[col]]
-                presid = abs(s_vec[-1])
                 self.iterations += 1
-                if presid <= ptol or breakdown:
+                if abs(s_vec[-1]) <= atol:
                     break
             y = np.array(s_vec[:-1])
             for k in range(col, -1, -1):  # back substitution; a zero pivot (breakdown) drops its term
                 y[k] = y[k] / tri[k, k] if tri[k, k] else 0.0
                 y[:k] -= y[k] * tri[:k, k]
-            x += y @ basis[: col + 1]
-            rnorm = _finite(np.linalg.norm(b - self._action(self._embed(x)).ravel()))
-            if rnorm <= atol or breakdown:
-                break
-            factor = max(eps, 0.25 * factor) if presid <= ptol else min(1.0, 1.5 * factor)
-            ptol = presid * min(factor, atol / rnorm)
-            # The preconditioned residual is the last unit vector rotated back into the basis.
-            resid = np.zeros(col + 2)
-            resid[-1] = s_vec[-1]
-            for k, (c, s) in reversed(list(enumerate(rotations))):
-                resid[k : k + 2] = c * resid[k] - s * resid[k + 1], s * resid[k] + c * resid[k + 1]
-            z = resid @ basis[: col + 2]
-            beta = _finite(np.linalg.norm(z))
-        return x, rnorm
-
-    def solve_interior(self, g, rtol: float = GMRES_RTOL) -> np.ndarray:
-        """Solve for the interior correction with zero Dirichlet layers.
-
-        ``g`` is an interior-layer array; the answer is accepted once its true
-        residual is at most ``rtol ||g||``. Returns a full-shape array whose
-        boundary layers are zero. Raises :class:`LinearSolveError` when GMRES
-        meets non-finite values or does not reach ``rtol``.
-        """
-        target = np.asarray(g, dtype=float).ravel()
-        x, resid = self._gmres(target, rtol)
+            x += self._precondition(np.einsum("i,ij->j", y, basis[: col + 1]))
+            basis[0] = b - self._action(self._embed(x)).ravel()
+            beta = _finite(_norm(basis[0]))
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("linear solve produced non-finite values")
-        if not resid <= rtol * np.linalg.norm(target):
-            raise LinearSolveError(f"GMRES did not converge in {self.iterations} iterations")
         return self._embed(x)
 
 

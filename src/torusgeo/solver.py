@@ -43,6 +43,7 @@ from .operator import (
     LinearSolveError,
     ProblemSpec,
     _b_values,
+    _norm,
     apply_Q,
     assemble_dQ,
     cone_quantities,
@@ -294,7 +295,7 @@ def newton_solve(
         ls = assemble_dQ(ScalarField(grid, u), spec, cone=cone)
         g = -res.reshape(-1)
         with np.errstate(over="ignore"):  # an overflowing norm fails the linear solve below
-            prev_gnorm, gnorm = gnorm, float(np.linalg.norm(g))
+            prev_gnorm, gnorm = gnorm, _norm(g)
         eta = _forcing_term(gnorm, prev_gnorm, lin_resid_max)
         try:
             h = ls.solve_interior(g, eta)
@@ -332,9 +333,7 @@ def newton_solve(
                     param=param,
                 )
 
-        u, cone = trial, t_cone
-        res = cone.q - rhs_int
-        res_sup = float(np.max(np.abs(res)))
+        u, cone, res, res_sup = trial, t_cone, t_res, t_sup
         iters += 1
         emit(iters, alpha, ls.iterations, eta)
 

@@ -409,6 +409,41 @@ def test_rerun_is_byte_identical(tmp_path):
             assert f1.read() == f2.read(), name
 
 
+# The ROADMAP problem at 2D 32^2 x 17: large enough that OpenBLAS splits a dot
+# product or a matrix-vector product over two threads.
+ROADMAP_32 = """\
+[problem]
+spatial_dim = 2
+nodes_per_axis = 32
+time_nodes = 17
+a = 1 + 0.2*sin(x)*cos(y)
+b = 0.1
+f = 2 - 0.3*cos(x)*sin(y)
+u0 = 0.1*sin(x + y)
+u1 = -0.1*cos(x - y)
+"""
+
+
+def test_solution_bytes_do_not_depend_on_blas_threads(tmp_path):
+    cfg = write_cfg(tmp_path, ROADMAP_32)
+    src = os.path.dirname(os.path.dirname(torusgeo.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    solutions = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "torusgeo", "solve", cfg, "--output", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        solutions.append((out / "solution.bin").read_bytes())
+    assert solutions[0] == solutions[1]
+
+
 def assert_bad_input(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err

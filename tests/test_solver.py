@@ -6,6 +6,7 @@ import pytest
 import torusgeo as tg
 from torusgeo import solver
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField
+import torusgeo.operator as operator_module
 from torusgeo.operator import (
     GMRES_RTOL,
     LinearSolveError,
@@ -223,6 +224,20 @@ def test_near_degenerate_sweep_rejects_no_rung():
     entries = epsilon_sweep(spec, [10.0**-k for k in range(7)])
     assert all(e.result is not None and e.rejected == [] for e in entries)
     assert sum(e.result.newton_iters_total for e in entries) <= 40
+
+
+# GMRES restarts inside Newton: with a restart every 6 iterations the near-degenerate
+# continuation restarts at its hard steps, and must still take the same Newton steps
+# to the same solution as the unrestarted run.
+def test_restarted_gmres_inside_newton(monkeypatch):
+    spec = _roadmap_spec(20, 11, f=lambda x, y: 1.0 + np.cos(x) + 1e-4)
+    full = continuation_solve(spec)
+    monkeypatch.setattr(operator_module, "GMRES_RESTART", 6)
+    restarted = continuation_solve(spec)
+    assert full.rejected == [] and restarted.rejected == []
+    assert max(rec.lin_iters for rec in restarted.records) > 6
+    assert restarted.newton_iters_total == full.newton_iters_total
+    assert np.max(np.abs(restarted.u.values - full.u.values)) <= 1e-10
 
 
 @pytest.mark.filterwarnings("error")

@@ -18,8 +18,9 @@ whose cone shift fails its certificate to eigvalsh: the first reaches the
 Artifacts land under OUTDIR; ``OUTDIR/commands.log`` holds each command with
 its exit code and its stdout and stderr, the paths of OUTDIR and SRC replaced
 by placeholders. Two trees give the same results when ``diff -r`` finds their
-OUTDIRs identical. BLAS builds may differ in the last digit, so compare two
-trees on one machine.
+OUTDIRs identical. The trees do not depend on the BLAS thread count
+(``OPENBLAS_NUM_THREADS``); other numpy or BLAS builds may differ in the last
+digit, so compare two trees on one machine.
 """
 
 from __future__ import annotations
