@@ -18,13 +18,13 @@ per Newton step. Newton corrections solve dQ(h) = g on the interior nodes by
 restarted GMRES (modified Gram-Schmidt, Givens rotations; Saad and Schultz
 1986), written out here in numpy and right-preconditioned by the same stencil
 with each weight averaged over its time layer: FFT in space turns that
-operator into one tridiagonal system in t per Fourier mode, solved by a
-batched Thomas sweep. Right preconditioning makes the residual GMRES
-minimizes the true residual, which is what the caller's relative tolerance
-bounds; the Newton iteration passes its forcing term, so early corrections
-are only solved as far as the nonlinear residual warrants. Every Krylov
-reduction runs in numpy's own loops, not in BLAS, so results do not depend
-on the BLAS thread count.
+operator into one tridiagonal system in t per Fourier mode, factored once
+per solve and applied by a batched Thomas sweep. Right preconditioning makes
+the residual GMRES minimizes the true residual, which is what the caller's
+relative tolerance bounds; the Newton iteration passes its forcing term, so
+early corrections are only solved as far as the nonlinear residual warrants.
+Every Krylov reduction runs in numpy's own loops, not in BLAS, so results do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def _finite(norm) -> float:
 
 @dataclass
 class LinearSystem:
-    """Matrix-free linearization of Q at a fixed field, with its preconditioner.
+    """Matrix-free linearization of Q at a fixed field: the stencil weights and their action.
 
     The stencil weights live on the interior layers: ``center`` on the node,
     ``tcoef`` = B_u / ht^2 on both time neighbors, and per spatial axis a the
@@ -245,8 +245,7 @@ class LinearSystem:
     u_{x_a t} / (2 hx ht) on the (t, x_a) corners). ``apply`` evaluates the
     stencil on a full-shape field, Dirichlet layers included.
     ``solve_interior`` runs GMRES on the time-major interior unknowns,
-    right-preconditioned by the stencil with each weight averaged over its
-    layer; ``thomas`` holds that operator's per-Fourier-mode tridiagonal factors.
+    right-preconditioned by :func:`_layer_mean_inverse` of these weights.
     ``iterations`` counts GMRES iterations of the latest solve.
     """
 
@@ -254,10 +253,14 @@ class LinearSystem:
     center: np.ndarray
     tcoef: np.ndarray
     spatial: list
-    thomas: tuple
     iterations: int = 0
 
-    def _action(self, vals: np.ndarray) -> np.ndarray:
+    @np.errstate(over="ignore", invalid="ignore")
+    def apply(self, h) -> np.ndarray:
+        """Stencil action on a full-shape field, returned as interior layers; overflow gives inf or nan."""
+        vals = h.values if hasattr(h, "values") else np.asarray(h, dtype=float)
+        if vals.shape != self.grid.field_shape:
+            raise ValueError(f"expected full field shape {self.grid.field_shape}, got {vals.shape}")
         out = self.center * vals[1:-1] + self.tcoef * (vals[2:] + vals[:-2])
         neighbours = _wrap_neighbours(vals, self.grid.spatial_dim)
         for (w_plus, w_minus, mixed), (plus, minus) in zip(self.spatial, neighbours):
@@ -266,46 +269,23 @@ class LinearSystem:
             out -= mixed * ((plus[2:] - plus[:-2]) - (minus[2:] - minus[:-2]))
         return out
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def apply(self, h) -> np.ndarray:
-        """Stencil action on a full-shape field, returned as interior layers; overflow gives inf or nan."""
-        vals = h.values if hasattr(h, "values") else np.asarray(h, dtype=float)
-        if vals.shape != self.grid.field_shape:
-            raise ValueError(f"expected full field shape {self.grid.field_shape}, got {vals.shape}")
-        return self._action(vals)
-
-    def _embed(self, x: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.grid.field_shape)
-        full[1:-1] = x.reshape(full[1:-1].shape)
-        return full
-
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        axes = tuple(range(1, 1 + grid.spatial_dim))
-        lower, upper_ratio, inv_pivot = self.thomas
-        y = np.fft.rfftn(r.reshape((grid.interior_layers,) + grid.spatial_shape), axes=axes)
-        y[0] *= inv_pivot[0]
-        for k in range(1, y.shape[0]):
-            y[k] = (y[k] - lower[k] * y[k - 1]) * inv_pivot[k]
-        for k in range(y.shape[0] - 2, -1, -1):
-            y[k] -= upper_ratio[k] * y[k + 1]
-        return np.fft.irfftn(y, s=grid.spatial_shape, axes=axes).ravel()
-
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # checked: see _finite
     def solve_interior(self, g, rtol: float = GMRES_RTOL) -> np.ndarray:
         """Solve for the interior correction with zero Dirichlet layers.
 
         ``g`` is an interior-layer array. Restarted GMRES from x = 0,
-        right-preconditioned: each iteration applies the stencil to M v, so the
-        Givens residual estimate is the true residual ||g - A x||, and a cycle
-        ends once it reaches rtol ||g||. A cycle adds M (V y) to x and the next
-        one restarts from the true residual g - A x. Returns a full-shape array
-        whose boundary layers are zero. Raises :class:`LinearSolveError` at once
-        on a non-finite norm (non-finite data, a singular preconditioner pivot,
-        overflow), and when ``GMRES_MAXITER`` cycles do not reach ``rtol``.
+        right-preconditioned by M^-1, factored once per call: each iteration
+        applies the stencil to M^-1 v, so the Givens residual estimate is the
+        true residual ||g - A x||, and a cycle ends once it reaches rtol ||g||.
+        A cycle adds M^-1 (V y) to x and the next one restarts from the true
+        residual g - A x. Returns a full-shape array whose boundary layers are
+        zero. Raises :class:`LinearSolveError` at once on a non-finite norm
+        (non-finite data, a singular preconditioner pivot, overflow), and when
+        ``GMRES_MAXITER`` cycles do not reach ``rtol``.
         """
+        precondition = _layer_mean_inverse(self)
         b = np.asarray(g, dtype=float).ravel()
-        x = np.zeros_like(b)
+        x = np.zeros(self.grid.field_shape)
         self.iterations = 0
         beta = _finite(_norm(b))
         atol, eps, m = rtol * beta, np.finfo(float).eps, min(GMRES_RESTART, b.size)
@@ -319,7 +299,7 @@ class LinearSystem:
             basis[0] *= 1.0 / beta
             s_vec, rotations = [beta], []
             for col in range(m):
-                w = self._action(self._embed(self._precondition(basis[col]))).ravel()
+                w = self.apply(precondition(basis[col])).ravel()
                 h0, hcol = _finite(_norm(w)), []
                 for k in range(col + 1):  # modified Gram-Schmidt
                     hcol.append(np.sum(basis[k] * w))
@@ -343,21 +323,69 @@ class LinearSystem:
             for k in range(col, -1, -1):  # back substitution; a zero pivot (breakdown) drops its term
                 y[k] = y[k] / tri[k, k] if tri[k, k] else 0.0
                 y[:k] -= y[k] * tri[:k, k]
-            x += self._precondition(np.einsum("i,ij->j", y, basis[: col + 1]))
-            basis[0] = b - self._action(self._embed(x)).ravel()
+            x += precondition(np.einsum("i,ij->j", y, basis[: col + 1]))
+            basis[0] = b - self.apply(x).ravel()
             beta = _finite(_norm(basis[0]))
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("linear solve produced non-finite values")
-        return self._embed(x)
+        return x
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _layer_mean_inverse(ls: LinearSystem):
+    """Factor M, the stencil of ``ls`` with each weight averaged over its layer, and return M^-1.
+
+    FFT in space turns M into one tridiagonal system in t per Fourier mode,
+    Thomas-factored here for all modes at once. The returned step maps a
+    time-major interior vector v to M^-1 v as a full-shape field whose
+    Dirichlet layers are zero. A singular pivot gives non-finite values.
+    """
+    grid = ls.grid
+    dim = grid.spatial_dim
+    axes = tuple(range(1, 1 + dim))
+
+    def layer_mean(w: np.ndarray) -> np.ndarray:
+        return w.mean(axis=axes).reshape((-1,) + (1,) * dim)
+
+    # Symbol of the layer-averaged stencil at every rfft mode: a shift by
+    # +1 along axis a multiplies a mode by exp(i theta_a).
+    n = grid.nodes_per_axis
+    thetas = [2.0 * np.pi * np.fft.fftfreq(n)] * (dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(n)]
+    diag = layer_mean(ls.center) + 0j
+    skew = 0j
+    for theta, (plus, minus, mixed) in zip(np.meshgrid(*thetas, indexing="ij"), ls.spatial):
+        diag = diag + layer_mean(plus) * np.exp(1j * theta) + layer_mean(minus) * np.exp(-1j * theta)
+        skew = skew + 2j * layer_mean(mixed) * np.sin(theta)
+    lower = layer_mean(ls.tcoef) + skew
+    upper = layer_mean(ls.tcoef) - skew
+
+    inv_pivot = np.empty(diag.shape, dtype=complex)
+    upper_ratio = np.empty(diag.shape, dtype=complex)
+    inv_pivot[0] = 1.0 / diag[0]
+    for k in range(1, diag.shape[0]):
+        upper_ratio[k - 1] = upper[k - 1] * inv_pivot[k - 1]
+        inv_pivot[k] = 1.0 / (diag[k] - lower[k] * upper_ratio[k - 1])
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        y = np.fft.rfftn(v.reshape((grid.interior_layers,) + grid.spatial_shape), axes=axes)
+        y[0] *= inv_pivot[0]
+        for k in range(1, y.shape[0]):
+            y[k] = (y[k] - lower[k] * y[k - 1]) * inv_pivot[k]
+        for k in range(y.shape[0] - 2, -1, -1):
+            y[k] -= upper_ratio[k] * y[k + 1]
+        x = np.zeros(grid.field_shape)
+        x[1:-1] = np.fft.irfftn(y, s=grid.spatial_shape, axes=axes)
+        return x
+
+    return solve
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_dQ(u: ScalarField, spec: ProblemSpec, cone: ConeData | None = None) -> LinearSystem:
-    """Linearization of Q at u: stencil weights and preconditioner factors, no matrix.
+    """Linearization of Q at u: the stencil weights, no matrix and no preconditioner.
 
     The weights come from ``cone`` (computed from u when not given). Data
-    near the top of the float range give non-finite weights or pivots without
-    a warning; ``solve_interior`` then raises a LinearSolveError.
+    near the top of the float range give non-finite weights without a
+    warning; ``solve_interior`` then raises a LinearSolveError.
     """
     grid = spec.grid
     if cone is None:
@@ -371,29 +399,4 @@ def assemble_dQ(u: ScalarField, spec: ProblemSpec, cone: ConeData | None = None)
     for g, gt in zip(cone.grad_u, cone.grad_ut):
         drift = (spec.b / hx) * cone.utt * g
         spatial.append((base - drift, base + drift, gt / (2.0 * hx * ht)))
-
-    # Symbol of the layer-averaged stencil at every rfft mode: a shift by
-    # +1 along axis a multiplies a mode by exp(i theta_a).
-    axes = tuple(range(1, 1 + dim))
-
-    def layer_mean(w: np.ndarray) -> np.ndarray:
-        return w.mean(axis=axes).reshape((-1,) + (1,) * dim)
-
-    n = grid.nodes_per_axis
-    thetas = [2.0 * np.pi * np.fft.fftfreq(n)] * (dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(n)]
-    diag = layer_mean(center) + 0j
-    skew = 0j
-    for theta, (plus, minus, mixed) in zip(np.meshgrid(*thetas, indexing="ij"), spatial):
-        diag = diag + layer_mean(plus) * np.exp(1j * theta) + layer_mean(minus) * np.exp(-1j * theta)
-        skew = skew + 2j * layer_mean(mixed) * np.sin(theta)
-    lower = layer_mean(tcoef) + skew
-    upper = layer_mean(tcoef) - skew
-
-    # Thomas factorization, batched over modes.
-    inv_pivot = np.empty(diag.shape, dtype=complex)
-    upper_ratio = np.empty(diag.shape, dtype=complex)
-    inv_pivot[0] = 1.0 / diag[0]
-    for k in range(1, diag.shape[0]):
-        upper_ratio[k - 1] = upper[k - 1] * inv_pivot[k - 1]
-        inv_pivot[k] = 1.0 / (diag[k] - lower[k] * upper_ratio[k - 1])
-    return LinearSystem(grid, center, tcoef, spatial, (lower, upper_ratio, inv_pivot))
+    return LinearSystem(grid, center, tcoef, spatial)

@@ -317,21 +317,11 @@ def newton_solve(
             if alpha < MIN_ALPHA:
                 if margin_ok:
                     node = full_node(argmax_node(np.abs(t_res)))
-                    raise StepCollapse(
-                        f"line search stalled: residual {t_sup!r} does not drop below {res_sup!r} "
-                        f"near node {node}",
-                        node=node,
-                        phase=phase,
-                        param=param,
-                    )
-                defects = np.minimum.reduce([t - floor * c for t, c in pairs])
-                node = full_node(argmin_node(defects))
-                raise StepCollapse(
-                    f"line search collapsed below {MIN_ALPHA}: cone margin violated at node {node}",
-                    node=node,
-                    phase=phase,
-                    param=param,
-                )
+                    why = f"line search stalled: residual {t_sup!r} does not drop below {res_sup!r} near node {node}"
+                else:
+                    node = full_node(argmin_node(np.minimum.reduce([t - floor * c for t, c in pairs])))
+                    why = f"line search collapsed below {MIN_ALPHA}: cone margin violated at node {node}"
+                raise StepCollapse(why, node=node, phase=phase, param=param)
 
         u, cone, res, res_sup = trial, t_cone, t_res, t_sup
         iters += 1

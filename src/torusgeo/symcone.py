@@ -245,19 +245,15 @@ def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, her
 
 @dataclass
 class ScanViolation:
-    """Counterexample candidate from a midpoint scan, at full precision."""
+    """Counterexample candidate from a midpoint scan: its trial and both triples, at full precision."""
 
     trial: int
-    margin: float
     r00_left: float
     r00_right: float
     r_left: np.ndarray
     r_right: np.ndarray
     z_left: np.ndarray
     z_right: np.ndarray
-    f_left: float
-    f_right: float
-    f_mid: float
 
 
 @dataclass
@@ -265,7 +261,8 @@ class ScanReport:
     """Outcome of a midpoint concavity scan.
 
     ``margins`` holds log F(mid) - (log F(p) + log F(q)) / 2 per trial (nan
-    where sampling failed, -inf where F(mid) <= 0). ``theorem_backed`` marks
+    where sampling failed, -inf where F(mid) <= 0); the worst trial and the
+    violation and failure counts are read from it. ``theorem_backed`` marks
     parameter pairs where the concavity is a theorem (k = 1 or k = n); other
     pairs are scanned as conjecture and never gate anything.
     """
@@ -276,15 +273,30 @@ class ScanReport:
     trials: int
     seed: int
     threshold: float
-    worst_margin: float
-    worst_trial: int
-    violation_count: int
     violations: list
-    sampling_failures: int
     margins: np.ndarray
     f_left: np.ndarray
     f_right: np.ndarray
     f_mid: np.ndarray
+
+    @property
+    def worst_trial(self) -> int:
+        """Trial of the smallest scored margin (the first on ties), -1 when no trial was scored."""
+        scored = np.where(np.isnan(self.margins), np.inf, self.margins)
+        return int(np.argmin(scored)) if self.sampling_failures < self.margins.size else -1
+
+    @property
+    def worst_margin(self) -> float:
+        trial = self.worst_trial
+        return float(self.margins[trial]) if trial >= 0 else math.nan
+
+    @property
+    def violation_count(self) -> int:
+        return int(np.count_nonzero(self.margins < self.threshold))
+
+    @property
+    def sampling_failures(self) -> int:
+        return int(np.count_nonzero(np.isnan(self.margins)))
 
     @property
     def theorem_backed(self) -> bool:
@@ -328,7 +340,6 @@ def midpoint_concavity_scan(
     rng = np.random.default_rng(seed)
     margins, f_left, f_right, f_mid_all = np.full((4, trials), np.nan)
     violations: list[ScanViolation] = []
-    failures = 0
 
     done = 0
     while done < trials:
@@ -340,7 +351,6 @@ def midpoint_concavity_scan(
         zm = 0.5 * (zp + zq)
         fm = F_k(r00m, rm, zm, k)
         good = goodp & goodq & np.isfinite(fm)
-        failures += int(batch - np.count_nonzero(good))
 
         with np.errstate(divide="ignore", invalid="ignore"):
             batch_margin = np.where(
@@ -361,29 +371,16 @@ def midpoint_concavity_scan(
             violations.append(
                 ScanViolation(
                     trial=done + int(idx),
-                    margin=float(batch_margin[idx]),
                     r00_left=float(r00p[idx]),
                     r00_right=float(r00q[idx]),
                     r_left=rp[idx].copy(),
                     r_right=rq[idx].copy(),
                     z_left=zp[idx].copy(),
                     z_right=zq[idx].copy(),
-                    f_left=float(fp[idx]),
-                    f_right=float(fq[idx]),
-                    f_mid=float(fm[idx]),
                 )
             )
         done += batch
 
-    finite = np.isfinite(margins) | np.isneginf(margins)
-    if np.any(finite):
-        masked = np.where(finite, margins, np.inf)
-        worst_trial = int(np.argmin(masked))
-        worst_margin = float(masked[worst_trial])
-    else:
-        worst_trial = -1
-        worst_margin = math.nan
-    violation_count = int(np.count_nonzero(finite & (margins < threshold)))
     return ScanReport(
         k=k,
         n=n,
@@ -391,11 +388,7 @@ def midpoint_concavity_scan(
         trials=trials,
         seed=seed,
         threshold=threshold,
-        worst_margin=worst_margin,
-        worst_trial=worst_trial,
-        violation_count=violation_count,
         violations=violations,
-        sampling_failures=failures,
         margins=margins,
         f_left=f_left,
         f_right=f_right,
@@ -520,16 +513,16 @@ def write_counterexamples(report: ScanReport, path) -> None:
         )
         for v in report.violations:
             fh.write(f"trial = {v.trial}\n")
-            fh.write(f"margin = {v.margin:.17g}\n")
+            fh.write(f"margin = {float(report.margins[v.trial]):.17g}\n")
             fh.write(f"r00_left = {v.r00_left!r}\n")
             fh.write(f"r00_right = {v.r00_right!r}\n")
             fh.write(f"R_left = {v.r_left.tolist()!r}\n")
             fh.write(f"R_right = {v.r_right.tolist()!r}\n")
             fh.write(f"z_left = {v.z_left.tolist()!r}\n")
             fh.write(f"z_right = {v.z_right.tolist()!r}\n")
-            fh.write(f"F_left = {v.f_left!r}\n")
-            fh.write(f"F_right = {v.f_right!r}\n")
-            fh.write(f"F_mid = {v.f_mid!r}\n")
+            fh.write(f"F_left = {float(report.f_left[v.trial])!r}\n")
+            fh.write(f"F_right = {float(report.f_right[v.trial])!r}\n")
+            fh.write(f"F_mid = {float(report.f_mid[v.trial])!r}\n")
             fh.write("\n")
 
 

@@ -294,6 +294,19 @@ def test_scan_clean_run(tmp_path):
     assert summary["scan_ok"] == "true"
 
 
+def test_scan_without_trials_or_pairs(tmp_path):
+    text = SEPARABLE.replace("trials = 2000", "trials = 0").replace("comparison_pairs = 500", "comparison_pairs = 0")
+    cfg = write_cfg(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert main(["scan", cfg, "--output", out]) == 0
+    assert read_text(os.path.join(out, "scan_records.csv")) == "trial,k,n,variant,margin,f_left,f_right,f_mid\n"
+    summary = read_summary(out)
+    assert summary["worst_trial"] == "-1"
+    assert summary["worst_margin"] == "nan"
+    assert summary["comparison_worst_segment"] == "nan"
+    assert summary["comparison_worst_diff"] == "nan"
+
+
 def test_scan_conjecture_never_gates(tmp_path):
     text = SEPARABLE.replace("k = 1\nn = 2", "k = 2\nn = 3")
     cfg = write_cfg(tmp_path, text)

@@ -56,6 +56,12 @@ def test_spec_validation_errors():
         ProblemSpec(grid=grid, a=SpaceField(other, np.ones(other.spatial_shape)), b=0.0, f=f, u0=zero, u1=zero)
 
 
+def test_spec_rejects_a_field_of_the_wrong_kind():
+    spec = _basic_spec()
+    with pytest.raises(InvalidProblem, match="a must be a SpaceField"):
+        replace(spec, a=spec.f)
+
+
 def test_problem_spec_accepts_vanishing_f():
     spec = _basic_spec()
     grid = spec.grid
@@ -326,11 +332,16 @@ def test_preconditioner_exact_for_layerwise_constant_coefficients(dim):
 
 
 def _record_calls(system, monkeypatch) -> list:
-    """Log "P" per preconditioner call and "A" per stencil action on ``system``."""
+    """Log ("P", iterations) per preconditioner step and ("A", iterations) per stencil action on ``system``."""
     calls = []
-    for name, tag in (("_precondition", "P"), ("_action", "A")):
-        inner = getattr(system, name)
-        monkeypatch.setattr(system, name, lambda v, inner=inner, tag=tag: (calls.append(tag), inner(v))[1])
+    apply, factor = system.apply, operator_module._layer_mean_inverse
+
+    def logged_inverse(ls):
+        step = factor(ls)
+        return lambda v: (calls.append(("P", system.iterations)), step(v))[1]
+
+    monkeypatch.setattr(system, "apply", lambda h: (calls.append(("A", system.iterations)), apply(h))[1])
+    monkeypatch.setattr(operator_module, "_layer_mean_inverse", logged_inverse)
     return calls
 
 
@@ -353,13 +364,11 @@ def test_gmres_call_counts(monkeypatch, dim, n, nt, restart):
     field, spec = random_admissible_field(40 + dim, dim=dim, n=n, nt=nt)
     system = assemble_dQ(field, spec)
     calls = _record_calls(system, monkeypatch)
-    at_p = []  # the iteration count at each preconditioner call
-    precondition = system._precondition
-    monkeypatch.setattr(system, "_precondition", lambda v: (at_p.append(system.iterations), precondition(v))[1])
     system.solve_interior(np.random.default_rng(61).standard_normal(spec.grid.interior_layers * spec.grid.num_spatial))
     iters = system.iterations
     cycles = -(-iters // restart)  # only the last cycle stops short of the restart
-    assert "".join(calls) == "PA" * (iters + cycles)
+    at_p = [i for tag, i in calls if tag == "P"]  # the iteration count at each preconditioner call
+    assert "".join(tag for tag, _ in calls) == "PA" * (iters + cycles)
     # cycle c preconditions its basis vectors at counts c*restart, ..., then its update
     assert at_p == [i for c in range(cycles) for i in range(c * restart, min(c * restart + restart, iters) + 1)]
     if restart == 3:
@@ -390,10 +399,14 @@ def test_solve_interior_rejects_bad_answers(monkeypatch):
             system.solve_interior(bad)
         assert system.iterations == 0
     g = np.random.default_rng(63).standard_normal(n)
-    lower, upper_ratio, inv_pivot = system.thomas
-    singular = inv_pivot.copy()
-    singular[0] = np.inf  # a zero pivot, as coefficients near the top of the float range leave
-    monkeypatch.setattr(system, "thomas", (lower, upper_ratio, singular))
+    step = operator_module._layer_mean_inverse(system)
+
+    def singular(v):  # a zero first pivot, as coefficients near the top of the float range leave
+        x = step(v)
+        x[1] = np.inf
+        return x
+
+    monkeypatch.setattr(operator_module, "_layer_mean_inverse", lambda ls: singular)
     with pytest.raises(LinearSolveError, match="non-finite"):
         system.solve_interior(g)
     assert system.iterations == 0

@@ -5,7 +5,7 @@ import pytest
 
 import torusgeo as tg
 from torusgeo import solver
-from torusgeo.mesh import GridSpec, ScalarField, SpaceField
+from torusgeo.mesh import GridSpec, ScalarField, SpaceField, argmax_node, full_node
 import torusgeo.operator as operator_module
 from torusgeo.operator import (
     GMRES_RTOL,
@@ -320,6 +320,19 @@ def test_line_search_collapse_names_the_node_that_leaves_the_cone(monkeypatch, s
     with pytest.raises(StepCollapse, match=r"cone margin violated at node \(5, 11\)") as info:
         newton_solve(spec, spec.f, u)
     assert info.value.node == node
+
+
+def test_line_search_stall_names_the_node_of_the_largest_residual(monkeypatch, separable_spec):
+    # A zero correction keeps every margin and never lowers the residual.
+    spec = separable_spec
+    u = barrier(spec, -2.0)
+    monkeypatch.setattr(
+        LinearSystem, "solve_interior", lambda self, g, rtol=GMRES_RTOL: np.zeros(spec.grid.field_shape)
+    )
+    with pytest.raises(StepCollapse, match=r"line search stalled: residual .* near node") as info:
+        newton_solve(spec, spec.f, u)
+    res = np.abs(apply_Q(u, spec).values - spec.f.values)[1:-1]
+    assert info.value.node == full_node(argmax_node(res))
 
 
 def test_newton_reconverges_after_perturbation():

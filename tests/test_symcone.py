@@ -557,7 +557,7 @@ def test_scan_violation_capture(monkeypatch):
     assert len(rep.violations) == min(rep.violation_count, 25)
     v = rep.violations[0]
     assert v.r_left.shape == (2, 2)
-    assert np.isfinite(v.f_mid)
+    assert np.isfinite(rep.f_mid[v.trial])
 
 
 def test_scan_record_files(tmp_path, monkeypatch):

@@ -9,12 +9,17 @@ other checkout); OUTDIR must not exist yet. The script runs ``solve``,
 ``sweep`` and ``scan`` on the bundled configs of SRC and on the perfbench
 solve-2d, sweep-2d and scan configs of seeds 0-3 (written by
 ``perfbench/workloads.prepare``), one ``sweep`` that fails and two Hermitian
-``scan`` runs at 20000 trials, then ``verify`` on every ``solution*`` dump.
-The failing sweep (1D 8x5 grid, eps = 1e200) writes rejection rows and a
-``rung_000_error`` summary line, which no passing run reaches. The scans,
-(k, n) = (5, 6) and (6, 6) with seed 7, send 429 and 15016 sampled matrices
-whose cone shift fails its certificate to eigvalsh: the first reaches the
-1 < k < n root finder on the spectrum, the second the k = n closed form.
+``scan`` runs at 20000 trials, two ``scan`` runs with the violation threshold
+``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify`` on every
+``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200) writes
+rejection rows and a ``rung_000_error`` summary line, which no passing run
+reaches. The Hermitian scans, (k, n) = (5, 6) and (6, 6) with seed 7, send 429
+and 15016 sampled matrices whose cone shift fails its certificate to eigvalsh:
+the first reaches the 1 < k < n root finder on the spectrum, the second the
+k = n closed form. No scan at the shipped threshold finds a violation, so the
+raised threshold is the only way a non-empty ``counterexamples.txt`` is
+compared: (1, 2) real and (2, 3) Hermitian at 3000 trials and seed 35 each
+dump 25 violations, and the first, a theorem-backed pair, exits 1.
 Artifacts land under OUTDIR; ``OUTDIR/commands.log`` holds each command with
 its exit code and its stdout and stderr, the paths of OUTDIR and SRC replaced
 by placeholders. Two trees give the same results when ``diff -r`` finds their
@@ -53,13 +58,15 @@ epsilons = 1e200
 
 # The Hermitian scans: (k, n) pairs whose cone shifts reach the eigvalsh fallback.
 FALLBACK_SCANS = ((5, 6), (6, 6))
-FALLBACK_SCAN = """\
+# The scans run with SCAN_THRESHOLD = 1.0, so that they record violations.
+VIOLATION_SCANS = ((1, 2, "false"), (2, 3, "true"))
+SCAN = """\
 [scan]
 k = {k}
 n = {n}
-trials = 20000
-seed = 7
-hermitian = true
+trials = {trials}
+seed = {seed}
+hermitian = {hermitian}
 """
 
 
@@ -73,7 +80,7 @@ def main(argv: list[str]) -> int:
         return 2
     sys.path[:0] = [src, PERFBENCH]
     import torusgeo
-    from torusgeo import cli
+    from torusgeo import cli, symcone
     from torusgeo.config import build_problem, load_config
 
     import workloads
@@ -126,13 +133,25 @@ def main(argv: list[str]) -> int:
     with open(cfg, "w") as fh:
         fh.write(FAILING_SWEEP)
     run(["sweep", cfg, "--output", os.path.join(failing, "sweep")])
-    fallback = os.path.join(outdir, "fallback")
-    os.makedirs(fallback)
-    for k, n in FALLBACK_SCANS:
-        cfg = os.path.join(fallback, f"scan-{k}-{n}.cfg")
+
+    def scan(group: str, k: int, n: int, **fields) -> None:
+        """``scan`` (k, n) from a config written under OUTDIR/``group``."""
+        made = os.path.join(outdir, group)
+        os.makedirs(made, exist_ok=True)
+        cfg = os.path.join(made, f"scan-{k}-{n}.cfg")
         with open(cfg, "w") as fh:
-            fh.write(FALLBACK_SCAN.format(k=k, n=n))
-        run(["scan", cfg, "--output", os.path.join(fallback, f"scan-{k}-{n}")])
+            fh.write(SCAN.format(k=k, n=n, **fields))
+        run(["scan", cfg, "--output", os.path.join(made, f"scan-{k}-{n}")])
+
+    for k, n in FALLBACK_SCANS:
+        scan("fallback", k, n, trials=20000, seed=7, hermitian="true")
+    threshold = symcone.SCAN_THRESHOLD
+    symcone.SCAN_THRESHOLD = 1.0
+    try:
+        for k, n, hermitian in VIOLATION_SCANS:
+            scan("violations", k, n, trials=3000, seed=35, hermitian=hermitian)
+    finally:
+        symcone.SCAN_THRESHOLD = threshold
 
     with open(os.path.join(outdir, "commands.log"), "w") as fh:
         fh.write("\n".join(log))
