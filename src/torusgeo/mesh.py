@@ -35,11 +35,12 @@ from typing import ClassVar
 
 import numpy as np
 
+from .symcone import _write_17g
+
 TWO_PI = 2.0 * np.pi
 
 _BIN_HEADER_DTYPE = np.dtype("<i8")
 _BIN_VALUE_DTYPE = np.dtype("<f8")
-_CSV_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,7 @@ def full_node(node: tuple) -> tuple:
 # Serialization.
 #
 # CSV: one row per time layer (a single row for a SpaceField), spatial nodes
-# flattened in row-major order, full float64 precision.
+# flattened in row-major order, each value as C "%.17g" (full float64 precision).
 #
 # Binary: header of three little-endian int64 (spatial_dim, nodes_per_axis,
 # time_nodes) followed by the values as little-endian float64 in row-major
@@ -274,7 +275,8 @@ def full_node(node: tuple) -> tuple:
 
 def write_field_csv(field, path) -> None:
     rows = field.values.reshape(-1, field.grid.num_spatial)
-    np.savetxt(path, rows, fmt=_CSV_FMT, delimiter=",")
+    with open(path, "wb") as fh:
+        _write_17g(fh, rows.T)
 
 
 def read_field_csv(path, kind: type[_Field], grid: GridSpec):

@@ -1,9 +1,10 @@
 """Elementary symmetric function algebra, cone membership, and concavity scans.
 
 The objects here are triples (r00, R, z) with r00 a positive real, R an
-n x n matrix and z a vector, held as arrays with any leading batch shape.
-Real triples (R symmetric) and complex ones (R Hermitian) go through the same
-kernels, which read the form from the dtype of R and z:
+n x n matrix and z a vector, held as arrays with any leading batch shape (the
+scan's kernels hold it last: R as (n, n, B), z as (n, B)). Real triples (R
+symmetric) and complex ones (R Hermitian) go through the same kernels, which
+read the form from the dtype of R and z:
 
     F_k(r00, R, z) = r00 * sigma_k(R) - z^* T_{k-1}(R) z,
 
@@ -13,9 +14,9 @@ requires r00 > 0, R in the Garding cone Gamma_k^+ (sigma_1, ..., sigma_k all
 positive) and F_k > 0.
 
 :func:`F_k`, and sigma_0..sigma_k with T_{k-1} (:func:`newton_chain`), come from
-the Newton transformation's recursion, with no eigendecomposition, and so does
-the scan's cone shift, except on the rows its a-posteriori certificate flags
-(eigvalsh, then :func:`elementary_symmetric` of the spectrum).
+the Newton transformation's recursion, with no eigendecomposition and no BLAS,
+and so does the scan's cone shift, except on the rows its a-posteriori certificate
+flags (eigvalsh, the scan's one BLAS/LAPACK call, then :func:`elementary_symmetric`).
 
 Log-concavity of F_k along segments inside the cone is a theorem for k = 1
 (any n) and k = n; for 2 <= k <= n-1 it is scanned as a conjecture, with real
@@ -60,41 +61,62 @@ def _check_k(k: int, n: int, n_max: int | None = None) -> None:
 def newton_chain(r: np.ndarray, k: int):
     """sigma_0..sigma_k and T_{k-1} of matrices with any leading batch shape, by the Newton recursion.
 
-    T_0 = I, sigma_j = tr(R T_{j-1}) / j and T_j = sigma_j I - R T_{j-1}: k - 2 batched matrix
-    products at most, since the last step needs only tr(R T_{k-1}) = sum_ij R_ij (T_{k-1})_ji.
-    T_0 (k = 1) is returned as None, which :func:`_form` reads as the identity. Each matrix's
-    traces are reduced on their own, so its sigma_j do not depend on the batch it sits in.
+    T_0 = I, sigma_j = tr(R T_{j-1}) / j and T_j = sigma_j I - R T_{j-1}. T_0 (k = 1) is returned as
+    None, which :func:`_form` reads as the identity. An adapter over the batch-last :func:`_chain`.
     """
-    n = r.shape[-1]
+    sig, t = _chain(np.moveaxis(r, (-2, -1), (0, 1)), k)
+    return np.moveaxis(sig, 0, -1), None if t is None else np.moveaxis(t, (0, 1), (-2, -1))
+
+
+def _chain(r: np.ndarray, k: int):
+    """:func:`newton_chain` of Hermitian R held batch-last, (n, n, ...): sigma (k + 1, ...), T_{k-1} (n, n, ...).
+
+    R T_{j-1} is Hermitian, so row i is summed from column i on (the diagonal only at the last step)
+    and T_j mirrors it. Factors get one ndim: numpy rounds a one-element complex product otherwise.
+    """
+    n = r.shape[0]
     _check_k(k, n)
-    sig = np.ones(r.shape[:-2] + (k + 1,))
+    sig = np.ones((k + 1,) + r.shape[2:])
     t = None
     for j in range(1, k + 1):
-        if j == k and t is not None:
-            sig[..., j] = np.real(np.einsum("...ij,...ji->...", r, t)) / j
-            break
-        rt = r if t is None else r @ t
-        diag = np.real(np.diagonal(rt, axis1=-2, axis2=-1))
-        sig[..., j] = sum(diag[..., i] for i in range(n)) / j
+        rt = r
+        if t is not None:
+            rt = np.empty_like(r)
+            for i in range(n):
+                cols = slice(i, i + 1 if j == k else n)
+                np.multiply(r[i, 0, None], t[0, cols], out=rt[i, cols])
+                for m in range(1, n):
+                    rt[i, cols] += r[i, m, None] * t[m, cols]
+        sig[j] = sum(np.real(rt[i, i]) for i in range(n)) / j
         if j < k:
-            t = sig[..., j, None, None] * np.eye(n) - rt
+            t = np.empty_like(r)
+            for i in range(n):
+                np.negative(rt[i, i:], out=t[i, i:])
+                t[i, i] = sig[j] - np.real(rt[i, i])
+                np.conjugate(t[i, i + 1 :], out=t[i + 1 :, i])
     return sig, t
 
 
 def _form(t, z: np.ndarray) -> np.ndarray:
-    """z^* T z of a batch, real for Hermitian T; ``t = None`` stands for T_0 = I."""
+    """z^* T z of batch-last T (n, n, ...) and z (n, ...), real for Hermitian T; ``t = None`` stands for T_0 = I."""
     if t is None:
-        return np.sum(np.abs(z) ** 2, axis=-1)
-    return np.real(np.sum(np.conj(z) * (t @ z[..., None])[..., 0], axis=-1))
+        return np.sum(np.abs(z) ** 2, axis=0)
+    tz = sum(t[:, m] * z[m, None] for m in range(len(z)))
+    return np.sum(np.real(z.conj() * tz), axis=0)
+
+
+def _f(r00, r: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
+    """:func:`F_k` of batch-last triples: R of shape (n, n, ...) and z of shape (n, ...)."""
+    sig, t = _chain(r, k)
+    return r00 * sig[k] - _form(t, z)
 
 
 def F_k(r00, r, z, k: int) -> np.ndarray:
     """F_k of triples with any leading batch shape, real for real and Hermitian data.
 
-    For k = 1 this is r00 Re tr R - |z|^2.
+    For k = 1 this is r00 Re tr R - |z|^2. An adapter over the batch-last :func:`_f`.
     """
-    sig, t = newton_chain(r, k)
-    return r00 * sig[..., k] - _form(t, z)
+    return _f(r00, np.moveaxis(r, (-2, -1), (0, 1)), np.moveaxis(z, -1, 0), k)
 
 
 # ---------------------------------------------------------------------------
@@ -139,28 +161,33 @@ def log_q_hessian_batch(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-# Cap on the Newton descent's passes; it stops earlier, at the first pass that moves no row.
+# Cap on a row's Newton steps; a row stops earlier, at the first step that does not move it.
 _DESCENT_ITERS = 60
 
 
 def _newton_descent(s: np.ndarray, sigmas, n: int, k: int) -> np.ndarray:
     """Newton per row from above onto the largest root of the real-rooted p(s) = sigma_k(lam + s).
 
-    The last axis of ``sigmas(s)`` holds sigma_{k-1} and sigma_k of lam + s, and p' = (n - k + 1)
-    sigma_{k-1}. The iterates fall monotonically; rows with p <= 0 (the root, by rounding) or p' <= 0 stay put.
+    ``sigmas(x, rows)`` gives sigma_{k-1} and sigma_k of lam + x on the rows ``rows`` (index or slice),
+    and p' = (n - k + 1) sigma_{k-1}. The iterates fall monotonically; rows with p <= 0 (the root,
+    by rounding) or p' <= 0 stay put, and a row that did not move is final, so it leaves the loop.
     """
+    s = s.copy()
+    rows, x = np.arange(s.size), s
     for _ in range(_DESCENT_ITERS):
-        low, p = np.moveaxis(sigmas(s), -1, 0)
+        low, p = sigmas(x, rows if x.size < s.size else slice(None))
         move = (low > 0.0) & (p > 0.0)
-        s_next = np.where(move, s - p / np.where(move, (n - k + 1) * low, 1.0), s)
-        if np.array_equal(s_next, s):
+        x_next = x - p / np.where(move, (n - k + 1) * low, 1.0)
+        moved = move & (x_next != x)
+        if not moved.any():
             break
-        s = s_next
+        rows, x = rows[moved], x_next[moved]
+        s[rows] = x
     return s
 
 
 def _min_shift_into_cone(lams: np.ndarray, k: int) -> np.ndarray:
-    """Per-row smallest s with spectrum lam + s on the boundary of Gamma_k^+.
+    """Per-row smallest s with spectrum lam + s on the boundary of Gamma_k^+, for spectra of shape (B, n).
 
     Closed forms: -mean(lam) for k = 1 (sigma_1 > 0), -min(lam) for k = n (the
     positive orthant). For 1 < k < n it is the largest root of the real-rooted
@@ -173,28 +200,29 @@ def _min_shift_into_cone(lams: np.ndarray, k: int) -> np.ndarray:
     s = -np.min(lams, axis=-1)
     if k == n:
         return s
-    return _newton_descent(s, lambda s: elementary_symmetric(lams + s[..., None], k)[..., k - 1 :], n, k)
+    return _newton_descent(s, lambda x, rows: elementary_symmetric(lams[rows] + x[:, None], k)[:, k - 1 :].T, n, k)
 
 
 def _cone_shift(r: np.ndarray, k: int) -> np.ndarray:
-    """Per-row smallest s with R + s I on the boundary of Gamma_k^+ (k = 1: -mean of the diagonal).
+    """Per-matrix smallest s with R + s I on the boundary of Gamma_k^+, for R batch-last (n, n, B).
 
-    Newton falls onto the largest root of sigma_k(R + s I) from the Laguerre-Samuelson bound
-    -mu + sqrt((n - 1) var) >= -lam_min. Rows whose root is not certified take eigvalsh.
+    k = 1 takes -mean of the diagonal. Otherwise Newton falls onto the largest root of sigma_k(R + s I)
+    from the Laguerre-Samuelson bound -mu + sqrt((n - 1) var) >= -lam_min; uncertified roots take eigvalsh.
     """
-    n = r.shape[-1]
+    n = r.shape[0]
     if k == 1:
-        return _min_shift_into_cone(np.real(np.diagonal(r, axis1=-2, axis2=-1)), 1)
-    sig = newton_chain(r, k)[0].T.copy()
-    def shifted(x, j):  # sigma_j(R + x I) = sum_i C(n - i, j - i) sigma_i(R) x^(j - i), by Horner
-        acc = math.comb(n, j) * sig[0]
-        for i in range(1, j + 1):
-            acc = acc * x + math.comb(n - i, j - i) * sig[i]
+        return -np.mean(np.real(r[range(n), range(n)]), axis=0)
+    sig = _chain(r, k)[0]
+    coef = [np.array([math.comb(n - i, j - i) * sig[i] for i in range(j + 1)]) for j in range(k + 1)]
+    def shifted(j, x, rows=slice(None)):  # sigma_j(R + x I) = sum_i coef[j][i] x^(j - i) on the rows, by Horner
+        acc, *rest = coef[j][:, rows] if isinstance(rows, slice) else coef[j].take(rows, axis=1)
+        for c in rest:
+            acc = acc * x + c
         return acc
     mean, norm = sig[1] / n, np.sqrt(np.maximum(sig[1] ** 2 - 2.0 * sig[2], 0.0))  # sum lam^2 = |R|_F^2
     s = np.sqrt((n - 1) * np.maximum(norm**2 / n - mean**2, 0.0)) - mean
-    s = _newton_descent(s, lambda s: np.stack([shifted(s, k - 1), shifted(s, k)], axis=-1), n, k)
-    at = np.array([shifted(s, j) for j in range(k + 1)])
+    s = _newton_descent(s, lambda x, rows: [shifted(j, x, rows) for j in (k - 1, k)], n, k)
+    at = np.array([shifted(j, s) for j in range(k + 1)])
     # As |sigma_j(R)| <= C(n, j) |R|_F^j, sigma_j(R + s I) rounds by about C(n, j) (|R|_F + |s|)^j eps.
     # A certified root has rounding over slope below _SHIFT_RTOL (1 + |R|_F), unlike a multiple root,
     # and no sigma_j(R + s I) below minus its bound, unlike a lower root.
@@ -202,12 +230,12 @@ def _cone_shift(r: np.ndarray, k: int) -> np.ndarray:
     certified = np.abs(at[k]) + bound[k] < _SHIFT_RTOL * (1.0 + norm) * (n - k + 1) * at[k - 1]
     flagged = np.nonzero(~certified | np.any(at[1:] < -bound[1:], axis=0))[0]
     if flagged.size:
-        s[flagged] = _min_shift_into_cone(np.linalg.eigvalsh(r[flagged]), k)
+        s[flagged] = _min_shift_into_cone(np.linalg.eigvalsh(np.moveaxis(r[..., flagged], -1, 0)), k)
     return s
 
 
 def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, hermitian: bool):
-    """Draw a batch of cone-interior triples.
+    """Draw a batch of cone-interior triples, held batch-last: R of shape (n, n, batch), z of shape (n, batch).
 
     Matrices are symmetrized standard normals shifted into Gamma_k^+ by the
     minimal identity multiple (:func:`_cone_shift`) plus a log-uniform margin in [1e-2, 1], so the
@@ -219,24 +247,26 @@ def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, her
     m = rng.standard_normal((batch, n, n))
     if hermitian:
         m = m + 1j * rng.standard_normal((batch, n, n))
-    r = 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
+    m = np.ascontiguousarray(np.moveaxis(m, 0, -1))
+    r = 0.5 * (m + m.swapaxes(0, 1).conj())
     margin = 10.0 ** rng.uniform(-2.0, 0.0, batch)
     shift = _cone_shift(r, k) + margin
-    r = r + shift[:, None, None] * np.eye(n)
+    r[range(n), range(n)] += shift
     r00 = np.exp(rng.normal(0.0, 0.7, batch))
     if hermitian:
         zdir = (rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))) / math.sqrt(2.0)
     else:
         zdir = rng.standard_normal((batch, n))
+    zdir = np.ascontiguousarray(zdir.T)
     theta = rng.uniform(0.0, 0.99, batch)
-    sigs, t = newton_chain(r, k)
-    sig = sigs[:, k]
+    sigs, t = _chain(r, k)
+    sig = sigs[k]
     t_form = _form(t, zdir)
     # Only samples inside Gamma_k^+ (sigma_1..sigma_k all positive) are scored.
-    good = np.all(sigs[:, 1:] > 0.0, axis=-1) & (t_form > 0.0) & np.isfinite(t_form)
+    good = np.all(sigs[1:] > 0.0, axis=0) & (t_form > 0.0) & np.isfinite(t_form)
     safe_t = np.where(good, t_form, 1.0)
     scale2 = np.where(good, theta * r00 * sig / safe_t, 0.0)
-    z = zdir * np.sqrt(scale2)[:, None]
+    z = zdir * np.sqrt(scale2)
     # The form is quadratic in z, so F at the rescaled z needs no second pass.
     f_val = r00 * sig - scale2 * t_form
     good &= np.isfinite(f_val) & (f_val > 0.0)
@@ -349,7 +379,7 @@ def midpoint_concavity_scan(
         r00m = 0.5 * (r00p + r00q)
         rm = 0.5 * (rp + rq)
         zm = 0.5 * (zp + zq)
-        fm = F_k(r00m, rm, zm, k)
+        fm = _f(r00m, rm, zm, k)
         good = goodp & goodq & np.isfinite(fm)
 
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -373,10 +403,10 @@ def midpoint_concavity_scan(
                     trial=done + int(idx),
                     r00_left=float(r00p[idx]),
                     r00_right=float(r00q[idx]),
-                    r_left=rp[idx].copy(),
-                    r_right=rq[idx].copy(),
-                    z_left=zp[idx].copy(),
-                    z_right=zq[idx].copy(),
+                    r_left=rp[..., idx].copy(),
+                    r_right=rq[..., idx].copy(),
+                    z_left=zp[:, idx].copy(),
+                    z_right=zq[:, idx].copy(),
                 )
             )
         done += batch
@@ -403,25 +433,32 @@ def _split(a: np.ndarray):
     return hi, a - hi
 
 
-def _value_keep() -> np.ndarray:
-    """Keep-masks of a value's 42 bytes, row (negative * 21 + X + 4) * 17 + trailing zeros of D."""
+def _slot_table() -> np.ndarray:
+    """Word-major (11, 714) masks of a value's slot, column (negative * 21 + X + 4) * 17 + trailing zeros of D.
+
+    A slot is [,][-][0][T] (T the top digit of D), D's other 16 digits, [.] and three zero bytes, then
+    D's zero-padded 20-digit block; the masks keep what "%.17g" prints.
+    """
     x = np.arange(-4, 17)[:, None, None]
-    pos = np.arange(20)  # digit j of D sits at pos 3 + j
-    integer = np.where(x >= 0, (pos >= 3) & (pos <= 3 + x), pos == 0)
+    pos = np.arange(20)  # digit j of D sits at block position 3 + j
+    integer = np.where(x >= 0, (pos >= 3) & (pos <= 3 + x), pos == 2) | (pos == 0)  # with the separator
     fraction = (pos >= 4 + x) & (pos <= 19 - np.arange(17)[:, None])
-    parts = (np.array([False, True])[:, None, None, None], integer, fraction.any(axis=-1, keepdims=True), fraction)
-    return np.concatenate([np.broadcast_to(a, (2, 21, 17, a.shape[-1])) for a in parts], axis=-1).reshape(-1, 42)
+    parts = (integer, fraction.any(axis=-1, keepdims=True), np.zeros(3, bool), fraction)
+    keep = np.concatenate([np.broadcast_to(a, (2, 21, 17, a.shape[-1])) for a in parts], axis=-1)
+    keep = keep * np.frombuffer(b"\xff" * 20 + b".\0\0\0" + b"\xff" * 20, np.uint8)
+    keep[1, ..., 1] = ord("-")
+    return np.ascontiguousarray(keep.view("<u4").reshape(-1, 11).T)
 
 
-_RECORD_CHUNK = 4096
-# The records kernel. From 1e-4 to 1e17, C "%.17g" prints D 10^(X - 16) in fixed
+_RECORD_CHUNK = 4096  # rows of four values per chunk of the "%.17g" kernel; wider rows take fewer
+# The "%.17g" kernel. From 1e-4 to 1e17, C "%.17g" prints D 10^(X - 16) in fixed
 # notation (D the 17-digit correctly rounded significand, X the decimal exponent):
-# a keep-mask picks the sign, integer part, point and fraction out of the 42 bytes
-# [-][block].[block], block being D's 20-digit zero-padded ASCII. Rows with other
-# values, or a trial index wider than _TRIAL_DIGITS (at most 8), go to printf.
+# a column of _SLOT_TABLE ANDed with D's ASCII digits. Lines with other values, or
+# with a row number wider than _TRIAL_DIGITS (at most 8), go to printf.
 _TRIAL_DIGITS = 8
 _DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).view("<u4").ravel()  # "0000"...
-_VALUE_KEEP = _value_keep()
+_TRAILING_ZEROS4 = np.count_nonzero(np.arange(10**4) % 10 ** np.arange(1, 5)[:, None] == 0, axis=0).astype(np.int8)
+_SLOT_TABLE = _slot_table()
 _POW10 = np.array([float(10**s) for s in range(21)])  # exact doubles
 _POW10_HI, _POW10_LO = _split(_POW10)
 
@@ -439,7 +476,7 @@ def _significand(mag: np.ndarray, exp: np.ndarray) -> np.ndarray:
 
 
 def _fixed_17g(values: np.ndarray):
-    """Per value, the digit block, keep-mask row and certificate (False: printf prints it) of "%.17g"."""
+    """Slots (11, C, m) "<u4" of "," and "%.17g" for values (C, m), and their certificate (False: printf's)."""
     mag = np.abs(values)
     ok = (mag >= 1e-4) & (mag < 1e17)
     mag = np.where(ok, mag, 1.0)
@@ -452,56 +489,57 @@ def _fixed_17g(values: np.ndarray):
         exp = np.clip(exp + step, -4, 16)
         digits = _significand(mag, exp)
         ok &= (digits >= 10**16) & (digits < 10**17)
-    top, low = np.divmod(digits, 10**8)
-    top, mid = np.divmod(top, 10**8)
-    block = _DIGITS4[np.stack([top, *np.divmod(mid, 10**4), *np.divmod(low, 10**4)], axis=-1)].view(np.uint8)
-    zeros = np.argmax(block[..., :2:-1] != ord("0"), axis=-1)  # D >= 10^16 has a nonzero digit at pos 3
-    return block, ((values < 0) * 21 + exp + 4) * 17 + zeros, ok
+    high, low = (digits % 10**16 // 10**8).astype(np.int32), (digits % 10**8).astype(np.int32)
+    groups = np.stack([(digits // 10**16).astype(np.int32), high // 10**4, high % 10**4, low // 10**4, low % 10**4])
+    zeros = _TRAILING_ZEROS4[groups[4]]
+    for j in (3, 2, 1):  # where every later group is zero, this one's trailing zeros count too
+        more = zeros == 16 - 4 * j
+        zeros[more] += _TRAILING_ZEROS4[groups[j][more]]
+    slots = _SLOT_TABLE.take(((values < 0) * 21 + exp + 4) * 17 + zeros, axis=1)
+    block = _DIGITS4[groups]
+    slots[0] &= (block[0] & 0xFFFF0000) | ord(",") | 0xFF00
+    slots[1:5] &= block[1:]
+    slots[6:] &= block
+    return slots, ok
+
+
+def _write_17g(fh, columns: np.ndarray, head: str | None = None) -> None:
+    """Write line i as ``"%.17g,...,%.17g\\n" % columns[:, i]`` for columns (C, N), led by ``"%d" % i + head`` if given.
+
+    A chunk is built position-major, one vector over its lines per four bytes (row number, head,
+    :func:`_fixed_17g` slots), transposed once, and its zero bytes dropped.
+    """
+    n_cols, n_rows = columns.shape
+    fmt = ("" if head is None else "%d" + head) + ",".join(["%.17g"] * n_cols) + "\n"
+    if head is not None:
+        head_words = np.frombuffer((head + "\0" * (-len(head) % 4)).encode(), "<u4")[:, None]
+        shifts = 4 * np.arange(-(-_TRIAL_DIGITS // 4))[::-1, None]  # the row number in words of 4 digits
+    chunk = max(1, _RECORD_CHUNK * 4 // n_cols)
+    for start in range(0, n_rows, chunk):
+        slots, ok = _fixed_17g(columns[:, start : start + chunk])
+        index = np.arange(start, start + slots.shape[-1])
+        words = [slots.transpose(1, 0, 2).reshape(-1, index.size), np.full((1, index.size), ord("\n"), "<u4")]
+        words[0][0] &= 0xFFFFFF00  # no separator before the first value
+        if head is not None:
+            shown = np.clip(np.searchsorted(10 ** np.arange(1, _TRIAL_DIGITS), index, side="right") + 1 - shifts, 0, 4)
+            masks = (np.uint64(0xFFFFFFFF) << (32 - 8 * shown).astype(np.uint64)).astype("<u4")  # its last digits
+            words[:0] = [_DIGITS4[index // 10**shifts % 10**4] & masks, np.repeat(head_words, index.size, axis=1)]
+        words = np.concatenate(words)
+        lines = np.ascontiguousarray(words[words.any(axis=1)].T).view(np.uint8)
+        done = 0
+        for i in np.flatnonzero(~ok.all(axis=0) | (index >= 10**_TRIAL_DIGITS)).tolist():
+            fh.write(lines[done:i].tobytes().translate(None, b"\0"))
+            fh.write((fmt % ((start + i,) * (head is not None) + tuple(columns[:, start + i].tolist()))).encode())
+            done = i + 1
+        fh.write(lines[done:].tobytes().translate(None, b"\0"))
 
 
 def write_scan_records(report: ScanReport, path) -> None:
-    """Line-delimited per-trial records of a scan, written in bounded chunks of rows.
-
-    Each row is ``row % values`` byte for byte (C "%.17g" per value), built by the
-    records kernel; rows it cannot certify are written by ``row % values`` itself.
-    """
-    head = f",{report.k},{report.n},{report.variant},"
-    row = "%d" + head + "%.17g,%.17g,%.17g,%.17g\n"
-    columns = (report.margins, report.f_left, report.f_right, report.f_mid)
-    width = _TRIAL_DIGITS
-    lead = width + len(head)
-    buf = np.empty((_RECORD_CHUNK, lead + 4 * 43), np.uint8)
-    keep = np.ones(buf.shape, bool)
-    buf[:, width:lead] = np.frombuffer(head.encode(), np.uint8)
-    blocks = buf[:, lead:].reshape(_RECORD_CHUNK, 4, 43)
-    keep_blocks = keep[:, lead:].reshape(_RECORD_CHUNK, 4, 43)
-    blocks[..., 0], blocks[..., 21], blocks[..., 42] = ord("-"), ord("."), np.frombuffer(b",,,\n", np.uint8)
-    trial_keep = np.arange(width) >= width - np.arange(width + 1)[:, None]
+    """Per-trial records of a scan: trial, k, n, variant, margin, f_left, f_right, f_mid (``%d`` and ``%.17g``)."""
     with open(path, "wb") as fh:
         fh.write(b"trial,k,n,variant,margin,f_left,f_right,f_mid\n")
-        for start in range(0, report.trials, _RECORD_CHUNK):
-            stop = min(start + _RECORD_CHUNK, report.trials)
-            m = stop - start
-            trial = np.arange(start, stop)
-            trial_block = _DIGITS4[np.stack(np.divmod(trial % 10**8, 10**4), axis=-1)].view(np.uint8)
-            buf[:m, :width] = trial_block[:, 8 - width :]
-            keep[:m, :width] = trial_keep[np.searchsorted(10 ** np.arange(1, width), trial, side="right") + 1]
-            values = np.stack([col[start:stop] for col in columns], axis=1)
-            block, value_keep, ok = _fixed_17g(values)
-            blocks[:m, :, 1:21] = block
-            blocks[:m, :, 22:42] = block
-            keep_blocks[:m, :, :42] = _VALUE_KEEP[value_keep]
-            out = buf[:m].ravel()[keep[:m].ravel()]
-            fallback = np.flatnonzero(~ok.all(axis=1) | (trial >= 10**width))
-            if fallback.size:
-                ends = np.cumsum(np.count_nonzero(keep[:m], axis=1))
-                done = 0
-                for i in fallback.tolist():
-                    fh.write(out[done : ends[i - 1] if i else 0])
-                    fh.write((row % (start + i, *values[i].tolist())).encode())
-                    done = ends[i]
-                out = out[done:]
-            fh.write(out)
+        columns = np.stack([report.margins, report.f_left, report.f_right, report.f_mid])
+        _write_17g(fh, columns, f",{report.k},{report.n},{report.variant},")
 
 
 def write_counterexamples(report: ScanReport, path) -> None:

@@ -161,6 +161,42 @@ def test_csv_round_trip(tmp_path, dim):
     assert np.array_equal(read_field_csv(pw, SpaceField, grid).values, w.values)
 
 
+# Values at the edges of the "%.17g" kernel behind the CSV writer: +-0, its fixed-notation
+# range [1e-4, 1e17) and the neighbours of both ends, subnormals and 1e300, which printf writes.
+CSV_EDGES = [
+    0.0,
+    -0.0,
+    1e-4,
+    float(np.nextafter(1e-4, 0.0)),
+    float(np.nextafter(1e-4, 1.0)),
+    1e17,
+    float(np.nextafter(1e17, 0.0)),
+    5e-324,
+    1e-310,
+    2.2250738585072014e-308,
+    1e300,
+    -1e300,
+]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_csv_matches_savetxt(tmp_path, dim):
+    # Byte for byte what np.savetxt(fmt="%.17g", delimiter=",") writes: rows with an edge
+    # value (printf's) between rows the kernel writes, and a SpaceField's single row.
+    grid = GridSpec(spatial_dim=dim, nodes_per_axis=12, time_nodes=5)
+    rng = np.random.default_rng(12)
+    values = rng.choice([-1.0, 1.0], grid.field_shape) * 10.0 ** rng.uniform(-4.0, 17.0, grid.field_shape)
+    flat = values.reshape(grid.time_nodes, -1)
+    flat[0, :6] = [0.5, -2.0, 100.25, 1234.5, 1e16, 0.001]  # the kernel's: trailing zeros in D
+    flat[1, : len(CSV_EDGES)] = CSV_EDGES
+    flat[3, -len(CSV_EDGES) :] = [-x for x in CSV_EDGES]
+    for field in (ScalarField(grid, values), SpaceField(grid, values[2])):
+        path, want = tmp_path / "kernel.csv", tmp_path / "savetxt.csv"
+        write_field_csv(field, path)
+        np.savetxt(want, field.values.reshape(-1, grid.num_spatial), fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == want.read_bytes()
+
+
 def test_csv_grid_mismatch(tmp_path):
     grid = GridSpec(spatial_dim=1, nodes_per_axis=8, time_nodes=5)
     other = GridSpec(spatial_dim=1, nodes_per_axis=16, time_nodes=5)

@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -207,11 +210,23 @@ def test_F_is_dtype_invariant(seed):
             r00, r, z, _f, good = _sample_cone_batch(rng, k, n, 1, hermitian=False)
             assert good[0]
             assert not np.iscomplexobj(r) and not np.iscomplexobj(z)
-            real = F_k(r00[0], r[0], z[0], k)
-            cplx = F_k(r00[0], r[0].astype(complex), z[0].astype(complex), k)
-            lam = np.abs(np.linalg.eigvalsh(r[0]))
-            scale = r00[0] * sigma_brute(lam, k) + float(np.sum(z[0] ** 2)) * sigma_brute(lam, k - 1)
+            r, z = r[..., 0], z[:, 0]  # the sampler holds the batch last
+            real = F_k(r00[0], r, z, k)
+            cplx = F_k(r00[0], r.astype(complex), z.astype(complex), k)
+            lam = np.abs(np.linalg.eigvalsh(r))
+            scale = r00[0] * sigma_brute(lam, k) + float(np.sum(z**2)) * sigma_brute(lam, k - 1)
             assert abs(real - cplx) <= 1e-12 * scale, (n, k)
+
+
+def batch_first(sample):
+    """A sampler batch (r00, R, z, F, good) with R and z batch-first, as the public kernels take them."""
+    r00, r, z, f, good = sample
+    return r00, np.moveaxis(r, -1, 0), np.moveaxis(z, -1, 0), f, good
+
+
+def batch_last(r):
+    """Batch-first matrices in the batch-last layout of the scan's private kernels."""
+    return np.moveaxis(r, 0, -1)
 
 
 def in_gamma(r, k):
@@ -351,8 +366,8 @@ def test_f_batch_matches_eigen_route(seed, hermitian):
     rng = np.random.default_rng(seed)
     for n in range(1, 7):
         for k in range(1, n + 1):
-            r00p, rp, zp, fp, goodp = _sample_cone_batch(rng, k, n, 16, hermitian)
-            r00q, rq, zq, _fq, goodq = _sample_cone_batch(rng, k, n, 16, hermitian)
+            r00p, rp, zp, fp, goodp = batch_first(_sample_cone_batch(rng, k, n, 16, hermitian))
+            r00q, rq, zq, _fq, goodq = batch_first(_sample_cone_batch(rng, k, n, 16, hermitian))
             assert goodp.all() and goodq.all()
             want = f_eig_reference(r00p, rp, zp, k)
             assert np.all(np.abs(F_k(r00p, rp, zp, k) - want) <= 1e-10 * np.abs(want)), (n, k)
@@ -423,7 +438,7 @@ def test_cone_shift_on_repeated_eigenvalues(hermitian):
         mults = np.array(mults)
         norm = np.sqrt(np.sum(np.abs(r) ** 2, axis=(-2, -1)))
         for k in range(2, n + 1):
-            got = _cone_shift(r, k)
+            got = _cone_shift(batch_last(r), k)
             want = exact_shift(r, k)
             multiple = mults >= n - k + 2
             assert np.array_equal(got[multiple], want[multiple]), (n, k)
@@ -448,8 +463,40 @@ def test_cone_shift_rejects_a_lower_root(monkeypatch):
     r = np.diag(lam)[None]
     want = exact_shift(r, k)[0]
     monkeypatch.setattr(symcone, "_newton_descent", lands_low)
-    assert _cone_shift(r, k)[0] == want > low + 1.0
+    assert _cone_shift(batch_last(r), k)[0] == want > low + 1.0
     assert len(calls) == 2  # the landing, then the exact route
+
+
+def test_overflowing_row_does_not_stall_the_descent(monkeypatch):
+    # A row whose sigmas overflow to nan never moves, so it must not keep the batch's
+    # descent running to its cap: the batch takes as many passes as without it, every
+    # other row keeps its bits, and the bad row still gets the eigvalsh route's answer.
+    rng = np.random.default_rng(114)
+    r = random_hermitian(rng, (4096, 4, 4), False)
+    descent = symcone._newton_descent
+    passes = []
+
+    def counting(s, sigmas, *args):
+        calls = []
+
+        def counted(*sigma_args):
+            calls.append(1)
+            return sigmas(*sigma_args)
+
+        out = descent(s, counted, *args)
+        passes.append(len(calls))
+        return out
+
+    monkeypatch.setattr(symcone, "_newton_descent", counting)
+    clean = _cone_shift(batch_last(r), 4)
+    bad = r.copy()
+    bad[7] *= 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = _cone_shift(batch_last(bad), 4)
+    assert passes == [15, 15]
+    others = np.arange(4096) != 7
+    assert np.array_equal(shifted[others], clean[others])
+    assert shifted[7] == exact_shift(bad[7:8], 4)[0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -469,7 +516,7 @@ def test_cone_shift_matches_eigen_route(re, im, hermitian):
         r = 0.5 * (m + np.conj(m.T))[None]
         tol = 1e-12 * (1.0 + np.sqrt(np.sum(np.abs(r) ** 2)))
         for k in range(1, n + 1):
-            assert abs(_cone_shift(r, k)[0] - exact_shift(r, k)[0]) <= tol, (n, k, r)
+            assert abs(_cone_shift(batch_last(r), k)[0] - exact_shift(r, k)[0]) <= tol, (n, k, r)
 
 
 @pytest.mark.parametrize("k, n, hermitian, seed", [(3, 3, False, 46), (4, 4, False, 48), (2, 3, True, 50)])
@@ -487,6 +534,42 @@ def test_scan_shift_rarely_needs_eigvalsh(monkeypatch, k, n, hermitian, seed):
     rep = midpoint_concavity_scan(k, n, 4096, seed=seed, hermitian=hermitian)
     assert rep.sampling_failures == 0
     assert sum(rows) < 0.01 * 2 * 4096, rows
+
+
+# Runs a (2, 3) Hermitian scan in a child process: no row may take eigvalsh, whose LAPACK
+# kernels do depend on the BLAS core type; the margins go to stdout as raw bytes.
+_CORETYPE_CHILD = """
+import sys
+import numpy as np
+rows = []
+eigvalsh = np.linalg.eigvalsh
+def counting(a, *args, **kwargs):
+    rows.append(len(a))
+    return eigvalsh(a, *args, **kwargs)
+np.linalg.eigvalsh = counting
+from torusgeo.symcone import midpoint_concavity_scan
+rep = midpoint_concavity_scan(2, 3, 20000, seed=50, hermitian=True)
+assert sum(rows) == 0, rows
+sys.stdout.buffer.write(rep.margins.tobytes())
+"""
+
+
+def test_scan_bytes_do_not_depend_on_blas_kernel():
+    # The scan-side twin of test_solution_bytes_do_not_depend_on_blas_threads: the cone
+    # algebra runs in numpy's elementwise loops, so the margins are the same bits under
+    # the default OpenBLAS kernel and under Prescott's.
+    src = os.path.dirname(os.path.dirname(symcone.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    margins = []
+    for coretype in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CORETYPE_CHILD], capture_output=True, timeout=120, env={**env, **coretype}
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        margins.append(proc.stdout)
+    assert len(margins[0]) == 8 * 20000
+    assert margins[0] == margins[1]
 
 
 def test_scan_rejects_n_above_6():
@@ -511,7 +594,7 @@ def test_scan_makes_no_eigh_call(monkeypatch, k, n, hermitian):
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_f1_batch_matches_pointwise_eval(n, hermitian):
     rng = np.random.default_rng(110 + n)
-    r00, r, z, f_sampled, good = _sample_cone_batch(rng, 1, n, 200, hermitian)
+    r00, r, z, f_sampled, good = batch_first(_sample_cone_batch(rng, 1, n, 200, hermitian))
     assert good.all()
     f_batch = F_k(r00, r, z, 1)
     for i in range(200):
@@ -673,7 +756,7 @@ def test_records_kernel_matches_printf(tmp_path, values):
     assert new.read_bytes() == _reference_records(rep)
     # The kernel, not printf, certifies every finite value of the fixed range.
     mag = np.abs(values)
-    assert np.array_equal(_fixed_17g(values)[2], (mag >= 1e-4) & (mag < 1e17))
+    assert np.array_equal(_fixed_17g(values[None])[1][0], (mag >= 1e-4) & (mag < 1e17))
 
 
 def _q(point) -> float:
