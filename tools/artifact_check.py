@@ -8,7 +8,8 @@ SRC is a directory holding the ``torusgeo`` package (``src`` of this or of any
 other checkout); OUTDIR must not exist yet. The script runs ``solve``,
 ``sweep`` and ``scan`` on the bundled configs of SRC and on the perfbench
 solve-2d, sweep-2d and scan configs of seeds 0-3 (written by
-``perfbench/workloads.prepare``), one ``sweep`` that fails and two Hermitian
+``perfbench/workloads.prepare``), ``solve`` and ``sweep`` on the near-degenerate
+20^2x11 problem, one ``sweep`` that fails and two Hermitian
 ``scan`` runs at 20000 trials, two ``scan`` runs with the violation threshold
 ``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify`` on every
 ``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200) writes
@@ -20,6 +21,10 @@ k = n closed form. No scan at the shipped threshold finds a violation, so the
 raised threshold is the only way a non-empty ``counterexamples.txt`` is
 compared: (1, 2) real and (2, 3) Hermitian at 3000 trials and seed 35 each
 dump 25 violations, and the first, a theorem-backed pair, exits 1.
+The near-degenerate problem is the perfbench seed-0 problem with
+f = 1 + cos(x) + 1e-4, which comes within 1e-4 of zero on the line x = pi;
+its sweep runs eps = 1 down to 1e-6. It is where GMRES and the preconditioner
+do most of their work, so a change there shows in its ``lin_iters``.
 Artifacts land under OUTDIR; ``OUTDIR/commands.log`` holds each command with
 its exit code and its stdout and stderr, the paths of OUTDIR and SRC replaced
 by placeholders. Two trees give the same results when ``diff -r`` finds their
@@ -54,6 +59,23 @@ u1 = 0
 
 [sweep]
 epsilons = 1e200
+"""
+
+# The ROADMAP problem on perfbench's 20^2x11 grid with an f that nearly
+# vanishes on the line x = pi, solved and swept down to 1e-6.
+NEAR_DEGENERATE = """\
+[problem]
+spatial_dim = 2
+nodes_per_axis = 20
+time_nodes = 11
+a = 1 + 0.2*sin(x)*cos(y)
+b = 0.1
+f = 1 + cos(x) + 1e-4
+u0 = 0.1*sin(x + y)
+u1 = -0.1*cos(x - y)
+
+[sweep]
+epsilons = 1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6
 """
 
 # The Hermitian scans: (k, n) pairs whose cone shifts reach the eigvalsh fallback.
@@ -127,6 +149,15 @@ def main(argv: list[str]) -> int:
             for command in workload.operation:
                 run(command.argv)
                 verify_dumps(command.outdir, command.argv[1])
+    degenerate = os.path.join(outdir, "near-degenerate")
+    os.makedirs(degenerate)
+    cfg = os.path.join(degenerate, "problem.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(NEAR_DEGENERATE)
+    for command in ("solve", "sweep"):
+        made = os.path.join(degenerate, command)
+        run([command, cfg, "--output", made])
+        verify_dumps(made, cfg)
     failing = os.path.join(outdir, "failing")
     os.makedirs(failing)
     cfg = os.path.join(failing, "sweep.cfg")
