@@ -185,21 +185,22 @@ def _wrap_neighbours(vals: np.ndarray, dim: int) -> list[tuple[np.ndarray, np.nd
     return views
 
 
-def laplacian(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
+def laplacian(vals: np.ndarray, grid: GridSpec, neighbours: list | None = None) -> np.ndarray:
     """Periodic second-difference Laplacian over the trailing ``spatial_dim`` axes of ``vals``.
 
     Each spatial axis contributes the standard three-point stencil
     ``(v[i+1] - 2 v[i] + v[i-1]) / hx**2`` with wrap-around indexing.
+    ``neighbours``, the :func:`_wrap_neighbours` views of ``vals``, can be shared with :func:`gradient`.
     """
     out = np.zeros_like(vals)
-    for plus, minus in _wrap_neighbours(vals, grid.spatial_dim):
+    for plus, minus in neighbours or _wrap_neighbours(vals, grid.spatial_dim):
         out += plus - 2.0 * vals + minus
     return out / (grid.hx * grid.hx)
 
 
-def gradient(vals: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+def gradient(vals: np.ndarray, grid: GridSpec, neighbours: list | None = None) -> list[np.ndarray]:
     """Periodic centered gradient over the trailing ``spatial_dim`` axes, one array per axis."""
-    return [(plus - minus) / (2.0 * grid.hx) for plus, minus in _wrap_neighbours(vals, grid.spatial_dim)]
+    return [(plus - minus) / (2.0 * grid.hx) for plus, minus in neighbours or _wrap_neighbours(vals, grid.spatial_dim)]
 
 
 def grad_sq(components: list, start: np.ndarray | None = None) -> np.ndarray:

@@ -68,8 +68,9 @@ def _b_values(w: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, list]:
     Data out of float range give inf or nan, without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        grads = gradient(w, spec.grid)
-        return laplacian(w, spec.grid) - spec.b * grad_sq(grads) + spec.a.values, grads
+        neighbours = _wrap_neighbours(w, spec.grid.spatial_dim)
+        grads = gradient(w, spec.grid, neighbours)
+        return laplacian(w, spec.grid, neighbours) - spec.b * grad_sq(grads) + spec.a.values, grads
 
 
 @dataclass
@@ -195,8 +196,7 @@ def cone_quantities(u_values: np.ndarray, spec: ProblemSpec) -> ConeData:
 
 def compute_B(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """B_u = lap u - b |grad u|^2 + a, defined on every time layer."""
-    cone = cone_quantities(u.values, spec)
-    return ScalarField(spec.grid, cone.b_full)
+    return ScalarField(spec.grid, _b_values(u.values, spec)[0])
 
 
 def apply_Q(u: ScalarField, spec: ProblemSpec) -> ScalarField:
