@@ -340,11 +340,11 @@ def _layer_mean_inverse(ls: LinearSystem):
     Dirichlet layers are zero. A singular pivot gives non-finite values.
     """
     grid = ls.grid
-    dim = grid.spatial_dim
+    dim, layers, shape = grid.spatial_dim, grid.interior_layers, grid.spatial_shape
     axes = tuple(range(1, 1 + dim))
 
     def layer_mean(w: np.ndarray) -> np.ndarray:
-        return w.mean(axis=axes).reshape((-1,) + (1,) * dim)
+        return np.add.reduce(w, axis=axes, keepdims=True) / grid.num_spatial
 
     # Symbol of the layer-averaged stencil at every rfft mode: a shift by
     # +1 along axis a multiplies a mode by exp(i theta_a).
@@ -352,28 +352,33 @@ def _layer_mean_inverse(ls: LinearSystem):
     thetas = [2.0 * np.pi * np.fft.fftfreq(n)] * (dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(n)]
     diag = layer_mean(ls.center) + 0j
     skew = 0j
-    for theta, (plus, minus, mixed) in zip(np.meshgrid(*thetas, indexing="ij"), ls.spatial):
+    for theta, (plus, minus, mixed) in zip(np.meshgrid(*thetas, indexing="ij", sparse=True), ls.spatial):
         diag = diag + layer_mean(plus) * np.exp(1j * theta) + layer_mean(minus) * np.exp(-1j * theta)
         skew = skew + 2j * layer_mean(mixed) * np.sin(theta)
-    lower = layer_mean(ls.tcoef) + skew
-    upper = layer_mean(ls.tcoef) - skew
+    tcoef = layer_mean(ls.tcoef)
+    lower, upper = tcoef + skew, tcoef - skew
 
-    inv_pivot = np.empty(diag.shape, dtype=complex)
-    upper_ratio = np.empty(diag.shape, dtype=complex)
+    inv_pivot, upper_ratio = np.empty((2,) + diag.shape, dtype=complex)
     inv_pivot[0] = 1.0 / diag[0]
-    for k in range(1, diag.shape[0]):
+    for k in range(1, layers):
         upper_ratio[k - 1] = upper[k - 1] * inv_pivot[k - 1]
         inv_pivot[k] = 1.0 / (diag[k] - lower[k] * upper_ratio[k - 1])
+    scratch = np.empty(diag.shape[1:], dtype=complex)
 
     def solve(v: np.ndarray) -> np.ndarray:
-        y = np.fft.rfftn(v.reshape((grid.interior_layers,) + grid.spatial_shape), axes=axes)
+        y = np.fft.rfft(v.reshape((layers,) + shape))
+        for ax in axes[:-1]:
+            np.fft.fft(y, axis=ax, out=y)
         y[0] *= inv_pivot[0]
-        for k in range(1, y.shape[0]):
-            y[k] = (y[k] - lower[k] * y[k - 1]) * inv_pivot[k]
-        for k in range(y.shape[0] - 2, -1, -1):
-            y[k] -= upper_ratio[k] * y[k + 1]
+        for k in range(1, layers):
+            y[k] -= np.multiply(lower[k], y[k - 1], out=scratch)
+            y[k] *= inv_pivot[k]
+        for k in range(layers - 2, -1, -1):
+            y[k] -= np.multiply(upper_ratio[k], y[k + 1], out=scratch)
+        for ax in axes[:-1]:
+            np.fft.ifft(y, axis=ax, out=y)
         x = np.zeros(grid.field_shape)
-        x[1:-1] = np.fft.irfftn(y, s=grid.spatial_shape, axes=axes)
+        np.fft.irfft(y, n, out=x[1:-1])
         return x
 
     return solve
