@@ -16,15 +16,15 @@ The linearization of Q at u acting on a perturbation h is
 applied here matrix-free as a space-time stencil whose weights are cached
 per Newton step. Newton corrections solve dQ(h) = g on the interior nodes by
 restarted GMRES (modified Gram-Schmidt, Givens rotations; Saad and Schultz
-1986), written out here in numpy and right-preconditioned by the same stencil
-with each weight averaged over its time layer: FFT in space turns that
-operator into one tridiagonal system in t per Fourier mode, factored once
-per solve and applied by a batched Thomas sweep. Right preconditioning makes
-the residual GMRES minimizes the true residual, which is what the caller's
-relative tolerance bounds; the Newton iteration passes its forcing term, so
-early corrections are only solved as far as the nonlinear residual warrants.
-Every Krylov reduction runs in numpy's own loops, not in BLAS, so results do
-not depend on the BLAS thread count.
+1986), written out here in numpy and right-preconditioned by M^-1 D: M is the
+stencil with each weight averaged over its time layer, one tridiagonal system
+in t per Fourier mode after FFT in space, factored once per solve and applied
+by a batched Thomas sweep; D rescales each row of M to the stencil's diagonal.
+Right preconditioning makes the residual GMRES minimizes the true residual,
+which is what the caller's relative tolerance bounds; the Newton iteration
+passes its forcing term, so early corrections are only solved as far as the
+nonlinear residual warrants. Every Krylov reduction runs in numpy's own
+loops, not in BLAS, so results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -332,12 +332,15 @@ class LinearSystem:
 
 
 def _layer_mean_inverse(ls: LinearSystem):
-    """Factor M, the stencil of ``ls`` with each weight averaged over its layer, and return M^-1.
+    """Factor M, the stencil of ``ls`` with each weight averaged over its layer, and return v -> M^-1 D v.
 
     FFT in space turns M into one tridiagonal system in t per Fourier mode,
-    Thomas-factored here for all modes at once. The returned step maps a
-    time-major interior vector v to M^-1 v as a full-shape field whose
-    Dirichlet layers are zero. A singular pivot gives non-finite values.
+    Thomas-factored here for all modes at once. D = layer_mean(center) /
+    center rescales each row of M to the stencil's own diagonal, so M^-1 D
+    inverts a stencil whose row weights are one positive factor times weights
+    constant on their layer. The returned step maps a time-major interior
+    vector v to M^-1 D v as a full-shape field with zero Dirichlet layers. A
+    singular pivot or a zero center weight gives non-finite values.
     """
     grid = ls.grid
     dim, layers, shape = grid.spatial_dim, grid.interior_layers, grid.spatial_shape
@@ -351,6 +354,7 @@ def _layer_mean_inverse(ls: LinearSystem):
     n = grid.nodes_per_axis
     thetas = [2.0 * np.pi * np.fft.fftfreq(n)] * (dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(n)]
     diag = layer_mean(ls.center) + 0j
+    scale = diag.real / ls.center
     skew = 0j
     for theta, (plus, minus, mixed) in zip(np.meshgrid(*thetas, indexing="ij", sparse=True), ls.spatial):
         diag = diag + layer_mean(plus) * np.exp(1j * theta) + layer_mean(minus) * np.exp(-1j * theta)
@@ -366,7 +370,7 @@ def _layer_mean_inverse(ls: LinearSystem):
     scratch = np.empty(diag.shape[1:], dtype=complex)
 
     def solve(v: np.ndarray) -> np.ndarray:
-        y = np.fft.rfft(v.reshape((layers,) + shape))
+        y = np.fft.rfft(v.reshape((layers,) + shape) * scale)
         for ax in axes[:-1]:
             np.fft.fft(y, axis=ax, out=y)
         y[0] *= inv_pivot[0]

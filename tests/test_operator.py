@@ -331,6 +331,29 @@ def test_preconditioner_exact_for_layerwise_constant_coefficients(dim):
     assert np.max(np.abs(system.apply(h).ravel() - g)) <= 1e-10 * np.max(np.abs(g))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_preconditioner_exact_for_row_scaled_layerwise_coefficients(dim):
+    # Every weight of a row is c > 0, which varies from node to node, times a
+    # weight that is constant on its layer (drift and corner weights included).
+    # The stencil is then C M with M layerwise constant, which the row-scaled
+    # layer-mean preconditioner inverts; without the scaling GMRES needs more
+    # iterations here (15 in 1D and 29 in 2D).
+    grid = GridSpec(spatial_dim=dim, nodes_per_axis=12, time_nodes=9)
+    a = SpaceField(grid, np.full(grid.spatial_shape, 1.3))
+    zero = SpaceField(grid, np.zeros(grid.spatial_shape))
+    f = ScalarField(grid, np.ones(grid.field_shape))
+    spec = ProblemSpec(grid=grid, a=a, b=0.4, f=f, u0=zero, u1=zero)
+    u = ScalarField.sample(grid, lambda t, *xs: -t * (1.0 - t) - 0.3 * t**3 * (1.0 - t))
+    layered = assemble_dQ(u, spec)
+    c = ScalarField.sample(grid, lambda t, *xs: 1.5 + np.sin(xs[0] + 2.0 * t) * np.cos(xs[-1])).values[1:-1]
+    spatial = [(c * 1.2 * plus, c * 0.8 * minus, c * 0.1 * layered.tcoef) for plus, minus, _ in layered.spatial]
+    system = operator_module.LinearSystem(grid, c * layered.center, c * layered.tcoef, spatial)
+    g = np.random.default_rng(63).standard_normal(grid.interior_layers * grid.num_spatial)
+    h = system.solve_interior(g)
+    assert system.iterations <= 2
+    assert np.max(np.abs(system.apply(h).ravel() - g)) <= 1e-10 * np.max(np.abs(g))
+
+
 def _record_calls(system, monkeypatch) -> list:
     """Log ("P", iterations) per preconditioner step and ("A", iterations) per stencil action on ``system``."""
     calls = []
