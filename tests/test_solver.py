@@ -207,9 +207,9 @@ def test_roadmap_problem_takes_the_full_step():
     assert res.rejected == []
 
 
-# The row-scaled layer-mean preconditioner took the sweep from 76 GMRES
-# iterations to 57, and the near-degenerate continuation solve from 96 to 66;
-# each bound is its measured count plus 10%.
+# GMRES work with the row-scaled layer-mean preconditioner: each bound is the
+# measured count plus 10%, 57 for the sweep and 66 for the near-degenerate
+# continuation solve (76 and 96 without the row scaling).
 def test_roadmap_sweep_gmres_work():
     entries = epsilon_sweep(_roadmap_spec(), [1.0, 1e-1, 1e-2, 1e-3, 1e-4])
     assert all(e.result is not None and e.rejected == [] for e in entries)
