@@ -27,7 +27,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, build_exact, build_grid, build_problem, load_config
+from .config import ConfigError, build_exact, build_grid, build_problem, load_config
 from .estimates import bounds_report
 from .mesh import ScalarField, read_field_bin, read_field_csv, write_field_bin, write_field_csv
 from .operator import InvalidProblem, cone_quantities
@@ -86,9 +86,8 @@ def _write_run(outdir: str, records, rejected) -> None:
     _write_table(os.path.join(outdir, "rejections.csv"), ("phase", "param", "reason"), rejected)
 
 
-def _outdir(args, cfg: RunConfig, make: bool = True) -> str:
+def _outdir(outdir: str, make: bool = True) -> str:
     """The output directory, made after the run; make=False, before it, fails early on a path naming a file."""
-    outdir = args.output if args.output is not None else cfg.output.directory
     try:
         if make or (os.path.exists(outdir) and not os.path.isdir(outdir)):
             os.makedirs(outdir, exist_ok=True)
@@ -101,7 +100,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     if cfg.solver.refinements > 0 and (cfg.problem is None or cfg.problem.exact is None):
         raise ConfigError("refinements > 0 requires an 'exact' expression in [problem]")
-    _outdir(args, cfg, make=False)
+    _outdir(args.output, make=False)
     build_grid(cfg, cfg.solver.refinements)  # refuses to refine file-backed fields before any solve
     spec = build_problem(cfg)
 
@@ -144,7 +143,7 @@ def cmd_solve(args) -> int:
                 refinements.append((level, spec_r.grid.nodes_per_axis, spec_r.grid.time_nodes, err, order))
                 summary += [(f"exact_sup_error_l{level}", err), (f"refinement_order_l{level}", order)]
 
-    outdir = _outdir(args, cfg)
+    outdir = _outdir(args.output)
     write_field_csv(result.u, os.path.join(outdir, "solution.csv"))
     write_field_bin(result.u, os.path.join(outdir, "solution.bin"))
     _write_pairs(os.path.join(outdir, "bounds.txt"), _bounds_pairs(bounds))
@@ -170,12 +169,12 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if not cfg.sweep.epsilons:
         raise ConfigError("sweep requires a [sweep] section with an epsilons list")
-    _outdir(args, cfg, make=False)
+    _outdir(args.output, make=False)
     spec = build_problem(cfg)
 
     records = []
     entries = epsilon_sweep(spec, cfg.sweep.epsilons, on_record=records.append)
-    outdir = _outdir(args, cfg)
+    outdir = _outdir(args.output)
     rejected = [row for entry in entries for row in entry.rejected]
     _write_run(outdir, records, rejected)
 
@@ -218,11 +217,11 @@ def cmd_sweep(args) -> int:
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
     sc = cfg.scan
-    _outdir(args, cfg, make=False)
+    _outdir(args.output, make=False)
 
     report = midpoint_concavity_scan(sc.k, sc.n, sc.trials, sc.seed, hermitian=sc.hermitian)
     comparison = comparison_scan(sc.n, sc.comparison_pairs, sc.seed + 1)
-    outdir = _outdir(args, cfg)
+    outdir = _outdir(args.output)
     write_scan_records(report, os.path.join(outdir, "scan_records.csv"))
     write_counterexamples(report, os.path.join(outdir, "counterexamples.txt"))
 
@@ -298,7 +297,7 @@ def main(argv=None) -> int:
     ):
         p_run = sub.add_parser(name, help=help_text)
         p_run.add_argument("config", help="INI configuration file")
-        p_run.add_argument("--output", help="output directory (overrides [output] directory)")
+        p_run.add_argument("--output", default="out", help="output directory (default: out)")
 
     p_verify = sub.add_parser("verify", help="re-check a solution dump against a problem")
     p_verify.add_argument("solution", help="solution file (.csv or .bin)")

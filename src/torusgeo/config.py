@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .mesh import TWO_PI, GridSpec, ScalarField, SpaceField, read_field_csv
+from .mesh import GridSpec, ScalarField, SpaceField, read_field_csv
 from .operator import ProblemSpec
 from .solver import epsilon_ladder
 from .symcone import _SCAN_MAX_N, _check_k
@@ -117,7 +117,6 @@ class ProblemConfig:
     spatial_dim: int
     nodes_per_axis: int
     time_nodes: int
-    spatial_period: float = TWO_PI
     a: str
     b: float = 0.0
     f: str
@@ -149,17 +148,11 @@ class ScanConfig:
 
 
 @dataclass
-class OutputConfig:
-    directory: str = "out"
-
-
-@dataclass
 class RunConfig:
     problem: ProblemConfig | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     scan: ScanConfig = field(default_factory=ScanConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
     base_dir: str = "."
 
 
@@ -170,7 +163,6 @@ _SECTIONS = {
         ("solver", SolverConfig),
         ("sweep", SweepConfig),
         ("scan", ScanConfig),
-        ("output", OutputConfig),
     )
 }
 
@@ -249,9 +241,6 @@ def load_config(path) -> RunConfig:
             if getattr(sc, key) < 0:
                 raise ConfigError(f"{key} in [scan] must be nonnegative, got {getattr(sc, key)}")
 
-    if parser.has_section("output"):
-        cfg.output = OutputConfig(**_typed_section(parser["output"], OutputConfig, "output"))
-
     return cfg
 
 
@@ -302,7 +291,6 @@ def build_grid(cfg: RunConfig, refine: int = 0) -> GridSpec:
             spatial_dim=prob.spatial_dim,
             nodes_per_axis=prob.nodes_per_axis * factor,
             time_nodes=(prob.time_nodes - 1) * factor + 1,
-            spatial_period=prob.spatial_period,
         )
 
 

@@ -203,7 +203,7 @@ def _identities(u: ScalarField, spec: ProblemSpec, rhs: ScalarField, cone: ConeD
     e2 = float(np.max(np.abs(ls.apply(t2) - 2.0 * cone.b_interior)))
     with np.errstate(over="ignore", invalid="ignore"):  # f near the top of the float range: e3 reads inf
         target = 2.0 * rhs.values[1:-1] - (spec.a.values + spec.b * grad_sq(cone.grad_u)) * cone.utt
-        e3 = float(np.max(np.abs(ls.apply(u) - target)))
+        e3 = float(np.max(np.abs(ls.apply(u.values) - target)))
     return dict(identity_err_dq_t=e1, identity_err_dq_t2=e2, identity_err_dq_u=e3)
 
 

@@ -1,11 +1,11 @@
 """Space-time lattices on flat tori and the discrete operators living on them.
 
-The computational domain is T^d x [0, 1] with d = 1 or 2. Spatial axes are
-periodic with a common period and node count, so every spatial stencil wraps
-around; :func:`_wrap_neighbours` supplies the neighbours of Q and of its
-linearization alike. The time axis is an ordinary closed interval:
-layer 0 and layer Nt-1 hold Dirichlet data and are never differentiated
-across.
+The computational domain is T^d x [0, 1] with T = R / 2 pi Z and d = 1 or 2.
+Spatial axes are periodic with period 2 pi and a common node count, so every
+spatial stencil wraps around; :func:`_wrap_neighbours` supplies the
+neighbours of Q and of its linearization alike. The time axis is an ordinary
+closed interval: layer 0 and layer Nt-1 hold Dirichlet data and are never
+differentiated across.
 
 Every stencil here takes a plain array and acts on its trailing
 ``spatial_dim`` axes; t, when present, is the leading axis. So
@@ -45,7 +45,7 @@ _BIN_VALUE_DTYPE = np.dtype("<f8")
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform lattice on T^d x [0, 1].
+    """Uniform lattice on T^d x [0, 1], every spatial axis of period 2 pi.
 
     Parameters
     ----------
@@ -53,18 +53,15 @@ class GridSpec:
         Number of spatial axes, 1 or 2.
     nodes_per_axis
         Node count N per spatial axis, at least 8. The spatial mesh width is
-        ``spatial_period / N`` because node N would coincide with node 0.
+        ``2 pi / N`` because node N would coincide with node 0.
     time_nodes
         Node count Nt on the time axis including both boundary layers, at
         least 5. The time step is ``1 / (Nt - 1)``.
-    spatial_period
-        Period L of every spatial axis, positive. Defaults to 2*pi.
     """
 
     spatial_dim: int
     nodes_per_axis: int
     time_nodes: int
-    spatial_period: float = TWO_PI
 
     def __post_init__(self) -> None:
         if self.spatial_dim not in (1, 2):
@@ -73,13 +70,10 @@ class GridSpec:
             raise ValueError(f"nodes_per_axis must be an integer >= 8, got {self.nodes_per_axis}")
         if int(self.time_nodes) != self.time_nodes or self.time_nodes < 5:
             raise ValueError(f"time_nodes must be an integer >= 5, got {self.time_nodes}")
-        period = float(self.spatial_period)
-        if not np.isfinite(period) or period <= 0.0:
-            raise ValueError(f"spatial_period must be positive and finite, got {self.spatial_period}")
 
     @property
     def hx(self) -> float:
-        return self.spatial_period / self.nodes_per_axis
+        return TWO_PI / self.nodes_per_axis
 
     @property
     def ht(self) -> float:

@@ -258,7 +258,7 @@ class LinearSystem:
     @np.errstate(over="ignore", invalid="ignore")
     def apply(self, h) -> np.ndarray:
         """Stencil action on a full-shape field, returned as interior layers; overflow gives inf or nan."""
-        vals = h.values if hasattr(h, "values") else np.asarray(h, dtype=float)
+        vals = np.asarray(h, dtype=float)
         if vals.shape != self.grid.field_shape:
             raise ValueError(f"expected full field shape {self.grid.field_shape}, got {vals.shape}")
         out = self.center * vals[1:-1] + self.tcoef * (vals[2:] + vals[:-2])

@@ -345,7 +345,7 @@ def _follow_path(
     ds = 1.0
     s = 0.0
     while s < 1.0:
-        s_next = 1.0 if s + ds >= 1.0 - 1e-12 else s + ds
+        s_next = min(s + ds, 1.0)  # s and ds are dyadic, so s + ds is exact
         p = p1 if s_next == 1.0 else p0 + s_next * (p1 - p0)
         try:
             step = newton_solve(spec, target(p), log.u, phase=phase, param=p, on_record=on_record)

@@ -248,12 +248,29 @@ def test_solve_linear_solve_failure_exit_1(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_solve_output_defaults_to_config_directory(tmp_path, monkeypatch):
-    text = SEPARABLE + "\n[output]\ndirectory = nested/res\n"
-    cfg = write_cfg(tmp_path, text)
+def test_solve_output_defaults_to_out(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, SEPARABLE)
     monkeypatch.chdir(tmp_path)
     assert main(["solve", cfg]) == 0
-    assert os.path.exists(tmp_path / "nested" / "res" / "summary.txt")
+    assert os.path.exists(tmp_path / "out" / "summary.txt")
+
+
+# Retired knobs: every spatial axis has period 2 pi, and --output alone names the output directory.
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[sweep]", "[output]\ndirectory = out\n\n[sweep]", "error: unknown section [output]; known: "),
+        ("[problem]\n", "[problem]\nspatial_period = 6.283185307179586\n", "error: unknown keys ['spatial_period'] in [problem]; "),
+    ],
+    ids=["output_section", "spatial_period"],
+)
+def test_retired_knob_exits_2_without_output(tmp_path, capsys, monkeypatch, old, new, message):
+    cfg = write_cfg(tmp_path, SEPARABLE.replace(old, new))
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1 and "Traceback" not in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_writes_measurements(tmp_path):
@@ -382,6 +399,22 @@ def test_verify_rejects_wrong_problem(tmp_path):
     # mismatched boundary data also fails, still exit 1
     shifted = write_cfg(tmp_path, SEPARABLE.replace("u0 = 0\n", "u0 = 0.2\n"), "sh.cfg")
     assert main(["verify", os.path.join(out, "solution.csv"), shifted]) == 1
+
+
+def test_verify_checks_a_sweep_against_its_last_target(tmp_path, capsys):
+    # verify checks Q(u) = f of the config's [problem]; a sweep's final solution
+    # solves eps f / sup f at the last eps, here 0.0625 * 2 / 2.
+    cfg = os.path.join(os.path.dirname(torusgeo.__file__), "configs", "separable.cfg")
+    out = str(tmp_path / "out")
+    assert main(["sweep", cfg, "--output", out]) == 0
+    final = os.path.join(out, "solution_final.csv")
+    capsys.readouterr()
+    assert main(["verify", final, cfg]) == 1
+    assert "verify: residual_sup = 1.9375 (tol 1e-08 x 2)\n" in capsys.readouterr().out
+    with open(cfg) as fh:
+        last = write_cfg(tmp_path, fh.read().replace("\nf = 2\n", "\nf = 0.0625\n"), "last.cfg")
+    assert main(["verify", final, last]) == 0
+    assert "verify: ok = true\n" in capsys.readouterr().out
 
 
 def test_verify_bad_inputs_exit_2(tmp_path):

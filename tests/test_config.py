@@ -1,5 +1,6 @@
 """Configuration parsing, the expression whitelist, and problem assembly."""
 
+import configparser
 import math
 import os
 
@@ -46,9 +47,6 @@ n = 4
 trials = 500
 seed = 7
 hermitian = yes
-
-[output]
-directory = results
 """
 
 
@@ -181,14 +179,12 @@ def test_load_good_config(tmp_path):
     assert cfg.problem.nodes_per_axis == 16
     assert cfg.problem.time_nodes == 9
     assert cfg.problem.b == pytest.approx(0.25)
-    assert cfg.problem.spatial_period == pytest.approx(2 * math.pi)
     assert cfg.problem.exact == "t*t - t + 0.1*sin(x)"
     assert cfg.solver.refinements == 2
     assert cfg.sweep.epsilons == (1.0, 0.1, 0.01)
     assert cfg.scan.k == 1 and cfg.scan.n == 4
     assert cfg.scan.trials == 500 and cfg.scan.seed == 7
     assert cfg.scan.hermitian is True
-    assert cfg.output.directory == "results"
     assert cfg.base_dir == str(tmp_path)
 
 
@@ -200,12 +196,6 @@ def test_load_defaults_without_optional_sections(tmp_path):
     assert cfg.solver.refinements == 0
     assert cfg.sweep.epsilons == ()
     assert cfg.scan.trials == 100000
-    assert cfg.output.directory == "out"
-
-
-def test_load_output_section_defaults_its_directory(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, "[output]\n"))
-    assert cfg.output.directory == "out"
 
 
 def test_readme_config_sample_loads(tmp_path):
@@ -215,17 +205,18 @@ def test_readme_config_sample_loads(tmp_path):
     cfg = load_config(write_cfg(tmp_path, sample))
     spec = build_problem(cfg)
     assert spec.grid.field_shape == (cfg.problem.time_nodes, cfg.problem.nodes_per_axis)
-    assert set(sample.replace(" ", "").split("\n")) >= {f"[{name}]" for name in _SECTIONS}
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read_string(sample)
+    assert {name: set(parser[name]) for name in parser.sections()} == _SECTIONS
 
 
 def test_config_sections_accept_the_same_keys():
     # Each section's key set is derived from its dataclass; this pins the accepted keys.
     assert _SECTIONS == {
-        "problem": {"spatial_dim", "nodes_per_axis", "time_nodes", "spatial_period", "a", "b", "f", "u0", "u1", "exact"},
+        "problem": {"spatial_dim", "nodes_per_axis", "time_nodes", "a", "b", "f", "u0", "u1", "exact"},
         "solver": {"refinements"},
         "sweep": {"epsilons"},
         "scan": {"k", "n", "trials", "seed", "hermitian", "comparison_pairs"},
-        "output": {"directory"},
     }
 
 
@@ -309,9 +300,9 @@ def test_load_scan_rejects_bad_values(tmp_path, key, value, match):
         load_config(write_cfg(tmp_path, text))
 
 
-# Retired keys: the Newton options and the scan's block size are constants, so a
-# config that still names one fails to load, at the old default value and at the
-# values the old range check refused alike.
+# Retired keys: the Newton options and the scan's block size are constants and
+# every spatial axis has period 2 pi, so a config that still names one fails to
+# load, at the old default value and at the values the old range check refused alike.
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -325,6 +316,7 @@ def test_load_scan_rejects_bad_values(tmp_path, key, value, match):
         ("scan", "batch_size", "-4"),
         ("scan", "threshold", "nan"),
         ("scan", "threshold", "-inf"),
+        ("problem", "spatial_period", "6.283185307179586"),
     ],
 )
 def test_load_rejects_retired_keys(tmp_path, section, key, value):

@@ -32,8 +32,6 @@ def test_grid_validation():
         GridSpec(spatial_dim=1, nodes_per_axis=4, time_nodes=9)
     with pytest.raises(ValueError):
         GridSpec(spatial_dim=1, nodes_per_axis=16, time_nodes=3)
-    with pytest.raises(ValueError):
-        GridSpec(spatial_dim=1, nodes_per_axis=16, time_nodes=9, spatial_period=-1.0)
 
 
 def test_grid_geometry():

@@ -260,9 +260,9 @@ def test_exact_identities_at_rounding_floor():
         system = assemble_dQ(field, spec)
         scale = 1.0 + float(np.max(np.abs(apply_Q(field, spec).values)))
         t = grid.time_column()
-        ht = ScalarField(grid, np.broadcast_to(t, grid.field_shape).copy())
+        ht = np.broadcast_to(t, grid.field_shape)
         assert np.max(np.abs(system.apply(ht))) <= 1e-10 * scale
-        ht2 = ScalarField(grid, np.broadcast_to(t * t, grid.field_shape).copy())
+        ht2 = np.broadcast_to(t * t, grid.field_shape)
         cone = cone_quantities(field.values, spec)
         want = 2.0 * cone.b_interior
         assert np.max(np.abs(system.apply(ht2) - want)) <= 1e-10 * scale

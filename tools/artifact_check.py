@@ -8,11 +8,13 @@ SRC is a directory holding the ``torusgeo`` package (``src`` of this or of any
 other checkout); OUTDIR must not exist yet. The script runs ``solve``,
 ``sweep`` and ``scan`` on the bundled configs of SRC and on the perfbench
 solve-2d, sweep-2d and scan configs of seeds 0-3 (written by
-``perfbench/workloads.prepare``), ``solve`` and ``sweep`` on the near-degenerate
-20^2x11 problem, one ``sweep`` that fails and two Hermitian
-``scan`` runs at 20000 trials, two ``scan`` runs with the violation threshold
-``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify`` on every
-``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200) writes
+``perfbench/workloads.prepare``), ``solve`` on the bundled ``separable.cfg``
+once more without ``--output``, from inside ``OUTDIR/default-output``, so
+that the default output directory ``out`` is compared too, ``solve`` and
+``sweep`` on the near-degenerate 20^2x11 problem, one ``sweep`` that fails and
+two Hermitian ``scan`` runs at 20000 trials, two ``scan`` runs with the
+violation threshold ``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify``
+on every ``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200) writes
 rejection rows and a ``rung_000_error`` summary line, which no passing run
 reaches. The Hermitian scans, (k, n) = (5, 6) and (6, 6) with seed 7, send 429
 and 15016 sampled matrices whose cone shift fails its certificate to eigvalsh:
@@ -149,6 +151,16 @@ def main(argv: list[str]) -> int:
             for command in workload.operation:
                 run(command.argv)
                 verify_dumps(command.outdir, command.argv[1])
+    separable = os.path.join(configs, "separable.cfg")
+    default = os.path.join(outdir, "default-output")
+    os.makedirs(default)
+    cwd = os.getcwd()
+    os.chdir(default)  # contextlib.chdir needs Python 3.11
+    try:
+        run(["solve", separable])
+    finally:
+        os.chdir(cwd)
+    verify_dumps(os.path.join(default, "out"), separable)
     degenerate = os.path.join(outdir, "near-degenerate")
     os.makedirs(degenerate)
     cfg = os.path.join(degenerate, "problem.cfg")
