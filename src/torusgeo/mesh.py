@@ -160,14 +160,19 @@ class SpaceField(_Field):
     timed = False
 
 
-def _wrap_neighbours(vals: np.ndarray, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _wrap_neighbours(
+    vals: np.ndarray, dim: int, padded: np.ndarray | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Wrap-around (plus, minus) neighbour views of ``vals`` along each of its trailing ``dim`` axes.
 
     ``vals`` is copied once into an array with one periodic ghost node on
-    both ends of each of those axes; every view has the shape of ``vals``.
+    both ends of each of those axes, ``padded`` when given (a caller's work
+    array of that shape), a new one otherwise; every view has the shape of
+    ``vals``.
     """
     lead = vals.ndim - dim
-    padded = np.empty(vals.shape[:lead] + tuple(n + 2 for n in vals.shape[lead:]), dtype=vals.dtype)
+    if padded is None:
+        padded = np.empty(vals.shape[:lead] + tuple(n + 2 for n in vals.shape[lead:]), dtype=vals.dtype)
     inner = slice(1, -1)
     padded[(...,) + (inner,) * dim] = vals
     views = []

@@ -29,8 +29,9 @@ loops, not in BLAS, so results do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -222,9 +223,12 @@ class LinearSolveError(RuntimeError):
     """The Krylov solve of the linearization failed or returned a bad answer."""
 
 
-def _norm(v: np.ndarray) -> float:
-    """2-norm from numpy's own summation loop, so the result does not depend on the BLAS thread count."""
-    return math.sqrt(np.sum(v * v))
+def _norm(v: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """2-norm from numpy's own summation loop, so the result does not depend on the BLAS thread count.
+
+    The squares go to ``scratch`` (an array of ``v``'s shape) when given.
+    """
+    return math.sqrt(np.sum(np.multiply(v, v, out=scratch)))
 
 
 def _finite(norm) -> float:
@@ -254,6 +258,14 @@ class LinearSystem:
     tcoef: np.ndarray
     spatial: list
     iterations: int = 0
+    # Work arrays of apply: the wrap-padded field and two interior-shape temporaries.
+    _padded: np.ndarray = field(init=False, repr=False, compare=False)
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        nt, *spatial = self.grid.field_shape
+        self._padded = np.empty((nt, *(n + 2 for n in spatial)))
+        self._scratch = np.empty((2, nt - 2, *spatial))
 
     @np.errstate(over="ignore", invalid="ignore")
     def apply(self, h) -> np.ndarray:
@@ -261,12 +273,17 @@ class LinearSystem:
         vals = np.asarray(h, dtype=float)
         if vals.shape != self.grid.field_shape:
             raise ValueError(f"expected full field shape {self.grid.field_shape}, got {vals.shape}")
-        out = self.center * vals[1:-1] + self.tcoef * (vals[2:] + vals[:-2])
-        neighbours = _wrap_neighbours(vals, self.grid.spatial_dim)
+        tmp, diff = self._scratch
+        out = np.multiply(self.center, vals[1:-1])
+        out += np.multiply(self.tcoef, np.add(vals[2:], vals[:-2], out=tmp), out=tmp)
+        neighbours = _wrap_neighbours(vals, self.grid.spatial_dim, self._padded)
         for (w_plus, w_minus, mixed), (plus, minus) in zip(self.spatial, neighbours):
-            out += w_plus * plus[1:-1]
-            out += w_minus * minus[1:-1]
-            out -= mixed * ((plus[2:] - plus[:-2]) - (minus[2:] - minus[:-2]))
+            out += np.multiply(w_plus, plus[1:-1], out=tmp)
+            out += np.multiply(w_minus, minus[1:-1], out=tmp)
+            # mixed * ((plus[2:] - plus[:-2]) - (minus[2:] - minus[:-2]))
+            np.subtract(plus[2:], plus[:-2], out=tmp)
+            tmp -= np.subtract(minus[2:], minus[:-2], out=diff)
+            out -= np.multiply(mixed, tmp, out=tmp)
         return out
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # checked: see _finite
@@ -289,7 +306,7 @@ class LinearSystem:
         self.iterations = 0
         beta = _finite(_norm(b))
         atol, eps, m = rtol * beta, np.finfo(float).eps, min(GMRES_RESTART, b.size)
-        basis, tri = np.empty((m + 1, b.size)), np.zeros((m, m))
+        basis, tri, scratch = np.empty((m + 1, b.size)), np.zeros((m, m)), np.empty(b.size)
         basis[0] = b
         cycles = 0
         while beta > atol:
@@ -300,13 +317,13 @@ class LinearSystem:
             s_vec, rotations = [beta], []
             for col in range(m):
                 w = self.apply(precondition(basis[col])).ravel()
-                h0, hcol = _finite(_norm(w)), []
+                h0, hcol = _finite(_norm(w, scratch)), []
                 for k in range(col + 1):  # modified Gram-Schmidt
-                    hcol.append(np.sum(basis[k] * w))
-                    w -= hcol[k] * basis[k]
-                h1 = _norm(w)
+                    hcol.append(float(np.sum(np.multiply(basis[k], w, out=scratch))))
+                    w -= np.multiply(basis[k], hcol[k], out=scratch)
+                h1 = _norm(w, scratch)
                 breakdown = h1 <= eps * h0  # exact solution in the current basis: the estimate below is 0
-                basis[col + 1] = w if breakdown else w * (1.0 / h1)
+                np.multiply(w, 1.0 if breakdown else 1.0 / h1, out=basis[col + 1])
                 hcol.append(0.0 if breakdown else h1)
                 for k, (c, s) in enumerate(rotations):
                     hcol[k], hcol[k + 1] = c * hcol[k] + s * hcol[k + 1], c * hcol[k + 1] - s * hcol[k]
@@ -324,11 +341,31 @@ class LinearSystem:
                 y[k] = y[k] / tri[k, k] if tri[k, k] else 0.0
                 y[:k] -= y[k] * tri[:k, k]
             x += precondition(np.einsum("i,ij->j", y, basis[: col + 1]))
-            basis[0] = b - self.apply(x).ravel()
-            beta = _finite(_norm(basis[0]))
+            np.subtract(b, self.apply(x).ravel(), out=basis[0])
+            beta = _finite(_norm(basis[0], scratch))
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("linear solve produced non-finite values")
         return x
+
+
+@functools.lru_cache(maxsize=8)
+def _fourier_factors(grid: GridSpec) -> tuple:
+    """Per spatial axis, (e^{i theta}, e^{-i theta}, 2i sin theta) at every rfft mode of ``grid``.
+
+    A shift by +1 along axis a multiplies a mode by e^{i theta_a}. The arrays
+    are broadcastable against the spatial rfft shape, shared between calls
+    and read-only.
+    """
+    n = grid.nodes_per_axis
+    thetas = [2.0 * np.pi * np.fft.fftfreq(n)] * (grid.spatial_dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(n)]
+    factors = tuple(
+        (np.exp(1j * theta), np.exp(-1j * theta), 2j * np.sin(theta))
+        for theta in np.meshgrid(*thetas, indexing="ij", sparse=True)
+    )
+    for triple in factors:
+        for arr in triple:
+            arr.flags.writeable = False
+    return factors
 
 
 def _layer_mean_inverse(ls: LinearSystem):
@@ -339,8 +376,9 @@ def _layer_mean_inverse(ls: LinearSystem):
     center rescales each row of M to the stencil's own diagonal, so M^-1 D
     inverts a stencil whose row weights are one positive factor times weights
     constant on their layer. The returned step maps a time-major interior
-    vector v to M^-1 D v as a full-shape field with zero Dirichlet layers. A
-    singular pivot or a zero center weight gives non-finite values.
+    vector v to M^-1 D v as a full-shape field with zero Dirichlet layers,
+    written into one buffer that every call of the step reuses. A singular
+    pivot or a zero center weight gives non-finite values.
     """
     grid = ls.grid
     dim, layers, shape = grid.spatial_dim, grid.interior_layers, grid.spatial_shape
@@ -349,16 +387,13 @@ def _layer_mean_inverse(ls: LinearSystem):
     def layer_mean(w: np.ndarray) -> np.ndarray:
         return np.add.reduce(w, axis=axes, keepdims=True) / grid.num_spatial
 
-    # Symbol of the layer-averaged stencil at every rfft mode: a shift by
-    # +1 along axis a multiplies a mode by exp(i theta_a).
-    n = grid.nodes_per_axis
-    thetas = [2.0 * np.pi * np.fft.fftfreq(n)] * (dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(n)]
+    # Symbol of the layer-averaged stencil at every rfft mode.
     diag = layer_mean(ls.center) + 0j
     scale = diag.real / ls.center
     skew = 0j
-    for theta, (plus, minus, mixed) in zip(np.meshgrid(*thetas, indexing="ij", sparse=True), ls.spatial):
-        diag = diag + layer_mean(plus) * np.exp(1j * theta) + layer_mean(minus) * np.exp(-1j * theta)
-        skew = skew + 2j * layer_mean(mixed) * np.sin(theta)
+    for (e_plus, e_minus, two_i_sin), (plus, minus, mixed) in zip(_fourier_factors(grid), ls.spatial):
+        diag = diag + layer_mean(plus) * e_plus + layer_mean(minus) * e_minus
+        skew = skew + layer_mean(mixed) * two_i_sin
     tcoef = layer_mean(ls.tcoef)
     lower, upper = tcoef + skew, tcoef - skew
 
@@ -368,9 +403,11 @@ def _layer_mean_inverse(ls: LinearSystem):
         upper_ratio[k - 1] = upper[k - 1] * inv_pivot[k - 1]
         inv_pivot[k] = 1.0 / (diag[k] - lower[k] * upper_ratio[k - 1])
     scratch = np.empty(diag.shape[1:], dtype=complex)
+    scaled, y = np.empty((layers,) + shape), np.empty(diag.shape, dtype=complex)
+    x = np.zeros(grid.field_shape)
 
     def solve(v: np.ndarray) -> np.ndarray:
-        y = np.fft.rfft(v.reshape((layers,) + shape) * scale)
+        np.fft.rfft(np.multiply(v.reshape((layers,) + shape), scale, out=scaled), out=y)
         for ax in axes[:-1]:
             np.fft.fft(y, axis=ax, out=y)
         y[0] *= inv_pivot[0]
@@ -381,8 +418,7 @@ def _layer_mean_inverse(ls: LinearSystem):
             y[k] -= np.multiply(upper_ratio[k], y[k + 1], out=scratch)
         for ax in axes[:-1]:
             np.fft.ifft(y, axis=ax, out=y)
-        x = np.zeros(grid.field_shape)
-        np.fft.irfft(y, n, out=x[1:-1])
+        np.fft.irfft(y, grid.nodes_per_axis, out=x[1:-1])
         return x
 
     return solve
