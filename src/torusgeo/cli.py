@@ -106,7 +106,7 @@ def cmd_solve(args) -> int:
 
     result = continuation_solve(spec)
     c_star = compute_c_star(spec)
-    bounds = bounds_report(result.u, spec, c_star)
+    bounds = bounds_report(result.u, spec, c_star, cone=result.cone)
 
     grid = spec.grid
     # continuation_solve raises on every failure, so a run that gets here converged.

@@ -236,7 +236,9 @@ def bounds_report(
     ``rhs`` plays the role of f = Q(u) in the identity defects. It defaults
     to the operator value of u itself, which makes them pure stencil-algebra
     measurements; pass the solve target to test a converged solution.
-    ``cone`` is ``cone_quantities(u.values, spec)``, computed here if not given.
+    ``cone``, when given, must be the :class:`ConeData` of u,
+    ``cone_quantities(u.values, spec)``, such as the converged cone a solve
+    returns in ``SolveResult.cone``; it is computed here if not given.
     """
     cone = cone_quantities(u.values, spec) if cone is None else cone
     if rhs is None:

@@ -16,10 +16,19 @@ solve drives it along
     Q(u) = (1 - s) Q(U_{-c*}) + s f,      s: 0 -> 1,
 
 from the explicitly admissible quadratic barrier U_{-c*}; the uniqueness
-probe does the same from two barriers. The epsilon sweep drives it from one
-eps of its ladder to the next on eps * f_hat, walking toward the degenerate
-limit f -> 0 while recording the weak second-order measurements that are
-expected to stay bounded uniformly in epsilon.
+probe does the same from two barriers. The epsilon sweep walks toward the
+degenerate limit f -> 0 on eps * f_hat, recording the weak second-order
+measurements that are expected to stay bounded uniformly in epsilon. It is a
+predictor-corrector continuation: once two rungs in a row have solved, the
+next one starts Newton from their secant prediction in eps, when that
+prediction is admissible; a prediction that leaves the cone is dropped
+without a record, and a failed predicted run is kept among the rung's
+rejected attempts. Without a prediction, or after such a failure, the
+homotopy driver takes the rung from the previous eps to its own, falling
+back to a cold continuation. A Newton run's first step is solved to the
+oversolving floor of the forcing term once that floor exceeds
+FORCING_FLOOR_SWITCH, so a start already within reach of NEWTON_TOL
+finishes in one step.
 
 The scheme has no tuning options: the Newton tolerance, iteration budget,
 fraction-to-boundary factor, line-search floor and homotopy step floor are the
@@ -39,6 +48,7 @@ from .estimates import BoundsReport, bounds_report
 from .mesh import ScalarField, argmax_node, argmin_node, full_node, grad_sq
 from .operator import (
     GMRES_RTOL,
+    ConeData,
     InvalidProblem,
     LinearSolveError,
     ProblemSpec,
@@ -123,9 +133,16 @@ MIN_PATH_STEP = 2.0**-11
 # of 0.1, a cap of 0.5) cost Newton steps and rejected sweep rungs. A second cap,
 # max(GMRES_RTOL, 0.5 min(rhs) sqrt(N) / ||g_k||) over the N interior unknowns, keeps
 # the RMS of the linear residual under half the smallest target, however small.
+# The lower clamp 0.5 NEWTON_TOL / ||g_k|| is the oversolving floor: solving
+# further cannot take the residual below what NEWTON_TOL asks. On a run's first
+# step, once that floor exceeds FORCING_FLOOR_SWITCH (||g_0|| < 5e-5), the step
+# is solved to the floor instead of FORCING_START, so a start that is already
+# within reach of NEWTON_TOL, such as a secant-predicted sweep rung on a path
+# linear in eps, finishes in one step instead of two.
 FORCING_START = 1e-2
 FORCING_MAX = 0.1
 FORCING_GAMMA = 0.9
+FORCING_FLOOR_SWITCH = 1e-6
 
 
 def _forcing_term(gnorm: float, prev_gnorm: float, lin_resid_max: float) -> float:
@@ -134,12 +151,16 @@ def _forcing_term(gnorm: float, prev_gnorm: float, lin_resid_max: float) -> floa
     ``prev_gnorm`` is that of the previous step of the same run, nan on the first;
     ``lin_resid_max`` = 0.5 min(rhs) sqrt(N) caps eta ||g|| down to the GMRES_RTOL floor.
     """
-    eta = FORCING_START if math.isnan(prev_gnorm) else FORCING_GAMMA * (gnorm / prev_gnorm) ** 2
+    first = math.isnan(prev_gnorm)
+    eta = FORCING_START if first else FORCING_GAMMA * (gnorm / prev_gnorm) ** 2
     # The floor stops the final steps from solving past what NEWTON_TOL needs. Below
     # NEWTON_TOL it exceeds FORCING_MAX anyway, so max(gnorm, NEWTON_TOL) only keeps
     # an underflowed zero norm from dividing.
     gnorm = max(gnorm, NEWTON_TOL)
-    eta = min(FORCING_MAX, max(eta, GMRES_RTOL, 0.5 * NEWTON_TOL / gnorm))
+    floor = 0.5 * NEWTON_TOL / gnorm
+    if first and floor > FORCING_FLOOR_SWITCH:
+        eta = floor
+    eta = min(FORCING_MAX, max(eta, GMRES_RTOL, floor))
     return min(eta, max(GMRES_RTOL, lin_resid_max / gnorm))
 
 
@@ -150,13 +171,16 @@ class SolveResult:
     ``records`` is the per-iteration trace of the accepted Newton runs, each
     opening with its iteration-0 row; the totals below are read off it.
     ``rejected`` lists every Newton run that failed and was retried as
-    ``(phase, param, reason)``. Newton and continuation runs raise on every
-    failure, so a result they return has converged.
+    ``(phase, param, reason)``. ``cone`` is the :class:`ConeData` of ``u``
+    from the last accepted run, for :func:`bounds_report`; a later Newton run
+    evaluates its own. Newton and continuation runs raise on every failure,
+    so a result they return has converged.
     """
 
     u: ScalarField
     records: list = field(default_factory=list)
     rejected: list = field(default_factory=list)
+    cone: ConeData | None = None
 
     @property
     def final_residual_sup(self) -> float:
@@ -231,6 +255,7 @@ def newton_solve(
     phase: str = "newton",
     param: float = math.nan,
     on_record=None,
+    cone: ConeData | None = None,
 ) -> SolveResult:
     """Damped Newton iteration for Q(u) = rhs with fixed Dirichlet layers.
 
@@ -241,7 +266,9 @@ def newton_solve(
     :func:`_forcing_term`), then backtracks: first until every cone margin
     stays above ``(1 - DAMPING)`` times its current value, then until the
     residual sup-norm strictly decreases. It stops once that sup-norm is at
-    most ``NEWTON_TOL``.
+    most ``NEWTON_TOL``. ``cone``, when given, must be the :class:`ConeData`
+    of ``u_init``, ``cone_quantities(u_init.values, spec)``; it is used
+    as-is in place of that evaluation.
 
     Raises :class:`LostAdmissibility`, :class:`StepCollapse` or
     :class:`NonConvergence`, each carrying the offending node, or
@@ -258,7 +285,8 @@ def newton_solve(
     ):
         raise ValueError("u_init boundary layers do not match the problem's Dirichlet data")
 
-    cone = cone_quantities(u, spec)
+    if cone is None:
+        cone = cone_quantities(u, spec)
     if not cone.admissible:
         what, node, value = cone.worst()
         raise LostAdmissibility(
@@ -327,7 +355,7 @@ def newton_solve(
         iters += 1
         emit(iters, alpha, ls.iterations, eta)
 
-    return SolveResult(ScalarField(grid, u), records)
+    return SolveResult(ScalarField(grid, u), records, cone=cone)
 
 
 def _follow_path(
@@ -347,6 +375,7 @@ def _follow_path(
     while s < 1.0:
         s_next = min(s + ds, 1.0)  # s and ds are dyadic, so s + ds is exact
         p = p1 if s_next == 1.0 else p0 + s_next * (p1 - p0)
+        log.cone = None  # every run evaluates its own cone; an earlier one kept alive would add to its peak
         try:
             step = newton_solve(spec, target(p), log.u, phase=phase, param=p, on_record=on_record)
         except SolverError as err:
@@ -355,8 +384,9 @@ def _follow_path(
             if ds < MIN_PATH_STEP:
                 raise
             continue
-        log.u = step.u
+        log.u, log.cone = step.u, step.cone
         log.records.extend(step.records)
+        del step
         s = s_next
         ds *= 2.0
     return log
@@ -408,7 +438,10 @@ class SweepEntry:
     the first rung or after a failure). Failed rungs carry ``error`` text and
     ``result is None``; the sweep restarts cold on the next rung.
     ``rejected`` lists every failed Newton run of the rung as ``(phase,
-    param, reason)``, warm path first; it is ``result.rejected`` when set.
+    param, reason)``: the predicted run first, then the warm path, then the
+    cold fallback; it is ``result.rejected`` when set. ``bounds`` is made
+    from the converged cone of ``result``, which then drops it
+    (``result.cone`` is None), so a long ladder keeps no cone per rung.
     """
 
     epsilon: float
@@ -429,18 +462,38 @@ def epsilon_ladder(epsilons) -> tuple[float, ...]:
     return eps
 
 
+def _secant_start(spec: ProblemSpec, eps: float, path: list) -> tuple[ScalarField, ConeData] | None:
+    """The secant predictor at ``eps`` from ``path`` = [(eps_{k-1}, u_{k-1}), (eps_k, u_k)], two solved rungs.
+
+    Returns u_k + (eps - eps_k) / (eps_k - eps_{k-1}) (u_k - u_{k-1}) with its
+    :class:`ConeData` when it is admissible, None otherwise. Both rungs share
+    the Dirichlet layers, so the prediction keeps them exactly.
+    """
+    (eps_a, u_a), (eps_b, u_b) = path
+    w = (eps - eps_b) / (eps_b - eps_a)
+    vals = u_b.values + w * (u_b.values - u_a.values)
+    cone = cone_quantities(vals, spec)
+    return (ScalarField(spec.grid, vals), cone) if cone.admissible else None
+
+
 def epsilon_sweep(spec: ProblemSpec, epsilons, *, on_record=None) -> list[SweepEntry]:
     """Walk the right-hand side toward the degenerate limit.
 
     The target at each rung is ``eps * f_hat`` where ``f_hat`` is f scaled to
     unit sup-norm (or the constant one field when f vanishes identically).
-    Each rung starts from the previous rung's solution and follows the
-    homotopy driver on ``p * f_hat`` from the previous eps to this one: the
-    full step is a plain warm start at eps, a failure bisects in eps, and the
-    ``param`` of the trace records is eps throughout. When the warm path
-    fails, the rung falls back to a cold :func:`continuation_solve` from the
-    barrier. Every failed attempt of a rung, warm ones first, is in the
-    entry's ``rejected`` list, also when the cold fallback fails too.
+    When the two previous rungs both solved, the rung first runs Newton from
+    their secant prediction u_k + (eps - eps_k) / (eps_k - eps_{k-1}) (u_k -
+    u_{k-1}) (the predictor of predictor-corrector continuation; Allgower and
+    Georg 1990); a prediction that leaves the cone is dropped without a
+    record. Otherwise, or when the predicted run fails, the rung starts from
+    the previous rung's solution and follows the homotopy driver on
+    ``p * f_hat`` from the previous eps to this one: the full step is a plain
+    warm start at eps, a failure bisects in eps, and the ``param`` of the
+    trace records is eps throughout. When the warm path fails, the rung
+    falls back to a cold :func:`continuation_solve` from the barrier. Every
+    failed Newton run of a rung, the predicted one as a ``sweep`` row at eps,
+    is in the entry's ``rejected`` list, also when the cold fallback fails
+    too. Each rung's bounds report reuses the converged cone of its solve.
     Epsilons must pass :func:`epsilon_ladder`.
     """
     eps_list = epsilon_ladder(epsilons)
@@ -452,14 +505,24 @@ def epsilon_sweep(spec: ProblemSpec, epsilons, *, on_record=None) -> list[SweepE
         return ScalarField(spec.grid, p * f_hat)
 
     entries: list[SweepEntry] = []
-    prev_u: ScalarField | None = None
-    prev_eps = math.nan
+    path: list[tuple[float, ScalarField]] = []  # the last two rungs, (eps, u), solved since the last failure
     for eps in eps_list:
         spec_eps = replace(spec, f=target(eps))
         entry = SweepEntry(epsilon=eps, result=None, bounds=None, drift=math.nan)
         entries.append(entry)
+        start = _secant_start(spec_eps, eps, path) if len(path) == 2 else None
         try:
-            if prev_u is not None:
+            if start is not None:
+                u_pred, cone = start
+                try:
+                    entry.result = newton_solve(
+                        spec_eps, target(eps), u_pred, phase="sweep", param=eps, on_record=on_record, cone=cone
+                    )
+                    entry.result.rejected = entry.rejected
+                except SolverError as err:
+                    entry.rejected.append(("sweep", eps, str(err)))
+            if entry.result is None and path:
+                prev_eps, prev_u = path[-1]
                 warm = SolveResult(prev_u, rejected=entry.rejected)
                 with contextlib.suppress(SolverError):  # the failed attempts stay in entry.rejected
                     entry.result = _follow_path(
@@ -471,12 +534,14 @@ def epsilon_sweep(spec: ProblemSpec, epsilons, *, on_record=None) -> list[SweepE
                 )
         except SolverError as err:
             entry.error = str(err)
-            prev_u = None
+            path = []
             continue
-        if prev_u is not None:
-            entry.drift = float(np.max(np.abs(entry.result.u.values - prev_u.values)))
-        entry.bounds = bounds_report(entry.result.u, spec_eps, compute_c_star(spec_eps), rhs=spec_eps.f)
-        prev_u, prev_eps = entry.result.u, eps
+        if path:
+            entry.drift = float(np.max(np.abs(entry.result.u.values - path[-1][1].values)))
+        # The report is the cone's one use here; the sweep keeps every rung's result, not its cone.
+        cone, entry.result.cone = entry.result.cone, None
+        entry.bounds = bounds_report(entry.result.u, spec_eps, compute_c_star(spec_eps), rhs=spec_eps.f, cone=cone)
+        path = path[-1:] + [(eps, entry.result.u)]
     return entries
 
 

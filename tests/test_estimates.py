@@ -1,11 +1,13 @@
 """Bound checks, identity suite, and bounds.txt tests."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import torusgeo as tg
 from torusgeo.cli import _bounds_pairs, _write_pairs
-from torusgeo.estimates import bounds_report
+from torusgeo.estimates import BoundsReport, bounds_report
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField
 from torusgeo.operator import ProblemSpec, apply_Q
 
@@ -201,3 +203,23 @@ def test_bounds_report_uses_supplied_rhs():
     u = ScalarField.sample(spec.grid, lambda t, x: t * t - t)
     rep = bounds_report(u, spec, c=1.0, rhs=spec.f)
     assert rep.identity_err_dq_u <= 1e-10
+
+
+
+def _assert_same_report(got, want):
+    """Field by field and bit for bit: the repr of a float is exact."""
+    for f in fields(BoundsReport):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+
+
+def test_bounds_report_with_the_solve_cone_matches_a_fresh_one():
+    spec = random_problem(3, n=10, nt=7)
+    solved = tg.continuation_solve(spec)
+    c = tg.compute_c_star(spec)
+    _assert_same_report(bounds_report(solved.u, spec, c, cone=solved.cone), bounds_report(solved.u, spec, c))
+    # every sweep rung's report comes from its converged cone, the secant-predicted rungs' too
+    sup_f = float(np.max(spec.f.values))
+    for e in tg.epsilon_sweep(spec, [1.0, 0.5, 0.25, 0.125]):
+        f = ScalarField(spec.grid, e.epsilon * (spec.f.values / sup_f))
+        rung = ProblemSpec(grid=spec.grid, a=spec.a, b=spec.b, f=f, u0=spec.u0, u1=spec.u1)
+        _assert_same_report(e.bounds, bounds_report(e.result.u, rung, tg.compute_c_star(rung), rhs=f))

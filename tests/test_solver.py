@@ -1,10 +1,13 @@
 """Barrier, Newton, continuation, sweep, and uniqueness tests."""
 
+import os
+
 import numpy as np
 import pytest
 
 import torusgeo as tg
 from torusgeo import solver
+from torusgeo.config import build_problem, load_config
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, argmax_node, full_node
 import torusgeo.operator as operator_module
 from torusgeo.operator import (
@@ -174,6 +177,44 @@ def test_sweep_keeps_attempts_of_a_rung_that_fails_outright(monkeypatch, separab
     assert [p for p, _res, _m in entries[2].result.continuation_trace] == [0.0, 1.0]
 
 
+def _spy_predicted_runs(monkeypatch, fail=False) -> list:
+    """Log the param of each Newton run handed a predicted start's cone; with ``fail``, make those runs collapse."""
+    real, predicted = solver.newton_solve, []
+
+    def newton(spec, rhs, u_init, **kwargs):
+        if kwargs.get("cone") is not None:
+            predicted.append(kwargs["param"])
+            if fail:
+                raise tg.StepCollapse("injected collapse", phase=kwargs["phase"], param=kwargs["param"])
+        return real(spec, rhs, u_init, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    return predicted
+
+
+def test_sweep_predicts_rungs_after_two_solved_ones(monkeypatch):
+    # The bundled separable sweep solves eps (t^2 - t): linear in eps, so the
+    # secant start of every rung from the third on already solves it.
+    cfg = load_config(os.path.join(os.path.dirname(tg.__file__), "configs", "separable.cfg"))
+    predicted = _spy_predicted_runs(monkeypatch)
+    entries = epsilon_sweep(build_problem(cfg), cfg.sweep.epsilons)
+    assert predicted == [0.25, 0.125, 0.0625]
+    assert [e.result.newton_iters_total for e in entries] == [0, 1, 0, 0, 0]
+    assert all(e.rejected == [] for e in entries)
+    assert all({rec.phase for rec in e.result.records} == {"sweep"} for e in entries[1:])
+
+
+def test_sweep_failed_predicted_run_falls_back_to_the_warm_path(monkeypatch, separable_spec):
+    predicted = _spy_predicted_runs(monkeypatch, fail=True)
+    entries = epsilon_sweep(separable_spec, [1.0, 0.5, 0.25])
+    assert predicted == [0.25]
+    assert entries[2].rejected == [("sweep", 0.25, "injected collapse")]
+    assert entries[2].result.rejected is entries[2].rejected
+    # the warm path takes the full step from the eps = 0.5 solution
+    assert [p for p, _res, _m in entries[2].result.continuation_trace] == [0.25]
+    assert entries[2].result.newton_iters_total > 0
+
+
 def _roadmap_spec(n=16, nt=9, f=lambda x, y: 2.0 - 0.3 * np.cos(x) * np.sin(y)) -> ProblemSpec:
     """The 2D n^2 x nt instance of a = 1 + 0.2 sin x cos y, b = 0.1, u0 = 0.1 sin(x + y),
     u1 = -0.1 cos(x - y) and f(x, y), by default 2 - 0.3 cos x sin y."""
@@ -208,12 +249,22 @@ def test_roadmap_problem_takes_the_full_step():
 
 
 # GMRES work with the row-scaled layer-mean preconditioner: each bound is the
-# measured count plus 10%, 57 for the sweep and 66 for the near-degenerate
+# measured count plus 10%, 49 for the secant-started sweep (57 with every rung
+# started from the previous solution) and 66 for the near-degenerate
 # continuation solve (76 and 96 without the row scaling).
 def test_roadmap_sweep_gmres_work():
     entries = epsilon_sweep(_roadmap_spec(), [1.0, 1e-1, 1e-2, 1e-3, 1e-4])
     assert all(e.result is not None and e.rejected == [] for e in entries)
-    assert sum(_lin_iters(e.result) for e in entries) <= 62
+    assert sum(_lin_iters(e.result) for e in entries) <= 53
+
+
+# The secant start on a long ladder: the ROADMAP problem from eps = 1 to 1e-8
+# takes 15 Newton steps (24 with every rung started from the previous solution),
+# none on the last three rungs.
+def test_roadmap_long_ladder_newton_steps():
+    entries = epsilon_sweep(_roadmap_spec(20, 11), [10.0**-k for k in range(9)])
+    assert all(e.result is not None and e.rejected == [] for e in entries)
+    assert sum(e.result.newton_iters_total for e in entries) <= 16
 
 
 def test_near_degenerate_solve_gmres_work():
@@ -226,11 +277,15 @@ def test_near_degenerate_solve_gmres_work():
 # larger than the target itself. With a relative 2-norm tolerance of up to 0.1
 # alone, the sweep below took 957 Newton iterations and rejected 225 rungs, and
 # the diagonal-data solve 353 Newton steps; capping the tolerance at half the
-# smallest target in RMS gives 39 and 0, and 24.
+# smallest target in RMS gives 37 (39 before the secant start) and 0, and 24.
+# The secant starts of the eps = 1e-2 and 1e-3 rungs leave the cone, so those
+# rungs start from the previous solution and record nothing.
 @pytest.mark.filterwarnings("error")
-def test_near_degenerate_sweep_rejects_no_rung():
+def test_near_degenerate_sweep_rejects_no_rung(monkeypatch):
     spec = _roadmap_spec(20, 11, f=lambda x, y: 1.0 + np.cos(x) + 1e-4)
+    predicted = _spy_predicted_runs(monkeypatch)
     entries = epsilon_sweep(spec, [10.0**-k for k in range(7)])
+    assert predicted == [10.0**-k for k in (4, 5, 6)]
     assert all(e.result is not None and e.rejected == [] for e in entries)
     assert sum(e.result.newton_iters_total for e in entries) <= 40
 
@@ -238,6 +293,18 @@ def test_near_degenerate_sweep_rejects_no_rung():
 # GMRES restarts inside Newton: with a restart every 6 iterations the near-degenerate
 # continuation restarts at its hard steps, and must still take the same Newton steps
 # to the same solution as the unrestarted run.
+def test_first_step_solves_to_the_oversolving_floor_near_the_solution():
+    # the floor 0.5 NEWTON_TOL / ||g|| passes FORCING_FLOOR_SWITCH = 1e-6 below ||g|| = 5e-5;
+    # from there up the first step keeps FORCING_START
+    assert solver._forcing_term(1e-4, np.nan, 1.0) == solver.FORCING_START
+    assert solver._forcing_term(5e-5, np.nan, 1.0) == solver.FORCING_START
+    assert solver._forcing_term(1e-6, np.nan, 1.0) == 0.5 * NEWTON_TOL / 1e-6
+    # later steps keep the Eisenstat-Walker term
+    assert solver._forcing_term(1e-6, 1e-5, 1.0) == solver.FORCING_GAMMA * (1e-6 / 1e-5) ** 2
+    # the RMS cap still applies
+    assert solver._forcing_term(1e-6, np.nan, 1e-12) == 1e-12 / 1e-6
+
+
 def test_restarted_gmres_inside_newton(monkeypatch):
     spec = _roadmap_spec(20, 11, f=lambda x, y: 1.0 + np.cos(x) + 1e-4)
     full = continuation_solve(spec)

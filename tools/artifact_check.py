@@ -11,7 +11,8 @@ solve-2d, sweep-2d and scan configs of seeds 0-3 (written by
 ``perfbench/workloads.prepare``), ``solve`` on the bundled ``separable.cfg``
 once more without ``--output``, from inside ``OUTDIR/default-output``, so
 that the default output directory ``out`` is compared too, ``solve`` and
-``sweep`` on the near-degenerate 20^2x11 problem, one ``sweep`` that fails and
+``sweep`` on the near-degenerate 20^2x11 problem, ``sweep`` on the perfbench
+seed-0 problem (f > 0) at 20^2x11 from eps = 1 down to 1e-8, one ``sweep`` that fails and
 two Hermitian ``scan`` runs at 20000 trials, two ``scan`` runs with the
 violation threshold ``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify``
 on every ``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200) writes
@@ -26,7 +27,9 @@ dump 25 violations, and the first, a theorem-backed pair, exits 1.
 The near-degenerate problem is the perfbench seed-0 problem with
 f = 1 + cos(x) + 1e-4, which comes within 1e-4 of zero on the line x = pi;
 its sweep runs eps = 1 down to 1e-6. It is where GMRES and the preconditioner
-do most of their work, so a change there shows in its ``lin_iters``.
+do most of their work, so a change there shows in its ``lin_iters``. The long
+f > 0 ladder is almost linear in eps, so most of its rungs start from the
+sweep's secant prediction; a change to that predictor shows in its trace.
 Artifacts land under OUTDIR; ``OUTDIR/commands.log`` holds each command with
 its exit code and its stdout and stderr, the paths of OUTDIR and SRC replaced
 by placeholders. Two trees give the same results when ``diff -r`` finds their
@@ -78,6 +81,22 @@ u1 = -0.1*cos(x - y)
 
 [sweep]
 epsilons = 1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6
+"""
+
+# The perfbench seed-0 problem on its 20^2x11 grid, swept from eps = 1 down to 1e-8.
+LONG_LADDER = """\
+[problem]
+spatial_dim = 2
+nodes_per_axis = 20
+time_nodes = 11
+a = 1 + 0.2*sin(x)*cos(y)
+b = 0.1
+f = 2 - 0.3*cos(x)*sin(y)
+u0 = 0.1*sin(x + y)
+u1 = -0.1*cos(x - y)
+
+[sweep]
+epsilons = 1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8
 """
 
 # The Hermitian scans: (k, n) pairs whose cone shifts reach the eigvalsh fallback.
@@ -170,6 +189,13 @@ def main(argv: list[str]) -> int:
         made = os.path.join(degenerate, command)
         run([command, cfg, "--output", made])
         verify_dumps(made, cfg)
+    ladder = os.path.join(outdir, "long-ladder")
+    os.makedirs(ladder)
+    cfg = os.path.join(ladder, "problem.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(LONG_LADDER)
+    run(["sweep", cfg, "--output", os.path.join(ladder, "sweep")])
+    verify_dumps(os.path.join(ladder, "sweep"), cfg)
     failing = os.path.join(outdir, "failing")
     os.makedirs(failing)
     cfg = os.path.join(failing, "sweep.cfg")
