@@ -205,7 +205,6 @@ def test_bounds_report_uses_supplied_rhs():
     assert rep.identity_err_dq_u <= 1e-10
 
 
-
 def _assert_same_report(got, want):
     """Field by field and bit for bit: the repr of a float is exact."""
     for f in fields(BoundsReport):

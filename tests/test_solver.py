@@ -290,9 +290,6 @@ def test_near_degenerate_sweep_rejects_no_rung(monkeypatch):
     assert sum(e.result.newton_iters_total for e in entries) <= 40
 
 
-# GMRES restarts inside Newton: with a restart every 6 iterations the near-degenerate
-# continuation restarts at its hard steps, and must still take the same Newton steps
-# to the same solution as the unrestarted run.
 def test_first_step_solves_to_the_oversolving_floor_near_the_solution():
     # the floor 0.5 NEWTON_TOL / ||g|| passes FORCING_FLOOR_SWITCH = 1e-6 below ||g|| = 5e-5;
     # from there up the first step keeps FORCING_START
@@ -305,6 +302,9 @@ def test_first_step_solves_to_the_oversolving_floor_near_the_solution():
     assert solver._forcing_term(1e-6, np.nan, 1e-12) == 1e-12 / 1e-6
 
 
+# GMRES restarts inside Newton: with a restart every 6 iterations the near-degenerate
+# continuation restarts at its hard steps, and must still take the same Newton steps
+# to the same solution as the unrestarted run.
 def test_restarted_gmres_inside_newton(monkeypatch):
     spec = _roadmap_spec(20, 11, f=lambda x, y: 1.0 + np.cos(x) + 1e-4)
     full = continuation_solve(spec)

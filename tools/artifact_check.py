@@ -150,6 +150,15 @@ def main(argv: list[str]) -> int:
                 if name.startswith("solution"):
                     run(["verify", os.path.join(made, name), cfg])
 
+    def config(group: str, name: str, text: str) -> str:
+        """Write ``text`` to ``OUTDIR/group/name`` and return that path."""
+        made = os.path.join(outdir, group)
+        os.makedirs(made, exist_ok=True)
+        path = os.path.join(made, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        return path
+
     def accepts(path: str) -> bool:
         try:
             build_problem(load_config(path))
@@ -180,37 +189,22 @@ def main(argv: list[str]) -> int:
     finally:
         os.chdir(cwd)
     verify_dumps(os.path.join(default, "out"), separable)
-    degenerate = os.path.join(outdir, "near-degenerate")
-    os.makedirs(degenerate)
-    cfg = os.path.join(degenerate, "problem.cfg")
-    with open(cfg, "w") as fh:
-        fh.write(NEAR_DEGENERATE)
+    cfg = config("near-degenerate", "problem.cfg", NEAR_DEGENERATE)
     for command in ("solve", "sweep"):
-        made = os.path.join(degenerate, command)
+        made = os.path.join(outdir, "near-degenerate", command)
         run([command, cfg, "--output", made])
         verify_dumps(made, cfg)
-    ladder = os.path.join(outdir, "long-ladder")
-    os.makedirs(ladder)
-    cfg = os.path.join(ladder, "problem.cfg")
-    with open(cfg, "w") as fh:
-        fh.write(LONG_LADDER)
-    run(["sweep", cfg, "--output", os.path.join(ladder, "sweep")])
-    verify_dumps(os.path.join(ladder, "sweep"), cfg)
-    failing = os.path.join(outdir, "failing")
-    os.makedirs(failing)
-    cfg = os.path.join(failing, "sweep.cfg")
-    with open(cfg, "w") as fh:
-        fh.write(FAILING_SWEEP)
-    run(["sweep", cfg, "--output", os.path.join(failing, "sweep")])
+    cfg = config("long-ladder", "problem.cfg", LONG_LADDER)
+    made = os.path.join(outdir, "long-ladder", "sweep")
+    run(["sweep", cfg, "--output", made])
+    verify_dumps(made, cfg)
+    cfg = config("failing", "sweep.cfg", FAILING_SWEEP)
+    run(["sweep", cfg, "--output", os.path.join(outdir, "failing", "sweep")])
 
     def scan(group: str, k: int, n: int, **fields) -> None:
         """``scan`` (k, n) from a config written under OUTDIR/``group``."""
-        made = os.path.join(outdir, group)
-        os.makedirs(made, exist_ok=True)
-        cfg = os.path.join(made, f"scan-{k}-{n}.cfg")
-        with open(cfg, "w") as fh:
-            fh.write(SCAN.format(k=k, n=n, **fields))
-        run(["scan", cfg, "--output", os.path.join(made, f"scan-{k}-{n}")])
+        cfg = config(group, f"scan-{k}-{n}.cfg", SCAN.format(k=k, n=n, **fields))
+        run(["scan", cfg, "--output", os.path.join(outdir, group, f"scan-{k}-{n}")])
 
     for k, n in FALLBACK_SCANS:
         scan("fallback", k, n, trials=20000, seed=7, hermitian="true")
