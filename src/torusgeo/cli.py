@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -284,7 +285,8 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:  # built once per process
     parser = argparse.ArgumentParser(
         prog="torusgeo",
         description="Degenerate fully nonlinear solver and cone scanners on flat tori.",
@@ -302,8 +304,11 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="re-check a solution dump against a problem")
     p_verify.add_argument("solution", help="solution file (.csv or .bin)")
     p_verify.add_argument("config", help="INI configuration file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     commands = {"solve": cmd_solve, "sweep": cmd_sweep, "scan": cmd_scan, "verify": cmd_verify}
     try:
         return commands[args.command](args)

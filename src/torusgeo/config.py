@@ -244,10 +244,6 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def _resolve(path: str, base_dir: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
-
-
 @contextlib.contextmanager
 def _bad_input(what: str):
     """Re-raise a ValueError or OSError from building ``what`` as a ConfigError."""
@@ -265,7 +261,7 @@ def build_field(expr: str, kind: type, grid: GridSpec, base_dir: str = "."):
     """A ``kind`` field on ``grid``: an expression in its coordinates ([t,] x[, y]) or a file reference."""
     with _bad_input(f"field {expr!r}"):
         if expr.startswith("file:"):
-            return read_field_csv(_resolve(expr[5:].strip(), base_dir), kind, grid)
+            return read_field_csv(os.path.join(base_dir, expr[5:].strip()), kind, grid)  # an absolute path stays
         names = ("t",) * kind.timed + ("x", "y")[: grid.spatial_dim]
         fn = compile_expression(expr, names)
         with np.errstate(all="ignore"):  # the field rejects non-finite values

@@ -21,8 +21,8 @@ flags (eigvalsh, the scan's one BLAS/LAPACK call, then :func:`elementary_symmetr
 Log-concavity of F_k along segments inside the cone is a theorem for k = 1
 (any n) and k = n; for 2 <= k <= n-1 it is scanned as a conjecture, with real
 and complex (Hermitian) data flagged separately. The scanners draw random
-cone-interior pairs, test midpoint log-concavity, and report worst margins
-and any counterexamples at full precision.
+cone-interior pairs (GOE or GUE matrices shifted into the cone, none at k = 1), test
+midpoint log-concavity, and report worst margins and any counterexamples at full precision.
 """
 
 from __future__ import annotations
@@ -237,27 +237,28 @@ def _cone_shift(r: np.ndarray, k: int) -> np.ndarray:
 def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, hermitian: bool):
     """Draw a batch of cone-interior triples, held batch-last: R of shape (n, n, batch), z of shape (n, batch).
 
-    Matrices are symmetrized standard normals shifted into Gamma_k^+ by the
-    minimal identity multiple (:func:`_cone_shift`) plus a log-uniform margin in [1e-2, 1], so the
-    sample covers near-boundary regions while keeping enough slack that the
-    scan's floating-point noise stays orders of magnitude below the violation
-    threshold. z is drawn isotropically and rescaled to put the operator
-    value at a uniform fraction theta in [0, 0.99) of r00 sigma_k.
+    Matrices are GOE (GUE when Hermitian), the law of (m + m^*) / 2 for a standard normal m: diagonal N(0, 1),
+    upper triangle N(0, 1/2) (plus i N(0, 1/2)), lower triangle its conjugate mirror. F_1 reads R only through
+    tr R, so k = 1 draws none (R = 0). Each is shifted into Gamma_k^+ by the minimal identity multiple
+    (:func:`_cone_shift`) plus a log-uniform margin in [1e-2, 1], so the sample covers near-boundary regions while
+    keeping the scan's floating-point noise orders of magnitude below the violation threshold. z is drawn
+    isotropically and rescaled to put the operator value at a uniform fraction theta in [0, 0.99) of r00 sigma_k.
     """
-    m = rng.standard_normal((batch, n, n))
-    if hermitian:
-        m = m + 1j * rng.standard_normal((batch, n, n))
-    m = np.ascontiguousarray(np.moveaxis(m, 0, -1))
-    r = 0.5 * (m + m.swapaxes(0, 1).conj())
+    r = np.zeros((n, n, batch), complex if hermitian else float)
+    if k > 1:
+        rows, cols = np.triu_indices(n, 1)
+        r[range(n), range(n)] = rng.standard_normal((n, batch))
+        r.real[rows, cols] = rng.normal(0.0, math.sqrt(0.5), (rows.size, batch))
+        if hermitian:
+            r.imag[rows, cols] = rng.normal(0.0, math.sqrt(0.5), (rows.size, batch))
+        r[cols, rows] = r[rows, cols].conj()
     margin = 10.0 ** rng.uniform(-2.0, 0.0, batch)
     shift = _cone_shift(r, k) + margin
     r[range(n), range(n)] += shift
     r00 = np.exp(rng.normal(0.0, 0.7, batch))
+    zdir = rng.standard_normal((n, batch))
     if hermitian:
-        zdir = (rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))) / math.sqrt(2.0)
-    else:
-        zdir = rng.standard_normal((batch, n))
-    zdir = np.ascontiguousarray(zdir.T)
+        zdir = (zdir + 1j * rng.standard_normal((n, batch))) / math.sqrt(2.0)
     theta = rng.uniform(0.0, 0.99, batch)
     sigs, t = _chain(r, k)
     sig = sigs[k]
@@ -395,9 +396,7 @@ def midpoint_concavity_scan(
         f_mid_all[sl] = np.where(good, fm, np.nan)
 
         bad = np.nonzero(good & (batch_margin < threshold))[0]
-        for idx in bad:
-            if len(violations) >= _MAX_RECORDED_VIOLATIONS:
-                break
+        for idx in bad[: _MAX_RECORDED_VIOLATIONS - len(violations)]:
             violations.append(
                 ScanViolation(
                     trial=done + int(idx),
@@ -453,8 +452,8 @@ def _slot_table() -> np.ndarray:
 _RECORD_CHUNK = 4096  # rows of four values per chunk of the "%.17g" kernel; wider rows take fewer
 # The "%.17g" kernel. From 1e-4 to 1e17, C "%.17g" prints D 10^(X - 16) in fixed
 # notation (D the 17-digit correctly rounded significand, X the decimal exponent):
-# a column of _SLOT_TABLE ANDed with D's ASCII digits. Lines with other values, or
-# with a row number wider than _TRIAL_DIGITS (at most 8), go to printf.
+# a column of _SLOT_TABLE ANDed with D's ASCII digits. printf writes other values into
+# their slots, and lines with a row number wider than _TRIAL_DIGITS (at most 8) whole.
 _TRIAL_DIGITS = 8
 _DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).view("<u4").ravel()  # "0000"...
 _TRAILING_ZEROS4 = np.count_nonzero(np.arange(10**4) % 10 ** np.arange(1, 5)[:, None] == 0, axis=0).astype(np.int8)
@@ -476,7 +475,7 @@ def _significand(mag: np.ndarray, exp: np.ndarray) -> np.ndarray:
 
 
 def _fixed_17g(values: np.ndarray):
-    """Slots (11, C, m) "<u4" of "," and "%.17g" for values (C, m), and their certificate (False: printf's)."""
+    """Slots (11, C, m) "<u4" of "," and "%.17g" for values (C, m), and where the kernel wrote them (else printf)."""
     mag = np.abs(values)
     ok = (mag >= 1e-4) & (mag < 1e17)
     mag = np.where(ok, mag, 1.0)
@@ -500,6 +499,8 @@ def _fixed_17g(values: np.ndarray):
     slots[0] &= (block[0] & 0xFFFF0000) | ord(",") | 0xFF00
     slots[1:5] &= block[1:]
     slots[6:] &= block
+    if not ok.all():
+        slots[:, ~ok] = np.char.mod(b",%.17g", values[~ok]).astype("S44").view("<u4").reshape(-1, 11).T
     return slots, ok
 
 
@@ -516,7 +517,7 @@ def _write_17g(fh, columns: np.ndarray, head: str | None = None) -> None:
         shifts = 4 * np.arange(-(-_TRIAL_DIGITS // 4))[::-1, None]  # the row number in words of 4 digits
     chunk = max(1, _RECORD_CHUNK * 4 // n_cols)
     for start in range(0, n_rows, chunk):
-        slots, ok = _fixed_17g(columns[:, start : start + chunk])
+        slots = _fixed_17g(columns[:, start : start + chunk])[0]
         index = np.arange(start, start + slots.shape[-1])
         words = [slots.transpose(1, 0, 2).reshape(-1, index.size), np.full((1, index.size), ord("\n"), "<u4")]
         words[0][0] &= 0xFFFFFF00  # no separator before the first value
@@ -526,12 +527,10 @@ def _write_17g(fh, columns: np.ndarray, head: str | None = None) -> None:
             words[:0] = [_DIGITS4[index // 10**shifts % 10**4] & masks, np.repeat(head_words, index.size, axis=1)]
         words = np.concatenate(words)
         lines = np.ascontiguousarray(words[words.any(axis=1)].T).view(np.uint8)
-        done = 0
-        for i in np.flatnonzero(~ok.all(axis=0) | (index >= 10**_TRIAL_DIGITS)).tolist():
-            fh.write(lines[done:i].tobytes().translate(None, b"\0"))
-            fh.write((fmt % ((start + i,) * (head is not None) + tuple(columns[:, start + i].tolist()))).encode())
-            done = i + 1
-        fh.write(lines[done:].tobytes().translate(None, b"\0"))
+        kernel = int(np.searchsorted(index, 10**_TRIAL_DIGITS))  # wider row numbers go to printf
+        fh.write(lines[:kernel].tobytes().translate(None, b"\0"))
+        for i in index[kernel:].tolist():
+            fh.write((fmt % ((i,) * (head is not None) + tuple(columns[:, i].tolist()))).encode())
 
 
 def write_scan_records(report: ScanReport, path) -> None:

@@ -1,5 +1,7 @@
 """Shared builders for randomized problem instances and admissible fields."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,13 @@ def fail_newton_once_at(monkeypatch, param, reason="injected collapse"):
         return False
 
     fail_newton(monkeypatch, once, reason)
+
+
+class CountingWriter(io.BytesIO):
+    """An in-memory binary file that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import torusgeo
 from torusgeo import solver
-from torusgeo.cli import main
+from torusgeo.cli import _parser, main
 from torusgeo.config import build_field
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, write_field_bin, write_field_csv
 from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem, cone_quantities
@@ -731,6 +731,16 @@ def test_output_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch
     assert err == f"error: cannot make output directory {str(afile)!r}: File exists\n"
     assert afile.read_text() == "kept\n"
     assert sorted(os.listdir(tmp_path)) == ["afile", "run.cfg"]
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # Every main call reuses one parser, and a bad command line still exits 2 each time.
+    assert _parser() is _parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["scan"])
+        assert info.value.code == 2
+        assert "the following arguments are required: config" in capsys.readouterr().err
 
 
 def test_verify_has_no_tolerance_flag(tmp_path, capsys):

@@ -412,6 +412,17 @@ def test_file_reference_resolves_relative_to_config(tmp_path):
     assert np.all(spec.a.values == 3.0)
 
 
+def test_file_reference_takes_an_absolute_path(tmp_path):
+    grid = GridSpec(spatial_dim=1, nodes_per_axis=8, time_nodes=5)
+    data = tmp_path / "elsewhere" / "a.csv"
+    data.parent.mkdir()
+    write_field_csv(SpaceField(grid, np.full(grid.spatial_shape, 3.0)), data)
+    (tmp_path / "cfg").mkdir()
+    text = f"[problem]\nspatial_dim = 1\nnodes_per_axis = 8\ntime_nodes = 5\na = file:{data}\nf = 2\nu0 = 0\nu1 = 0\n"
+    spec = build_problem(load_config(write_cfg(tmp_path / "cfg", text)))
+    assert np.all(spec.a.values == 3.0)
+
+
 def test_bundled_configs_load_and_build():
     base = os.path.join(os.path.dirname(torusgeo.__file__), "configs")
     for name in ("separable.cfg", "manufactured.cfg", "scan_default.cfg"):

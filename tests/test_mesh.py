@@ -23,6 +23,9 @@ from torusgeo.mesh import (
     write_field_bin,
     write_field_csv,
 )
+from torusgeo.symcone import _write_17g
+
+from conftest import CountingWriter
 
 
 def test_grid_validation():
@@ -193,6 +196,25 @@ def test_csv_matches_savetxt(tmp_path, dim):
         write_field_csv(field, path)
         np.savetxt(want, field.values.reshape(-1, grid.num_spatial), fmt="%.17g", delimiter=",")
         assert path.read_bytes() == want.read_bytes()
+
+
+def test_csv_values_outside_the_kernel_range_match_printf(tmp_path):
+    # Every line holds values the fixed-notation kernel does not certify (+-0, 1e-17, other values
+    # below 1e-4, 1e17 and above), among values it does: printf's bytes, written in one piece.
+    grid = GridSpec(spatial_dim=2, nodes_per_axis=8, time_nodes=6)
+    outside = [0.0, -0.0, 1e-17, 3.5e-5, 9.999999999999999e-5, 1e-300, 5e-324, 1e17, 2.5e18, 1e300]
+    rng = np.random.default_rng(13)
+    values = rng.choice([-1.0, 1.0], grid.field_shape) * 10.0 ** rng.uniform(-4.0, 17.0, grid.field_shape)
+    flat = values.reshape(grid.time_nodes, -1)
+    for row in flat:
+        row[rng.choice(row.size, len(outside), replace=False)] = outside
+    path, want = tmp_path / "kernel.csv", tmp_path / "savetxt.csv"
+    write_field_csv(ScalarField(grid, values), path)
+    np.savetxt(want, flat, fmt="%.17g", delimiter=",")
+    assert path.read_bytes() == want.read_bytes()
+    fh = CountingWriter()
+    _write_17g(fh, flat.T)
+    assert fh.writes == 1 and fh.getvalue() == want.read_bytes()
 
 
 def test_csv_grid_mismatch(tmp_path):

@@ -24,6 +24,7 @@ from torusgeo.symcone import (
     _fixed_17g,
     _min_shift_into_cone,
     _sample_cone_batch,
+    _write_17g,
     comparison_scan,
     elementary_symmetric,
     log_q_hessian_batch,
@@ -32,6 +33,8 @@ from torusgeo.symcone import (
     write_counterexamples,
     write_scan_records,
 )
+
+from conftest import CountingWriter
 
 
 def sigma_brute(lams, k):
@@ -591,6 +594,48 @@ def test_scan_makes_no_eigh_call(monkeypatch, k, n, hermitian):
 
 
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("k, n", [(1, 1), (1, 4), (2, 2), (2, 4), (3, 3), (4, 6)])
+def test_sampler_makes_only_its_documented_draws(k, n, hermitian):
+    # Per batch, in order: n + n(n - 1)/2 normals per matrix (the off-diagonal ones twice when
+    # Hermitian; no matrix at k = 1), then the margins, r00, z (real and imaginary parts) and theta.
+    batch = 37
+    rng, want = np.random.default_rng(8), np.random.default_rng(8)
+    _sample_cone_batch(rng, k, n, batch, hermitian)
+    if k > 1:
+        want.standard_normal((n + n * (n - 1) // 2 * (1 + hermitian)) * batch)
+    want.uniform(size=batch)
+    want.standard_normal(batch)
+    want.standard_normal(n * batch * (1 + hermitian))
+    want.uniform(size=batch)
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_sampler_draws_goe_and_gue_matrices(hermitian):
+    # Off the diagonal R is (m + m^*)/2 for a standard normal m: each entry (its real and imaginary
+    # parts when Hermitian) has mean 0 and variance 1/2, here within 5 sigma over 4096 samples.
+    n, batch = 4, 4096
+    r = _sample_cone_batch(np.random.default_rng(9), 2, n, batch, hermitian)[1]
+    rows, cols = np.triu_indices(n, 1)
+    assert np.array_equal(r[cols, rows], np.conj(r[rows, cols]))
+    parts = [r[rows, cols].real] + [r[rows, cols].imag] * hermitian
+    assert np.iscomplexobj(r) == hermitian
+    for x in np.concatenate(parts):
+        assert abs(np.mean(x)) <= 5.0 * math.sqrt(0.5 / batch)
+        assert abs(np.var(x) - 0.5) <= 5.0 * 0.5 * math.sqrt(2.0 / (batch - 1))
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
+def test_sampler_at_k1_is_the_margin_times_the_identity(hermitian):
+    # F_1 reads R only through tr R, so the sampler draws no matrix there: R = margin I exactly.
+    n, batch = 4, 4096
+    r = _sample_cone_batch(np.random.default_rng(10), 1, n, batch, hermitian)[1]
+    margin = 10.0 ** np.random.default_rng(10).uniform(-2.0, 0.0, batch)
+    assert np.array_equal(r, margin * np.eye(n)[..., None])
+    assert margin.min() >= 1e-2 and margin.max() <= 1.0
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_f1_batch_matches_pointwise_eval(n, hermitian):
     rng = np.random.default_rng(110 + n)
@@ -757,6 +802,11 @@ def test_records_kernel_matches_printf(tmp_path, values):
     # The kernel, not printf, certifies every finite value of the fixed range.
     mag = np.abs(values)
     assert np.array_equal(_fixed_17g(values[None])[1][0], (mag >= 1e-4) & (mag < 1e17))
+    # printf formats the other values in place: no line is printed whole, so one chunk is one write.
+    fh = CountingWriter()
+    _write_17g(fh, np.stack([rep.margins, rep.f_left, rep.f_right, rep.f_mid]), ",1,2,real,")
+    assert fh.writes == 1
+    assert b"trial,k,n,variant,margin,f_left,f_right,f_mid\n" + fh.getvalue() == _reference_records(rep)
 
 
 def _q(point) -> float:

@@ -17,8 +17,8 @@ two Hermitian ``scan`` runs at 20000 trials, two ``scan`` runs with the
 violation threshold ``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify``
 on every ``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200) writes
 rejection rows and a ``rung_000_error`` summary line, which no passing run
-reaches. The Hermitian scans, (k, n) = (5, 6) and (6, 6) with seed 7, send 429
-and 15016 sampled matrices whose cone shift fails its certificate to eigvalsh:
+reaches. The Hermitian scans, (k, n) = (5, 6) and (6, 6) with seed 7, send 459
+and 14865 sampled matrices whose cone shift fails its certificate to eigvalsh:
 the first reaches the 1 < k < n root finder on the spectrum, the second the
 k = n closed form. No scan at the shipped threshold finds a violation, so the
 raised threshold is the only way a non-empty ``counterexamples.txt`` is
