@@ -316,7 +316,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        where = [f"phase {exc.phase}"] if exc.phase else []
+        where += [] if math.isnan(exc.param) else [f"param {_text(exc.param)}"]
+        print(f"solver failure: {exc}" + (f" ({', '.join(where)})" if where else ""), file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's array allocation errors among them
         print(f"run failure: out of memory: {exc}", file=sys.stderr)

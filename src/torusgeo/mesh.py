@@ -35,8 +35,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .symcone import _write_17g
-
 TWO_PI = 2.0 * np.pi
 
 _BIN_HEADER_DTYPE = np.dtype("<i8")
@@ -270,7 +268,118 @@ def full_node(node: tuple) -> tuple:
 #
 # Neither format tags the kind of field; both readers take it, and the grid,
 # from the caller, and refuse a dump whose layout does not match them.
+#
+# Every "%.17g" CSV of the package, these dumps and symcone's scan records, is
+# written by one vectorized kernel, _write_17g.
 # ---------------------------------------------------------------------------
+
+
+def _split(a: np.ndarray):
+    """Veltkamp's split: hi + lo = a exactly, each half with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _slot_table() -> np.ndarray:
+    """Word-major (11, 714) masks of a value's slot, column (negative * 21 + X + 4) * 17 + trailing zeros of D.
+
+    A slot is [,][-][0][T] (T the top digit of D), D's other 16 digits, [.] and three zero bytes, then
+    D's zero-padded 20-digit block; the masks keep what "%.17g" prints.
+    """
+    x = np.arange(-4, 17)[:, None, None]
+    pos = np.arange(20)  # digit j of D sits at block position 3 + j
+    integer = np.where(x >= 0, (pos >= 3) & (pos <= 3 + x), pos == 2) | (pos == 0)  # with the separator
+    fraction = (pos >= 4 + x) & (pos <= 19 - np.arange(17)[:, None])
+    parts = (integer, fraction.any(axis=-1, keepdims=True), np.zeros(3, bool), fraction)
+    keep = np.concatenate([np.broadcast_to(a, (2, 21, 17, a.shape[-1])) for a in parts], axis=-1)
+    keep = keep * np.frombuffer(b"\xff" * 20 + b".\0\0\0" + b"\xff" * 20, np.uint8)
+    keep[1, ..., 1] = ord("-")
+    return np.ascontiguousarray(keep.view("<u4").reshape(-1, 11).T)
+
+
+_RECORD_CHUNK = 4096  # rows of four values per chunk of the "%.17g" kernel; wider rows take fewer
+# The "%.17g" kernel. From 1e-4 to 1e17, C "%.17g" prints D 10^(X - 16) in fixed
+# notation (D the 17-digit correctly rounded significand, X the decimal exponent):
+# a column of _SLOT_TABLE ANDed with D's ASCII digits. printf writes other values into
+# their slots, and lines with a row number wider than _TRIAL_DIGITS (at most 8) whole.
+_TRIAL_DIGITS = 8
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).view("<u4").ravel()  # "0000"...
+_TRAILING_ZEROS4 = np.count_nonzero(np.arange(10**4) % 10 ** np.arange(1, 5)[:, None] == 0, axis=0).astype(np.int8)
+_SLOT_TABLE = _slot_table()
+_POW10 = np.array([float(10**s) for s in range(21)])  # exact doubles
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _significand(mag: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """mag * 10^(16 - exp) rounded half to even, exact where the result is at least 2^53.
+
+    Dekker's two-product gives it as p + e exactly, p even and |e| <= ulp(p) / 2 there.
+    """
+    s = 16 - exp
+    p = mag * _POW10[s]
+    (ah, al), bh, bl = _split(mag), _POW10_HI[s], _POW10_LO[s]
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _fixed_17g(values: np.ndarray):
+    """Slots (11, C, m) "<u4" of "," and "%.17g" for values (C, m), and where the kernel wrote them (else printf)."""
+    mag = np.abs(values)
+    ok = (mag >= 1e-4) & (mag < 1e17)
+    mag = np.where(ok, mag, 1.0)
+    exp = np.clip(np.floor(np.log10(mag)), -4, 16).astype(np.int64)
+    digits = _significand(mag, exp)
+    # log10 may be one off near a power of ten, and rounding may carry to 10^17:
+    # recompute at the next exponent, never divide D by 10 (that rounds twice).
+    step = (digits >= 10**17).astype(np.int64) - (digits < 10**16)
+    if step.any():
+        exp = np.clip(exp + step, -4, 16)
+        digits = _significand(mag, exp)
+        ok &= (digits >= 10**16) & (digits < 10**17)
+    high, low = (digits % 10**16 // 10**8).astype(np.int32), (digits % 10**8).astype(np.int32)
+    groups = np.stack([(digits // 10**16).astype(np.int32), high // 10**4, high % 10**4, low // 10**4, low % 10**4])
+    zeros = _TRAILING_ZEROS4[groups[4]]
+    for j in (3, 2, 1):  # where every later group is zero, this one's trailing zeros count too
+        more = zeros == 16 - 4 * j
+        zeros[more] += _TRAILING_ZEROS4[groups[j][more]]
+    slots = _SLOT_TABLE.take(((values < 0) * 21 + exp + 4) * 17 + zeros, axis=1)
+    block = _DIGITS4[groups]
+    slots[0] &= (block[0] & 0xFFFF0000) | ord(",") | 0xFF00
+    slots[1:5] &= block[1:]
+    slots[6:] &= block
+    if not ok.all():
+        slots[:, ~ok] = np.char.mod(b",%.17g", values[~ok]).astype("S44").view("<u4").reshape(-1, 11).T
+    return slots, ok
+
+
+def _write_17g(fh, columns: np.ndarray, head: str | None = None) -> None:
+    """Write line i as ``"%.17g,...,%.17g\\n" % columns[:, i]`` for columns (C, N), led by ``"%d" % i + head`` if given.
+
+    A chunk is built position-major, one vector over its lines per four bytes (row number, head,
+    :func:`_fixed_17g` slots), transposed once, and its zero bytes dropped.
+    """
+    n_cols, n_rows = columns.shape
+    fmt = ("" if head is None else "%d" + head) + ",".join(["%.17g"] * n_cols) + "\n"
+    if head is not None:
+        head_words = np.frombuffer((head + "\0" * (-len(head) % 4)).encode(), "<u4")[:, None]
+        shifts = 4 * np.arange(-(-_TRIAL_DIGITS // 4))[::-1, None]  # the row number in words of 4 digits
+    chunk = max(1, _RECORD_CHUNK * 4 // n_cols)
+    for start in range(0, n_rows, chunk):
+        slots = _fixed_17g(columns[:, start : start + chunk])[0]
+        index = np.arange(start, start + slots.shape[-1])
+        words = [slots.transpose(1, 0, 2).reshape(-1, index.size), np.full((1, index.size), ord("\n"), "<u4")]
+        words[0][0] &= 0xFFFFFF00  # no separator before the first value
+        if head is not None:
+            shown = np.clip(np.searchsorted(10 ** np.arange(1, _TRIAL_DIGITS), index, side="right") + 1 - shifts, 0, 4)
+            masks = (np.uint64(0xFFFFFFFF) << (32 - 8 * shown).astype(np.uint64)).astype("<u4")  # its last digits
+            words[:0] = [_DIGITS4[index // 10**shifts % 10**4] & masks, np.repeat(head_words, index.size, axis=1)]
+        words = np.concatenate(words)
+        lines = np.ascontiguousarray(words[words.any(axis=1)].T).view(np.uint8)
+        kernel = int(np.searchsorted(index, 10**_TRIAL_DIGITS))  # wider row numbers go to printf
+        fh.write(lines[:kernel].tobytes().translate(None, b"\0"))
+        for i in index[kernel:].tolist():
+            fh.write((fmt % ((i,) * (head is not None) + tuple(columns[:, i].tolist()))).encode())
 
 
 def write_field_csv(field, path) -> None:

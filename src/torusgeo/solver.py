@@ -6,29 +6,26 @@ search first shrinks the step until the trial keeps at least a fixed fraction
 of each current margin at every node, then keeps halving until the residual
 sup-norm strictly decreases.
 
-One homotopy driver follows a path of right-hand sides p -> rhs(p) from a
-solved start, warm-starting each rung at the previous solution. Its step is
-adaptive: the first rung tries the full step, a failed rung is retried from
-the last accepted solution with half the step, every accepted rung doubles
-the step, and rejected attempts are kept with their reasons. The continuation
-solve drives it along
+One predictor-corrector homotopy driver follows a path of right-hand sides
+p -> rhs(p) from a solved start (Allgower and Georg 1990). Each rung starts
+Newton from the secant prediction of the last two accepted (p, u) of the
+path when that is admissible, otherwise from the last accepted solution. Its
+step is adaptive: the first rung tries the full step, a failed predicted run
+is retried from the last accepted solution, any other failed rung with half
+the step, every accepted rung doubles the step, and rejected attempts are
+kept with their reasons. The continuation solve drives it along
 
     Q(u) = (1 - s) Q(U_{-c*}) + s f,      s: 0 -> 1,
 
 from the explicitly admissible quadratic barrier U_{-c*}; the uniqueness
 probe does the same from two barriers. The epsilon sweep walks toward the
 degenerate limit f -> 0 on eps * f_hat, recording the weak second-order
-measurements that are expected to stay bounded uniformly in epsilon. It is a
-predictor-corrector continuation: once two rungs in a row have solved, the
-next one starts Newton from their secant prediction in eps, when that
-prediction is admissible; a prediction that leaves the cone is dropped
-without a record, and a failed predicted run is kept among the rung's
-rejected attempts. Without a prediction, or after such a failure, the
-homotopy driver takes the rung from the previous eps to its own, falling
-back to a cold continuation. A Newton run's first step is solved to the
-oversolving floor of the forcing term once that floor exceeds
-FORCING_FLOOR_SWITCH, so a start already within reach of NEWTON_TOL
-finishes in one step.
+measurements that are expected to stay bounded uniformly in epsilon. Each
+rung is one driver path from the previous eps, which carries the last two
+accepted points from rung to rung, with a cold continuation as the fallback.
+A Newton run's first step is solved to the oversolving floor of the forcing
+term once that floor exceeds FORCING_FLOOR_SWITCH, so a start already within
+reach of NEWTON_TOL finishes in one step.
 
 The scheme has no tuning options: the Newton tolerance, iteration budget,
 fraction-to-boundary factor, line-search floor and homotopy step floor are the
@@ -359,36 +356,58 @@ def newton_solve(
 
 
 def _follow_path(
-    spec: ProblemSpec, target, p0: float, p1: float, log: SolveResult, *, phase: str, on_record
+    spec: ProblemSpec, target, p0: float, p1: float, log: SolveResult, *, phase: str, on_record, history=None
 ) -> SolveResult:
     """The homotopy driver: follow Q(u) = target(p) from p0 to p1, starting at ``log.u``.
 
-    ``log.u`` must solve the problem at p0. The step is a fraction of the
-    path and starts as the full step to p1. A failed Newton run is appended
-    to ``log.rejected`` as ``(phase, p, reason)`` and retried from the last
-    accepted solution with half the step; the failure is re-raised once the
-    step falls below ``MIN_PATH_STEP``. Every accepted rung is appended to
-    ``log`` and doubles the step. Returns ``log``.
+    ``log.u`` must solve the problem at p0. ``history``, updated in place so
+    that a caller can carry it into its next path, holds the last two accepted
+    ``(p, u)``, oldest first, ending with ``(p0, log.u)`` (the default). The
+    step is a fraction of the path and starts as the full step to p1. With
+    two points in ``history`` a rung at p starts from their secant prediction
+    u_k + (p - p_k) / (p_k - p_{k-1}) (u_k - u_{k-1}) and hands Newton its
+    cone when it is admissible; a prediction outside the cone leaves no record.
+    A failed Newton run is appended to ``log.rejected`` as ``(phase, p,
+    reason)``. A failed predicted run is retried from ``log.u`` at the same
+    p; any other failure halves the step, re-raising once it falls below
+    ``MIN_PATH_STEP``. An accepted rung goes to ``log`` and ``history`` and
+    doubles the step. Returns ``log``.
     """
+    if history is None:
+        history = [(p0, log.u)]
     ds = 1.0
     s = 0.0
+    predict = True
     while s < 1.0:
         s_next = min(s + ds, 1.0)  # s and ds are dyadic, so s + ds is exact
         p = p1 if s_next == 1.0 else p0 + s_next * (p1 - p0)
         log.cone = None  # every run evaluates its own cone; an earlier one kept alive would add to its peak
+        start, cone = log.u, None
+        if predict and len(history) == 2:
+            (p_a, u_a), (p_b, u_b) = history
+            # Both points share the Dirichlet layers, so the prediction keeps them exactly.
+            vals = u_b.values + (p - p_b) / (p_b - p_a) * (u_b.values - u_a.values)
+            guess = cone_quantities(vals, spec)
+            if guess.admissible:
+                start, cone = ScalarField(spec.grid, vals), guess
+            del vals, guess
         try:
-            step = newton_solve(spec, target(p), log.u, phase=phase, param=p, on_record=on_record)
+            step = newton_solve(spec, target(p), start, phase=phase, param=p, on_record=on_record, cone=cone)
         except SolverError as err:
             log.rejected.append((phase, p, str(err)))
-            ds *= 0.5
-            if ds < MIN_PATH_STEP:
-                raise
+            predict = cone is None
+            if predict:
+                ds *= 0.5
+                if ds < MIN_PATH_STEP:
+                    raise
             continue
         log.u, log.cone = step.u, step.cone
         log.records.extend(step.records)
         del step
+        history[:] = history[-1:] + [(p, log.u)]
         s = s_next
         ds *= 2.0
+        predict = True
     return log
 
 
@@ -422,10 +441,11 @@ def continuation_solve(
     Requires ``f > 0`` on the interior layers. The homotopy target at
     parameter s is ``(1 - s) Q(U_{-c*}) + s f``, which stays positive for all
     s in [0, 1]. After the verification rung s = 0 the homotopy driver takes
-    the path to s = 1: full step first, half the step after a failed rung,
-    re-raising below ``MIN_PATH_STEP``, twice the step after an accepted
-    one. Failed rungs are appended to ``rejected``, which may be a
-    caller-owned list that keeps them when the solve raises.
+    the path to s = 1 from a history of its own: full step first, half the
+    step after a failed rung, re-raising below ``MIN_PATH_STEP``, twice the
+    step and secant starts after accepted ones. Failed rungs are appended to
+    ``rejected``, which may be a caller-owned list that keeps them when the
+    solve raises.
     """
     return _barrier_continuation(spec, 1.0, phase=phase, on_record=on_record, rejected=rejected)
 
@@ -438,10 +458,10 @@ class SweepEntry:
     the first rung or after a failure). Failed rungs carry ``error`` text and
     ``result is None``; the sweep restarts cold on the next rung.
     ``rejected`` lists every failed Newton run of the rung as ``(phase,
-    param, reason)``: the predicted run first, then the warm path, then the
-    cold fallback; it is ``result.rejected`` when set. ``bounds`` is made
-    from the converged cone of ``result``, which then drops it
-    (``result.cone`` is None), so a long ladder keeps no cone per rung.
+    param, reason)``: the driver's path from the previous eps, predicted
+    runs included, then the cold fallback; it is ``result.rejected`` when
+    set. ``bounds`` is made from the converged cone of ``result``, which then
+    drops it (``result.cone`` is None), so a long ladder keeps no cone per rung.
     """
 
     epsilon: float
@@ -462,39 +482,21 @@ def epsilon_ladder(epsilons) -> tuple[float, ...]:
     return eps
 
 
-def _secant_start(spec: ProblemSpec, eps: float, path: list) -> tuple[ScalarField, ConeData] | None:
-    """The secant predictor at ``eps`` from ``path`` = [(eps_{k-1}, u_{k-1}), (eps_k, u_k)], two solved rungs.
-
-    Returns u_k + (eps - eps_k) / (eps_k - eps_{k-1}) (u_k - u_{k-1}) with its
-    :class:`ConeData` when it is admissible, None otherwise. Both rungs share
-    the Dirichlet layers, so the prediction keeps them exactly.
-    """
-    (eps_a, u_a), (eps_b, u_b) = path
-    w = (eps - eps_b) / (eps_b - eps_a)
-    vals = u_b.values + w * (u_b.values - u_a.values)
-    cone = cone_quantities(vals, spec)
-    return (ScalarField(spec.grid, vals), cone) if cone.admissible else None
-
-
 def epsilon_sweep(spec: ProblemSpec, epsilons, *, on_record=None) -> list[SweepEntry]:
     """Walk the right-hand side toward the degenerate limit.
 
     The target at each rung is ``eps * f_hat`` where ``f_hat`` is f scaled to
     unit sup-norm (or the constant one field when f vanishes identically).
-    When the two previous rungs both solved, the rung first runs Newton from
-    their secant prediction u_k + (eps - eps_k) / (eps_k - eps_{k-1}) (u_k -
-    u_{k-1}) (the predictor of predictor-corrector continuation; Allgower and
-    Georg 1990); a prediction that leaves the cone is dropped without a
-    record. Otherwise, or when the predicted run fails, the rung starts from
-    the previous rung's solution and follows the homotopy driver on
-    ``p * f_hat`` from the previous eps to this one: the full step is a plain
-    warm start at eps, a failure bisects in eps, and the ``param`` of the
-    trace records is eps throughout. When the warm path fails, the rung
-    falls back to a cold :func:`continuation_solve` from the barrier. Every
-    failed Newton run of a rung, the predicted one as a ``sweep`` row at eps,
-    is in the entry's ``rejected`` list, also when the cold fallback fails
-    too. Each rung's bounds report reuses the converged cone of its solve.
-    Epsilons must pass :func:`epsilon_ladder`.
+    After a solved rung, the next follows the homotopy driver on ``p *
+    f_hat`` from the previous eps to its own (the ``param`` of its trace
+    records is eps throughout), handed the last two accepted ``(eps, u)``
+    that the sweep carries from rung to rung: from the third rung on, the
+    full step starts from their secant prediction. When the path fails, and
+    on the first rung or after a failed one, the rung falls back to a cold
+    :func:`continuation_solve`, whose solution joins that history. Every
+    failed Newton run of a rung is in the entry's ``rejected`` list, also
+    when the cold fallback fails too. Each rung's bounds report reuses the
+    converged cone of its solve. Epsilons must pass :func:`epsilon_ladder`.
     """
     eps_list = epsilon_ladder(epsilons)
 
@@ -505,43 +507,33 @@ def epsilon_sweep(spec: ProblemSpec, epsilons, *, on_record=None) -> list[SweepE
         return ScalarField(spec.grid, p * f_hat)
 
     entries: list[SweepEntry] = []
-    path: list[tuple[float, ScalarField]] = []  # the last two rungs, (eps, u), solved since the last failure
+    history: list[tuple[float, ScalarField]] = []  # the driver's last two accepted (eps, u) since the last failed rung
     for eps in eps_list:
         spec_eps = replace(spec, f=target(eps))
         entry = SweepEntry(epsilon=eps, result=None, bounds=None, drift=math.nan)
         entries.append(entry)
-        start = _secant_start(spec_eps, eps, path) if len(path) == 2 else None
+        prev = history[-1] if history else None  # the previous rung, when it solved
         try:
-            if start is not None:
-                u_pred, cone = start
-                try:
-                    entry.result = newton_solve(
-                        spec_eps, target(eps), u_pred, phase="sweep", param=eps, on_record=on_record, cone=cone
-                    )
-                    entry.result.rejected = entry.rejected
-                except SolverError as err:
-                    entry.rejected.append(("sweep", eps, str(err)))
-            if entry.result is None and path:
-                prev_eps, prev_u = path[-1]
-                warm = SolveResult(prev_u, rejected=entry.rejected)
+            if prev is not None:
+                warm = SolveResult(prev[1], rejected=entry.rejected)
                 with contextlib.suppress(SolverError):  # the failed attempts stay in entry.rejected
                     entry.result = _follow_path(
-                        spec_eps, target, prev_eps, eps, warm, phase="sweep", on_record=on_record
+                        spec_eps, target, prev[0], eps, warm, phase="sweep", on_record=on_record, history=history
                     )
             if entry.result is None:
                 entry.result = continuation_solve(
                     spec_eps, on_record=on_record, phase="sweep-cold", rejected=entry.rejected
                 )
+                history[:] = history[-1:] + [(eps, entry.result.u)]
         except SolverError as err:
             entry.error = str(err)
-            path = []
+            history.clear()
             continue
-        if path:
-            entry.drift = float(np.max(np.abs(entry.result.u.values - path[-1][1].values)))
+        if prev is not None:
+            entry.drift = float(np.max(np.abs(entry.result.u.values - prev[1].values)))
         # The report is the cone's one use here; the sweep keeps every rung's result, not its cone.
         cone, entry.result.cone = entry.result.cone, None
         entry.bounds = bounds_report(entry.result.u, spec_eps, compute_c_star(spec_eps), rhs=spec_eps.f, cone=cone)
-        path = path[-1:] + [(eps, entry.result.u)]
     return entries
 
 

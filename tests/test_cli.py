@@ -17,7 +17,7 @@ from torusgeo.cli import _parser, main
 from torusgeo.config import build_field
 from torusgeo.mesh import GridSpec, ScalarField, SpaceField, write_field_bin, write_field_csv
 from torusgeo.operator import GMRES_RTOL, LinearSolveError, LinearSystem, cone_quantities
-from torusgeo.solver import TraceRecord
+from torusgeo.solver import StepCollapse, TraceRecord
 
 from conftest import fail_newton, fail_newton_once_at
 
@@ -246,6 +246,21 @@ def test_solve_linear_solve_failure_exit_1(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "solver failure" in err and "injected failure" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "phase, param, where",
+    [("continuation", 0.25, " (phase continuation, param 0.25)"), ("", float("nan"), "")],
+    ids=("located", "unlocated"),
+)
+def test_solver_failure_line_names_phase_and_param(tmp_path, monkeypatch, capsys, phase, param, where):
+    def newton(*_args, **_kwargs):
+        raise StepCollapse("injected collapse", phase=phase, param=param)
+
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    cfg = write_cfg(tmp_path, MANUFACTURED.replace("refinements = 1", "refinements = 0"))
+    assert main(["solve", cfg, "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"solver failure: injected collapse{where}\n"
 
 
 def test_solve_output_defaults_to_out(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from torusgeo.mesh import (
     GridSpec,
     ScalarField,
     SpaceField,
+    _write_17g,
     argmax_node,
     argmin_node,
     d_t,
@@ -23,7 +24,6 @@ from torusgeo.mesh import (
     write_field_bin,
     write_field_csv,
 )
-from torusgeo.symcone import _write_17g
 
 from conftest import CountingWriter
 

@@ -1,9 +1,12 @@
 """Barrier, Newton, continuation, sweep, and uniqueness tests."""
 
+import functools
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusgeo as tg
 from torusgeo import solver
@@ -136,6 +139,69 @@ def test_continuation_grows_the_step_after_a_bisection(monkeypatch):
     res = continuation_solve(random_problem(5, n=12, nt=7))
     assert [p for p, _res, _m in res.continuation_trace] == [0.0, 0.5, 1.0]
     assert res.rejected == [("continuation", 1.0, "injected collapse")]
+
+
+@functools.cache
+def _driver_problem():
+    """A 1D 12x7 problem and its continuation solution with no failure (from the barrier in one step)."""
+    spec = random_problem(5, n=12, nt=7)
+    return spec, continuation_solve(spec).u.values
+
+
+_DYADIC = st.integers(1, 16).map(lambda k: k / 16)
+
+
+# The homotopy driver's contract, on the continuation path s: 0 -> 1. Newton runs
+# fail at drawn dyadic points, each a drawn number of times (at most 10 failures,
+# which halve the step at most 10 times, so the path still succeeds), and, when a
+# wall is drawn, at every point from the wall on, which the path can never pass.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(_DYADIC, st.integers(1, 2), max_size=5), st.none() | _DYADIC)
+def test_driver_contract_under_injected_failures(counts, wall):
+    spec, u_clean = _driver_problem()
+    counts, injected, runs = dict(counts), [], []  # runs: [param, predicted, accepted] per Newton run
+
+    def when(_spec, phase, p):
+        fails = counts.get(p, 0) > 0 or (wall is not None and p >= wall)
+        if fails:
+            counts[p] = counts.get(p, 0) - 1
+            injected.append((phase, p, "injected collapse"))
+        return fails
+
+    with pytest.MonkeyPatch.context() as mp:
+        fail_newton(mp, when)
+        failing = solver.newton_solve
+
+        def spy(spec, rhs, u_init, **kwargs):
+            runs.append([kwargs["param"], kwargs.get("cone") is not None, False])
+            result = failing(spec, rhs, u_init, **kwargs)
+            runs[-1][2] = True
+            return result
+
+        mp.setattr(solver, "newton_solve", spy)
+        rejected = []
+        if wall is None:
+            res = continuation_solve(spec, rejected=rejected)
+        else:
+            with pytest.raises(StepCollapse) as info:
+                continuation_solve(spec, rejected=rejected)
+
+    assert rejected == injected
+    for i, (p, predicted, accepted) in enumerate(runs):
+        if predicted:
+            assert sum(ok for _p, _pred, ok in runs[:i]) >= 2
+            if not accepted:  # retried from the last accepted solution at the same point
+                assert runs[i + 1][:2] == [p, False]
+    accepted_params = [p for p, _pred, ok in runs if ok]
+    assert accepted_params[0] == 0.0 and all(b > a for a, b in zip(accepted_params, accepted_params[1:]))
+    if wall is None:
+        assert accepted_params[-1] == 1.0
+        assert [p for p, _res, _m in res.continuation_trace] == accepted_params
+        assert np.max(np.abs(res.u.values - u_clean)) <= 1e-10
+    else:
+        # the run that re-raises is the warm one at the smallest step past the last accepted point
+        assert (info.value.phase, info.value.param) == injected[-1][:2]
+        assert info.value.param == accepted_params[-1] + solver.MIN_PATH_STEP >= wall
 
 
 def test_sweep_warm_path_bisects_in_eps(monkeypatch, separable_spec):

@@ -14,17 +14,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from torusgeo import symcone
+from torusgeo import mesh, symcone
+from torusgeo.mesh import _RECORD_CHUNK, _fixed_17g, _write_17g
 from torusgeo.symcone import (
-    _RECORD_CHUNK,
     COMPARISON_TOL,
     F_k,
     _comparison_margins,
     _cone_shift,
-    _fixed_17g,
     _min_shift_into_cone,
     _sample_cone_batch,
-    _write_17g,
     comparison_scan,
     elementary_symmetric,
     log_q_hessian_batch,
@@ -762,7 +760,7 @@ def test_scan_records_match_row_by_row_reference(tmp_path):
 
 def test_scan_records_trial_index_past_the_digit_field(tmp_path, monkeypatch):
     # With a 3-digit field, trials from 1000 on (whole chunks among them) go to printf.
-    monkeypatch.setattr(symcone, "_TRIAL_DIGITS", 3)
+    monkeypatch.setattr(mesh, "_TRIAL_DIGITS", 3)
     rep = midpoint_concavity_scan(1, 3, 2 * _RECORD_CHUNK + 5, seed=38)
     new = tmp_path / "records.csv"
     write_scan_records(rep, new)

@@ -11,7 +11,7 @@ solve-2d, sweep-2d and scan configs of seeds 0-3 (written by
 ``perfbench/workloads.prepare``), ``solve`` on the bundled ``separable.cfg``
 once more without ``--output``, from inside ``OUTDIR/default-output``, so
 that the default output directory ``out`` is compared too, ``solve`` and
-``sweep`` on the near-degenerate 20^2x11 problem, ``sweep`` on the perfbench
+two ``sweep`` runs on the near-degenerate 20^2x11 problem, ``sweep`` on the perfbench
 seed-0 problem (f > 0) at 20^2x11 from eps = 1 down to 1e-8, one ``sweep`` that fails and
 two Hermitian ``scan`` runs at 20000 trials, two ``scan`` runs with the
 violation threshold ``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify``
@@ -27,9 +27,13 @@ dump 25 violations, and the first, a theorem-backed pair, exits 1.
 The near-degenerate problem is the perfbench seed-0 problem with
 f = 1 + cos(x) + 1e-4, which comes within 1e-4 of zero on the line x = pi;
 its sweep runs eps = 1 down to 1e-6. It is where GMRES and the preconditioner
-do most of their work, so a change there shows in its ``lin_iters``. The long
-f > 0 ladder is almost linear in eps, so most of its rungs start from the
-sweep's secant prediction; a change to that predictor shows in its trace.
+do most of their work, so a change there shows in its ``lin_iters``. A second
+sweep of that problem jumps from eps = 1 straight to 1e-6: the full step and
+the half step fail, so the homotopy driver bisects in eps and then reaches
+1e-6 through accepted intermediate rungs, the later ones started from its
+secant prediction. It is the only run whose path bisects and then succeeds.
+The long f > 0 ladder is almost linear in eps, so most of its rungs start from
+the driver's secant prediction; a change to that predictor shows in its trace.
 Artifacts land under OUTDIR; ``OUTDIR/commands.log`` holds each command with
 its exit code and its stdout and stderr, the paths of OUTDIR and SRC replaced
 by placeholders. Two trees give the same results when ``diff -r`` finds their
@@ -67,7 +71,8 @@ epsilons = 1e200
 """
 
 # The ROADMAP problem on perfbench's 20^2x11 grid with an f that nearly
-# vanishes on the line x = pi, solved and swept down to 1e-6.
+# vanishes on the line x = pi, solved and swept down to 1e-6, once along the
+# ladder and once in a single jump.
 NEAR_DEGENERATE = """\
 [problem]
 spatial_dim = 2
@@ -194,6 +199,9 @@ def main(argv: list[str]) -> int:
         made = os.path.join(outdir, "near-degenerate", command)
         run([command, cfg, "--output", made])
         verify_dumps(made, cfg)
+    jump = NEAR_DEGENERATE.replace("1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6", "1, 1e-6")
+    cfg = config("near-degenerate", "bisect.cfg", jump)
+    run(["sweep", cfg, "--output", os.path.join(outdir, "near-degenerate", "sweep-bisect")])
     cfg = config("long-ladder", "problem.cfg", LONG_LADDER)
     made = os.path.join(outdir, "long-ladder", "sweep")
     run(["sweep", cfg, "--output", made])
