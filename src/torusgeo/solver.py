@@ -10,10 +10,10 @@ One predictor-corrector homotopy driver follows a path of right-hand sides
 p -> rhs(p) from a solved start (Allgower and Georg 1990). Each rung starts
 Newton from the secant prediction of the last two accepted (p, u) of the
 path when that is admissible, otherwise from the last accepted solution. Its
-step is adaptive: the first rung tries the full step, a failed predicted run
-is retried from the last accepted solution, any other failed rung with half
-the step, every accepted rung doubles the step, and rejected attempts are
-kept with their reasons. The continuation solve drives it along
+step is adaptive: the first rung tries the full step, every failed run halves
+the step and the next attempt starts from the last accepted solution, every
+accepted rung doubles the step, and rejected attempts are kept with their
+reasons. The continuation solve drives it along
 
     Q(u) = (1 - s) Q(U_{-c*}) + s f,      s: 0 -> 1,
 
@@ -366,10 +366,10 @@ def _follow_path(
     step is a fraction of the path and starts as the full step to p1. With
     two points in ``history`` a rung at p starts from their secant prediction
     u_k + (p - p_k) / (p_k - p_{k-1}) (u_k - u_{k-1}) and hands Newton its
-    cone when it is admissible; a prediction outside the cone leaves no record.
-    A failed Newton run is appended to ``log.rejected`` as ``(phase, p,
-    reason)``. A failed predicted run is retried from ``log.u`` at the same
-    p; any other failure halves the step, re-raising once it falls below
+    cone when it is admissible, else starts from ``log.u`` with no record.
+    Every failed Newton run is appended to ``log.rejected`` as ``(phase, p,
+    reason)``, drops the older point of ``history``, so the next attempt
+    starts from ``log.u``, and halves the step, re-raising once it falls below
     ``MIN_PATH_STEP``. An accepted rung goes to ``log`` and ``history`` and
     doubles the step. Returns ``log``.
     """
@@ -377,13 +377,12 @@ def _follow_path(
         history = [(p0, log.u)]
     ds = 1.0
     s = 0.0
-    predict = True
     while s < 1.0:
         s_next = min(s + ds, 1.0)  # s and ds are dyadic, so s + ds is exact
         p = p1 if s_next == 1.0 else p0 + s_next * (p1 - p0)
         log.cone = None  # every run evaluates its own cone; an earlier one kept alive would add to its peak
         start, cone = log.u, None
-        if predict and len(history) == 2:
+        if len(history) == 2:
             (p_a, u_a), (p_b, u_b) = history
             # Both points share the Dirichlet layers, so the prediction keeps them exactly.
             vals = u_b.values + (p - p_b) / (p_b - p_a) * (u_b.values - u_a.values)
@@ -395,11 +394,10 @@ def _follow_path(
             step = newton_solve(spec, target(p), start, phase=phase, param=p, on_record=on_record, cone=cone)
         except SolverError as err:
             log.rejected.append((phase, p, str(err)))
-            predict = cone is None
-            if predict:
-                ds *= 0.5
-                if ds < MIN_PATH_STEP:
-                    raise
+            history[:] = history[-1:]
+            ds *= 0.5
+            if ds < MIN_PATH_STEP:
+                raise
             continue
         log.u, log.cone = step.u, step.cone
         log.records.extend(step.records)
@@ -407,7 +405,6 @@ def _follow_path(
         history[:] = history[-1:] + [(p, log.u)]
         s = s_next
         ds *= 2.0
-        predict = True
     return log
 
 
@@ -442,10 +439,10 @@ def continuation_solve(
     parameter s is ``(1 - s) Q(U_{-c*}) + s f``, which stays positive for all
     s in [0, 1]. After the verification rung s = 0 the homotopy driver takes
     the path to s = 1 from a history of its own: full step first, half the
-    step after a failed rung, re-raising below ``MIN_PATH_STEP``, twice the
-    step and secant starts after accepted ones. Failed rungs are appended to
-    ``rejected``, which may be a caller-owned list that keeps them when the
-    solve raises.
+    step and a warm start after a failed run, re-raising below
+    ``MIN_PATH_STEP``, twice the step and secant starts after accepted ones.
+    Failed runs are appended to ``rejected``, which may be a caller-owned
+    list that keeps them when the solve raises.
     """
     return _barrier_continuation(spec, 1.0, phase=phase, on_record=on_record, rejected=rejected)
 
@@ -487,16 +484,16 @@ def epsilon_sweep(spec: ProblemSpec, epsilons, *, on_record=None) -> list[SweepE
 
     The target at each rung is ``eps * f_hat`` where ``f_hat`` is f scaled to
     unit sup-norm (or the constant one field when f vanishes identically).
-    After a solved rung, the next follows the homotopy driver on ``p *
-    f_hat`` from the previous eps to its own (the ``param`` of its trace
-    records is eps throughout), handed the last two accepted ``(eps, u)``
-    that the sweep carries from rung to rung: from the third rung on, the
-    full step starts from their secant prediction. When the path fails, and
-    on the first rung or after a failed one, the rung falls back to a cold
+    After a solved rung, the next follows the homotopy driver on ``p * f_hat``
+    from the previous eps to its own (``param`` is eps), handed the last two
+    accepted ``(eps, u)`` that the sweep carries from rung to rung: from the
+    third rung on, the full step starts from their secant prediction, and a
+    failed run halves the step and starts warm. When the path fails, and on
+    the first rung or after a failed one, the rung falls back to a cold
     :func:`continuation_solve`, whose solution joins that history. Every
-    failed Newton run of a rung is in the entry's ``rejected`` list, also
-    when the cold fallback fails too. Each rung's bounds report reuses the
-    converged cone of its solve. Epsilons must pass :func:`epsilon_ladder`.
+    failed Newton run of a rung is in the entry's ``rejected`` list, even when
+    the cold fallback fails. Each rung's bounds report reuses the converged
+    cone of its solve. Epsilons must pass :func:`epsilon_ladder`.
     """
     eps_list = epsilon_ladder(epsilons)
 

@@ -115,6 +115,64 @@ def manufactured_spec(n=32, nt=17):
     return spec, exact
 
 
+def degenerate_u0(y):
+    """(u0, u0', u0'') at y for the degenerate reference."""
+    return 0.3 * np.sin(y), 0.3 * np.cos(y), -0.3 * np.sin(y)
+
+
+def degenerate_u1(y):
+    """(u1, u1', u1'') at y for the degenerate reference."""
+    s, c = np.sin(y), np.cos(y)
+    return 0.2 * c + 0.05 * np.sin(2.0 * y), -0.2 * s + 0.1 * np.cos(2.0 * y), -0.2 * c - 0.2 * np.sin(2.0 * y)
+
+
+def degenerate_spec(n, nt, eps):
+    """1D instance a = 1, b = 0, u0 = 0.3 sin x, u1 = 0.2 cos x + 0.05 sin 2x, f = eps."""
+    grid = tg.GridSpec(spatial_dim=1, nodes_per_axis=n, time_nodes=nt)
+    x, = grid.spatial_meshes()
+    u0, u1 = degenerate_u0(x)[0], degenerate_u1(x)[0]
+    return tg.ProblemSpec(
+        grid=grid,
+        a=tg.SpaceField(grid, np.ones(grid.spatial_shape)),
+        b=0.0,
+        f=tg.ScalarField(grid, np.full(grid.field_shape, eps)),
+        u0=tg.SpaceField(grid, u0),
+        u1=tg.SpaceField(grid, u1),
+    )
+
+
+def degenerate_reference(grid):
+    """The f = 0 limit of :func:`degenerate_spec` at the grid's nodes.
+
+    With a = 1 and b = 0, Q(u) is the Monge-Ampere determinant of phi = x^2/2
+    + u in (t, x), and the limit interpolates the Legendre transforms of the
+    boundary layers: u(t, x) = (1 - t) phi0(x0) + t phi1(x1) - x^2 / 2 where
+    phi0'(x0) = phi1'(x1) and x = (1 - t) x0 + t x1. Writing x0 = x - t d and
+    x1 = x + (1 - t) d, the displacement d solves the increasing equation
+    h(d) = d + u1'(x1) - u0'(x0) = 0, whose root lies in [-1, 1] since
+    |u0'|, |u1'| <= 0.3; then u = (1 - t) u0(x0) + t u1(x1) + t (1 - t) d^2 / 2.
+    The root is found by a Newton iteration kept inside a shrinking bracket.
+    """
+    t, x = grid.field_meshes()
+    lo, hi, d = np.full(x.shape, -1.0), np.full(x.shape, 1.0), np.zeros(x.shape)
+    for _ in range(60):
+        x0, x1 = x - t * d, x + (1.0 - t) * d
+        _, du0, ddu0 = degenerate_u0(x0)
+        _, du1, ddu1 = degenerate_u1(x1)
+        h = d + du1 - du0
+        if np.max(np.abs(h)) <= 1e-14:
+            break
+        lo, hi = np.where(h < 0.0, d, lo), np.where(h > 0.0, d, hi)
+        d = d - h / (1.0 + (1.0 - t) * ddu1 + t * ddu0)
+        outside = (d <= lo) | (d >= hi)
+        d = np.where(outside, 0.5 * (lo + hi), d)
+    else:
+        raise RuntimeError("degenerate reference: displacement did not converge")
+    x0, x1 = x - t * d, x + (1.0 - t) * d
+    u = (1.0 - t) * degenerate_u0(x0)[0] + t * degenerate_u1(x1)[0] + 0.5 * t * (1.0 - t) * d * d
+    return tg.ScalarField(grid, u)
+
+
 def fail_newton(monkeypatch, when, reason="injected collapse"):
     """Make every Newton run for which ``when(spec, phase, param)`` holds collapse with ``reason``."""
     real = solver.newton_solve

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven checks with pinned tolerances.
+"""Acceptance gate: twelve checks with pinned tolerances.
 
 Each check prints exactly one ``ACCEPTANCE NN <name>: PASS|FAIL`` line to the
 terminal, even when its body raises, and enforces the verdict with ordinary
@@ -17,7 +17,15 @@ import torusgeo as tg
 from torusgeo.cli import main as cli_main
 from torusgeo.solver import NEWTON_TOL
 
-from conftest import manufactured_spec, random_admissible_field, random_problem
+from conftest import (
+    degenerate_reference,
+    degenerate_spec,
+    degenerate_u0,
+    degenerate_u1,
+    manufactured_spec,
+    random_admissible_field,
+    random_problem,
+)
 
 
 class _Verdict:
@@ -358,4 +366,49 @@ def test_command_line_artifacts_are_deterministic(verdict, tmp_path):
     for name in names:
         with open(one / name, "rb") as f1, open(two / name, "rb") as f2:
             assert f1.read() == f2.read(), name
+    verdict.ok = True
+
+
+def _legendre_route(t_nodes, x_nodes, m=4000, chunk=500):
+    """The f = 0 limit of :func:`degenerate_spec` from discrete Legendre transforms.
+
+    phi_i = x^2/2 + u_i, phi*(t, p) = (1 - t) phi0*(p) + t phi1*(p) and
+    u(t, x) = max_p (p x - phi*(t, p)) - x^2/2, each max taken over the same
+    m points of [-1.5, 2 pi + 1.5], which hold every slope and foot point of
+    the data. Returns u at the outer product of ``t_nodes`` and ``x_nodes``.
+    """
+    y = np.linspace(-1.5, 2.0 * np.pi + 1.5, m)
+    stars = []
+    for layer in (degenerate_u0, degenerate_u1):
+        phi = 0.5 * y * y + layer(y)[0]
+        stars.append(np.concatenate([np.max(p[:, None] * y - phi, axis=1) for p in np.split(y, m // chunk)]))
+    star = (1.0 - t_nodes[:, None]) * stars[0] + t_nodes[:, None] * stars[1]
+    return np.max(x_nodes[None, :, None] * y - star[:, None, :], axis=2) - 0.5 * x_nodes**2
+
+
+def test_degenerate_limit_matches_exact_solution(verdict):
+    verdict.arm(12, "degenerate limit matches exact solution")
+    # the reference: the boundary layers at t = 0 and 1, the Legendre route inside
+    spec = degenerate_spec(32, 17, 1e-6)
+    ref = degenerate_reference(spec.grid).values
+    assert np.array_equal(ref[0], spec.u0.values) and np.array_equal(ref[-1], spec.u1.values)
+    t = spec.grid.time_coords()
+    legendre = _legendre_route(t[1:-1], spec.grid.axis_coords())
+    assert np.max(np.abs(ref[1:-1] - legendre)) <= 1e-5
+
+    # f = 1e-6 is within the discretization error of the limit: second order in h
+    errors = []
+    for n, nt in ((32, 17), (64, 33), (128, 65)):
+        spec = degenerate_spec(n, nt, 1e-6)
+        u = tg.continuation_solve(spec).u.values
+        errors.append(float(np.max(np.abs(u - degenerate_reference(spec.grid).values))))
+    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
+    assert all(o >= 1.8 for o in orders), (errors, orders)
+
+    # on 128x65 the distance to the limit is linear in eps
+    ref = degenerate_reference(spec.grid).values
+    for eps in (1e-1, 1e-2, 1e-3):
+        u = tg.continuation_solve(degenerate_spec(128, 65, eps)).u.values
+        ratio = float(np.max(np.abs(u - ref))) / eps
+        assert 0.15 <= ratio <= 0.18, (eps, ratio)
     verdict.ok = True

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from torusgeo import mesh
 from torusgeo.mesh import (
     GridSpec,
     ScalarField,
@@ -24,6 +25,7 @@ from torusgeo.mesh import (
     write_field_bin,
     write_field_csv,
 )
+from torusgeo.symcone import midpoint_concavity_scan, write_scan_records
 
 from conftest import CountingWriter
 
@@ -215,6 +217,24 @@ def test_csv_values_outside_the_kernel_range_match_printf(tmp_path):
     fh = CountingWriter()
     _write_17g(fh, flat.T)
     assert fh.writes == 1 and fh.getvalue() == want.read_bytes()
+
+
+def test_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # A scan's records (row numbers past 9 and 99 inside a chunk) and a 2D field,
+    # with values inside and outside the kernel's fixed range.
+    rep = midpoint_concavity_scan(1, 3, 300, seed=14)
+    rep.margins[[0, 150]] = [np.nan, 1e-17]
+    grid = GridSpec(spatial_dim=2, nodes_per_axis=8, time_nodes=9)
+    values = np.random.default_rng(14).uniform(-1e3, 1e3, grid.field_shape)
+    values[4, 2, :3] = [0.0, -1e-17, 2.5e18]
+    written = []
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(mesh, "_RECORD_CHUNK", chunk)
+        records, field = tmp_path / f"records_{chunk}.csv", tmp_path / f"field_{chunk}.csv"
+        write_scan_records(rep, records)
+        write_field_csv(ScalarField(grid, values), field)
+        written.append((records.read_bytes(), field.read_bytes()))
+    assert written[0] == written[1] == written[2]
 
 
 def test_csv_grid_mismatch(tmp_path):

@@ -187,11 +187,15 @@ def test_driver_contract_under_injected_failures(counts, wall):
                 continuation_solve(spec, rejected=rejected)
 
     assert rejected == injected
-    for i, (p, predicted, accepted) in enumerate(runs):
+    # One failure rule: a failed run, predicted or warm, halves the step and the
+    # next run starts warm; an accepted one doubles it. A halved step that still
+    # passes p = 1 is cut short there, so a warm run can follow a failed one at 1.
+    s, ds = 0.0, 1.0  # the driver's state after the verification rung s = 0
+    for i, (p, predicted, accepted) in enumerate(runs[1:], 1):
+        assert p == min(s + ds, 1.0)
         if predicted:
-            assert sum(ok for _p, _pred, ok in runs[:i]) >= 2
-            if not accepted:  # retried from the last accepted solution at the same point
-                assert runs[i + 1][:2] == [p, False]
+            assert runs[i - 1][2] and sum(ok for _p, _pred, ok in runs[:i]) >= 2
+        s, ds = (p, 2.0 * ds) if accepted else (s, 0.5 * ds)
     accepted_params = [p for p, _pred, ok in runs if ok]
     assert accepted_params[0] == 0.0 and all(b > a for a, b in zip(accepted_params, accepted_params[1:]))
     if wall is None:
@@ -273,11 +277,13 @@ def test_sweep_predicts_rungs_after_two_solved_ones(monkeypatch):
 def test_sweep_failed_predicted_run_falls_back_to_the_warm_path(monkeypatch, separable_spec):
     predicted = _spy_predicted_runs(monkeypatch, fail=True)
     entries = epsilon_sweep(separable_spec, [1.0, 0.5, 0.25])
-    assert predicted == [0.25]
-    assert entries[2].rejected == [("sweep", 0.25, "injected collapse")]
+    # each failed prediction of 0.25 halves the step; the warm half step from
+    # eps = 0.5 reaches 0.375, whose doubled step is predicted and fails again,
+    # and the warm half step from 0.375 reaches 0.25
+    assert predicted == [0.25, 0.25]
+    assert entries[2].rejected == [("sweep", 0.25, "injected collapse")] * 2
     assert entries[2].result.rejected is entries[2].rejected
-    # the warm path takes the full step from the eps = 0.5 solution
-    assert [p for p, _res, _m in entries[2].result.continuation_trace] == [0.25]
+    assert [p for p, _res, _m in entries[2].result.continuation_trace] == [0.375, 0.25]
     assert entries[2].result.newton_iters_total > 0
 
 

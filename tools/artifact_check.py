@@ -17,8 +17,11 @@ two Hermitian ``scan`` runs at 20000 trials, two ``scan`` runs with the
 violation threshold ``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify``
 on every ``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200) writes
 rejection rows and a ``rung_000_error`` summary line, which no passing run
-reaches. The Hermitian scans, (k, n) = (5, 6) and (6, 6) with seed 7, send 459
-and 14865 sampled matrices whose cone shift fails its certificate to eigvalsh:
+reaches: its cold continuation accepts a few rungs, but every run past s = 0.392
+stops at a non-finite linear solve, whatever its start, and each failure halves
+the step and retries warm until the step falls below the floor (16 rows). The
+Hermitian scans, (k, n) = (5, 6) and (6, 6) with seed 7, send 459 and 14865
+sampled matrices whose cone shift fails its certificate to eigvalsh:
 the first reaches the 1 < k < n root finder on the spectrum, the second the
 k = n closed form. No scan at the shipped threshold finds a violation, so the
 raised threshold is the only way a non-empty ``counterexamples.txt`` is
@@ -30,8 +33,9 @@ its sweep runs eps = 1 down to 1e-6. It is where GMRES and the preconditioner
 do most of their work, so a change there shows in its ``lin_iters``. A second
 sweep of that problem jumps from eps = 1 straight to 1e-6: the full step and
 the half step fail, so the homotopy driver bisects in eps and then reaches
-1e-6 through accepted intermediate rungs, the later ones started from its
-secant prediction. It is the only run whose path bisects and then succeeds.
+1e-6 through accepted intermediate rungs. Both secant predictions it makes
+there leave the cone and are dropped, so every rung starts warm. It is the
+only run whose path bisects and then succeeds.
 The long f > 0 ladder is almost linear in eps, so most of its rungs start from
 the driver's secant prediction; a change to that predictor shows in its trace.
 Artifacts land under OUTDIR; ``OUTDIR/commands.log`` holds each command with
