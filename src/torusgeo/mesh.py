@@ -270,7 +270,7 @@ def full_node(node: tuple) -> tuple:
 # from the caller, and refuse a dump whose layout does not match them.
 #
 # Every "%.17g" CSV of the package, these dumps and symcone's scan records, is
-# written by one vectorized kernel, _write_17g.
+# written by one vectorized kernel, _write_17g, every line of it.
 # ---------------------------------------------------------------------------
 
 
@@ -301,9 +301,7 @@ def _slot_table() -> np.ndarray:
 _RECORD_CHUNK = 4096  # rows of four values per chunk of the "%.17g" kernel; wider rows take fewer
 # The "%.17g" kernel. From 1e-4 to 1e17, C "%.17g" prints D 10^(X - 16) in fixed
 # notation (D the 17-digit correctly rounded significand, X the decimal exponent):
-# a column of _SLOT_TABLE ANDed with D's ASCII digits. printf writes other values into
-# their slots, and lines with a row number wider than _TRIAL_DIGITS (at most 8) whole.
-_TRIAL_DIGITS = 8
+# a column of _SLOT_TABLE ANDed with D's ASCII digits; printf writes other values into their slots.
 _DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48).view("<u4").ravel()  # "0000"...
 _TRAILING_ZEROS4 = np.count_nonzero(np.arange(10**4) % 10 ** np.arange(1, 5)[:, None] == 0, axis=0).astype(np.int8)
 _SLOT_TABLE = _slot_table()
@@ -353,33 +351,32 @@ def _fixed_17g(values: np.ndarray):
     return slots, ok
 
 
+def _lead_words(index: np.ndarray, head: str) -> np.ndarray:
+    """``"%d" % i + head`` per row i < 10^19 as (W, n) "<u4" words, zero-padded to the largest i's digit words."""
+    shifts = 4 * np.arange(-(-len(str(index.max())) // 4))[::-1, None]
+    shown = np.clip(np.searchsorted(10 ** np.arange(1, 19), index, side="right") + 1 - shifts, 0, 4)
+    masks = (np.uint64(0xFFFFFFFF) << (32 - 8 * shown).astype(np.uint64)).astype("<u4")  # its last digits
+    head_words = np.frombuffer((head + "\0" * (-len(head) % 4)).encode(), "<u4")[:, None]
+    return np.concatenate([_DIGITS4[index // 10**shifts % 10**4] & masks, np.repeat(head_words, index.size, axis=1)])
+
+
 def _write_17g(fh, columns: np.ndarray, head: str | None = None) -> None:
     """Write line i as ``"%.17g,...,%.17g\\n" % columns[:, i]`` for columns (C, N), led by ``"%d" % i + head`` if given.
 
-    A chunk is built position-major, one vector over its lines per four bytes (row number, head,
-    :func:`_fixed_17g` slots), transposed once, and its zero bytes dropped.
+    A chunk is built position-major, one vector over its lines per four bytes (:func:`_lead_words`,
+    :func:`_fixed_17g` slots), transposed once, and its zero bytes dropped; one write per chunk.
     """
     n_cols, n_rows = columns.shape
-    fmt = ("" if head is None else "%d" + head) + ",".join(["%.17g"] * n_cols) + "\n"
-    if head is not None:
-        head_words = np.frombuffer((head + "\0" * (-len(head) % 4)).encode(), "<u4")[:, None]
-        shifts = 4 * np.arange(-(-_TRIAL_DIGITS // 4))[::-1, None]  # the row number in words of 4 digits
     chunk = max(1, _RECORD_CHUNK * 4 // n_cols)
     for start in range(0, n_rows, chunk):
         slots = _fixed_17g(columns[:, start : start + chunk])[0]
-        index = np.arange(start, start + slots.shape[-1])
-        words = [slots.transpose(1, 0, 2).reshape(-1, index.size), np.full((1, index.size), ord("\n"), "<u4")]
+        n = slots.shape[-1]
+        words = [slots.transpose(1, 0, 2).reshape(-1, n), np.full((1, n), ord("\n"), "<u4")]
         words[0][0] &= 0xFFFFFF00  # no separator before the first value
         if head is not None:
-            shown = np.clip(np.searchsorted(10 ** np.arange(1, _TRIAL_DIGITS), index, side="right") + 1 - shifts, 0, 4)
-            masks = (np.uint64(0xFFFFFFFF) << (32 - 8 * shown).astype(np.uint64)).astype("<u4")  # its last digits
-            words[:0] = [_DIGITS4[index // 10**shifts % 10**4] & masks, np.repeat(head_words, index.size, axis=1)]
+            words.insert(0, _lead_words(np.arange(start, start + n), head))
         words = np.concatenate(words)
-        lines = np.ascontiguousarray(words[words.any(axis=1)].T).view(np.uint8)
-        kernel = int(np.searchsorted(index, 10**_TRIAL_DIGITS))  # wider row numbers go to printf
-        fh.write(lines[:kernel].tobytes().translate(None, b"\0"))
-        for i in index[kernel:].tolist():
-            fh.write((fmt % ((i,) * (head is not None) + tuple(columns[:, i].tolist()))).encode())
+        fh.write(np.ascontiguousarray(words[words.any(axis=1)].T).tobytes().translate(None, b"\0"))
 
 
 def write_field_csv(field, path) -> None:

@@ -11,9 +11,9 @@ p -> rhs(p) from a solved start (Allgower and Georg 1990). Each rung starts
 Newton from the secant prediction of the last two accepted (p, u) of the
 path when that is admissible, otherwise from the last accepted solution. Its
 step is adaptive: the first rung tries the full step, every failed run halves
-the step and the next attempt starts from the last accepted solution, every
-accepted rung doubles the step, and rejected attempts are kept with their
-reasons. The continuation solve drives it along
+the step and the next attempt, from the last accepted solution, never repeats
+a failed one; every accepted rung doubles the step, and rejected attempts are
+kept with their reasons. The continuation solve drives it along
 
     Q(u) = (1 - s) Q(U_{-c*}) + s f,      s: 0 -> 1,
 
@@ -369,9 +369,9 @@ def _follow_path(
     cone when it is admissible, else starts from ``log.u`` with no record.
     Every failed Newton run is appended to ``log.rejected`` as ``(phase, p,
     reason)``, drops the older point of ``history``, so the next attempt
-    starts from ``log.u``, and halves the step, re-raising once it falls below
-    ``MIN_PATH_STEP``. An accepted rung goes to ``log`` and ``history`` and
-    doubles the step. Returns ``log``.
+    starts from ``log.u``, and halves the step (a failed warm run: until p
+    moves), re-raising below ``MIN_PATH_STEP``. An accepted rung goes to
+    ``log`` and ``history`` and doubles the step. Returns ``log``.
     """
     if history is None:
         history = [(p0, log.u)]
@@ -396,6 +396,8 @@ def _follow_path(
             log.rejected.append((phase, p, str(err)))
             history[:] = history[-1:]
             ds *= 0.5
+            while cone is None and s + ds >= 1.0:  # a warm run at p1 again would repeat this one
+                ds *= 0.5
             if ds < MIN_PATH_STEP:
                 raise
             continue

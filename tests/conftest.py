@@ -126,10 +126,10 @@ def degenerate_u1(y):
     return 0.2 * c + 0.05 * np.sin(2.0 * y), -0.2 * s + 0.1 * np.cos(2.0 * y), -0.2 * c - 0.2 * np.sin(2.0 * y)
 
 
-def degenerate_spec(n, nt, eps):
-    """1D instance a = 1, b = 0, u0 = 0.3 sin x, u1 = 0.2 cos x + 0.05 sin 2x, f = eps."""
-    grid = tg.GridSpec(spatial_dim=1, nodes_per_axis=n, time_nodes=nt)
-    x, = grid.spatial_meshes()
+def degenerate_spec(n, nt, eps, dim=1):
+    """Instance a = 1, b = 0, u0 = 0.3 sin x, u1 = 0.2 cos x + 0.05 sin 2x, f = eps; in 2D the data ignore y."""
+    grid = tg.GridSpec(spatial_dim=dim, nodes_per_axis=n, time_nodes=nt)
+    x = grid.spatial_meshes()[0]
     u0, u1 = degenerate_u0(x)[0], degenerate_u1(x)[0]
     return tg.ProblemSpec(
         grid=grid,

@@ -405,6 +405,17 @@ def test_degenerate_limit_matches_exact_solution(verdict):
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert all(o >= 1.8 for o in orders), (errors, orders)
 
+    # in 2D, x-only data reduce exactly to 1D: u is constant in y and is the 1D solve
+    for n, nt in ((16, 9), (32, 17)):
+        line = degenerate_spec(n, nt, 1e-6)
+        u1 = tg.continuation_solve(line).u.values[:, :, None]
+        u2 = tg.continuation_solve(degenerate_spec(n, nt, 1e-6, dim=2)).u.values
+        assert np.max(np.ptp(u2, axis=2)) <= 1e-12
+        assert np.max(np.abs(u2 - u1)) <= 1e-10
+        ref = degenerate_reference(line.grid).values[:, :, None]
+        err1, err2 = (float(np.max(np.abs(u - ref))) for u in (u1, u2))
+        assert abs(err2 - err1) <= 1e-10, (n, err1, err2)
+
     # on 128x65 the distance to the limit is linear in eps
     ref = degenerate_reference(spec.grid).values
     for eps in (1e-1, 1e-2, 1e-3):

@@ -1,5 +1,6 @@
 """Cone algebra tests against enumeration, determinant, and symbolic oracles."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from torusgeo import mesh, symcone
-from torusgeo.mesh import _RECORD_CHUNK, _fixed_17g, _write_17g
+from torusgeo import symcone
+from torusgeo.mesh import _RECORD_CHUNK, _fixed_17g, _lead_words, _write_17g
 from torusgeo.symcone import (
     COMPARISON_TOL,
     F_k,
@@ -387,7 +388,7 @@ def random_hermitian(rng, shape, hermitian):
 
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "complex"])
 def test_newton_chain_is_batch_independent(hermitian):
-    # A row's sigma_0..sigma_k and F_k are the same bits alone, in a 7-row sub-batch
+    # A row's sigma_0..sigma_k and F_k are the same bits alone, in a 61-row sub-batch
     # and in a 4096 batch, for every 1 <= k <= n <= 6, with row scales from 1e-3 to 1e3.
     rng = np.random.default_rng(112)
     for n in range(1, 7):
@@ -401,7 +402,7 @@ def test_newton_chain_is_batch_independent(hermitian):
             }
             for name, run in kernels.items():
                 full = run(slice(None))
-                sub = np.concatenate([run(slice(i, i + 7)) for i in range(0, 4096, 7)])
+                sub = np.concatenate([run(slice(i, i + 61)) for i in range(0, 4096, 61)])
                 assert np.array_equal(sub, full), (name, n, k)
                 for i in range(0, 4096, 97):
                     assert np.array_equal(run(i), full[i]), (name, n, k, i)
@@ -758,13 +759,28 @@ def test_scan_records_match_row_by_row_reference(tmp_path):
     assert new.read_bytes() == _reference_records(rep)
 
 
-def test_scan_records_trial_index_past_the_digit_field(tmp_path, monkeypatch):
-    # With a 3-digit field, trials from 1000 on (whole chunks among them) go to printf.
-    monkeypatch.setattr(mesh, "_TRIAL_DIGITS", 3)
-    rep = midpoint_concavity_scan(1, 3, 2 * _RECORD_CHUNK + 5, seed=38)
+def test_scan_records_on_each_side_of_every_digit_width(tmp_path):
+    # 9/10, 99/100, ..., 99999/100000 rows: the last row number gains a digit, and
+    # from 10000 on a word; each chunk of rows holds row numbers of several widths.
+    full = midpoint_concavity_scan(1, 3, 100000, seed=38)
+    lines = _reference_records(full).splitlines(keepends=True)  # rows of a scan's prefix are its first lines
     new = tmp_path / "records.csv"
-    write_scan_records(rep, new)
-    assert new.read_bytes() == _reference_records(rep)
+    for width in range(1, 6):
+        for trials in (10**width - 1, 10**width):
+            cols = {c: getattr(full, c)[:trials] for c in ("margins", "f_left", "f_right", "f_mid")}
+            write_scan_records(dataclasses.replace(full, trials=trials, violations=[], **cols), new)
+            assert new.read_bytes() == b"".join(lines[: 1 + trials]), trials
+
+
+def test_record_lead_matches_printf():
+    # Row-number fields of one to five words, synthetic rows past any scan's size among them.
+    for index in ([0, 7, 9999], [10000, 99999999], [10**8 - 1, 10**8], [0, 10**8 - 1, 10**8, 10**12], [10**18]):
+        for head in ("", ",3,4,real,"):
+            words = _lead_words(np.array(index), head)
+            assert words.shape == (-(-len(str(max(index))) // 4) + -(-len(head) // 4), len(index))
+            rows = np.ascontiguousarray(words.T).view(np.uint8).reshape(len(index), -1)
+            want = [b"%d%s" % (i, head.encode()) for i in index]
+            assert [row.tobytes().translate(None, b"\0") for row in rows] == want
 
 
 def _bits_to_float(bits: int) -> float:
