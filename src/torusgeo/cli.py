@@ -262,7 +262,7 @@ def cmd_verify(args) -> int:
         read = read_field_bin if path.endswith(".bin") else read_field_csv
         field = read(path, ScalarField, spec.grid)
     except OSError as exc:
-        raise ConfigError(f"cannot read solution {path!r}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read solution {path!r}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

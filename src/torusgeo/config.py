@@ -254,7 +254,7 @@ def _bad_input(what: str):
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from None
     except OSError as exc:
-        raise ConfigError(f"{what}: {exc.strerror}") from None
+        raise ConfigError(f"{what}: {exc.strerror or exc}") from None
 
 
 def build_field(expr: str, kind: type, grid: GridSpec, base_dir: str = "."):

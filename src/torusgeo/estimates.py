@@ -196,7 +196,7 @@ def _weak_c2(u: ScalarField, cone: ConeData) -> dict:
 
 def _identities(u: ScalarField, spec: ProblemSpec, rhs: ScalarField, cone: ConeData) -> dict:
     grid = spec.grid
-    ls = assemble_dQ(u, spec, cone=cone)
+    ls = assemble_dQ(cone, spec)
     t = np.broadcast_to(grid.time_column(), grid.field_shape).copy()
     e1 = float(np.max(np.abs(ls.apply(t))))
     t2 = t * t

@@ -30,6 +30,7 @@ extrema agree with interior extrema.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -386,8 +387,12 @@ def write_field_csv(field, path) -> None:
 
 
 def read_field_csv(path, kind: type[_Field], grid: GridSpec):
-    """Read a dump written by :func:`write_field_csv` as a ``kind`` field on ``grid``."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a dump written by :func:`write_field_csv` as a ``kind`` field on ``grid``; a dump of no values raises."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt's warning on no data: refused below instead
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if rows.size == 0:
+        raise ValueError(f"field dump {path} holds no values")
     expected = (grid.time_nodes if kind.timed else 1, grid.num_spatial)
     if rows.shape != expected:
         raise ValueError(f"CSV layout {rows.shape} does not match grid layout {expected}")

@@ -29,7 +29,6 @@ loops, not in BLAS, so results do not depend on the BLAS thread count.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -348,26 +347,6 @@ class LinearSystem:
         return x
 
 
-@functools.lru_cache(maxsize=8)
-def _fourier_factors(grid: GridSpec) -> tuple:
-    """Per spatial axis, (e^{i theta}, e^{-i theta}, 2i sin theta) at every rfft mode of ``grid``.
-
-    A shift by +1 along axis a multiplies a mode by e^{i theta_a}. The arrays
-    are broadcastable against the spatial rfft shape, shared between calls
-    and read-only.
-    """
-    n = grid.nodes_per_axis
-    thetas = [2.0 * np.pi * np.fft.fftfreq(n)] * (grid.spatial_dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(n)]
-    factors = tuple(
-        (np.exp(1j * theta), np.exp(-1j * theta), 2j * np.sin(theta))
-        for theta in np.meshgrid(*thetas, indexing="ij", sparse=True)
-    )
-    for triple in factors:
-        for arr in triple:
-            arr.flags.writeable = False
-    return factors
-
-
 def _layer_mean_inverse(ls: LinearSystem):
     """Factor M, the stencil of ``ls`` with each weight averaged over its layer, and return v -> M^-1 D v.
 
@@ -391,9 +370,12 @@ def _layer_mean_inverse(ls: LinearSystem):
     diag = layer_mean(ls.center) + 0j
     scale = diag.real / ls.center
     skew = 0j
-    for (e_plus, e_minus, two_i_sin), (plus, minus, mixed) in zip(_fourier_factors(grid), ls.spatial):
-        diag = diag + layer_mean(plus) * e_plus + layer_mean(minus) * e_minus
-        skew = skew + layer_mean(mixed) * two_i_sin
+    # A shift by +1 along axis a multiplies a mode by e^{i theta_a}.
+    n = grid.nodes_per_axis
+    thetas = [2.0 * np.pi * np.fft.fftfreq(n)] * (dim - 1) + [2.0 * np.pi * np.fft.rfftfreq(n)]
+    for theta, (plus, minus, mixed) in zip(np.meshgrid(*thetas, indexing="ij", sparse=True), ls.spatial):
+        diag = diag + layer_mean(plus) * np.exp(1j * theta) + layer_mean(minus) * np.exp(-1j * theta)
+        skew = skew + layer_mean(mixed) * (2j * np.sin(theta))
     tcoef = layer_mean(ls.tcoef)
     lower, upper = tcoef + skew, tcoef - skew
 
@@ -418,23 +400,21 @@ def _layer_mean_inverse(ls: LinearSystem):
             y[k] -= np.multiply(upper_ratio[k], y[k + 1], out=scratch)
         for ax in axes[:-1]:
             np.fft.ifft(y, axis=ax, out=y)
-        np.fft.irfft(y, grid.nodes_per_axis, out=x[1:-1])
+        np.fft.irfft(y, n, out=x[1:-1])
         return x
 
     return solve
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def assemble_dQ(u: ScalarField, spec: ProblemSpec, cone: ConeData | None = None) -> LinearSystem:
-    """Linearization of Q at u: the stencil weights, no matrix and no preconditioner.
+def assemble_dQ(cone: ConeData, spec: ProblemSpec) -> LinearSystem:
+    """Linearization of Q at the field whose :func:`cone_quantities` are ``cone``: the stencil weights only.
 
-    The weights come from ``cone`` (computed from u when not given). Data
-    near the top of the float range give non-finite weights without a
-    warning; ``solve_interior`` then raises a LinearSolveError.
+    No matrix and no preconditioner. Data near the top of the float range give
+    non-finite weights without a warning; ``solve_interior`` then raises a
+    LinearSolveError.
     """
     grid = spec.grid
-    if cone is None:
-        cone = cone_quantities(u.values, spec)
     hx, ht, dim = grid.hx, grid.ht, grid.spatial_dim
 
     tcoef = cone.b_interior / (ht * ht)

@@ -317,7 +317,7 @@ def newton_solve(
                 phase=phase,
                 param=param,
             )
-        ls = assemble_dQ(ScalarField(grid, u), spec, cone=cone)
+        ls = assemble_dQ(cone, spec)
         g = -res.reshape(-1)
         with np.errstate(over="ignore"):  # an overflowing norm fails the linear solve below
             prev_gnorm, gnorm = gnorm, _norm(g)

@@ -1,8 +1,8 @@
 """Elementary symmetric function algebra, cone membership, and concavity scans.
 
 The objects here are triples (r00, R, z) with r00 a positive real, R an
-n x n matrix and z a vector, held as arrays with any leading batch shape (the
-scan's kernels hold it last: R as (n, n, B), z as (n, B)). Real triples (R
+n x n matrix and z a vector, held batch-last, trial or node axes last: R as
+(n, n, ...), z as (n, ...) and r00 of the batch shape. Real triples (R
 symmetric) and complex ones (R Hermitian) go through the same kernels, which
 read the form from the dtype of R and z:
 
@@ -16,7 +16,8 @@ positive) and F_k > 0.
 :func:`F_k`, and sigma_0..sigma_k with T_{k-1} (:func:`newton_chain`), come from
 the Newton transformation's recursion, with no eigendecomposition and no BLAS,
 and so does the scan's cone shift, except on the rows its a-posteriori certificate
-flags (eigvalsh, the scan's one BLAS/LAPACK call, then :func:`elementary_symmetric`).
+flags (eigvalsh, the scan's one BLAS/LAPACK call, then :func:`elementary_symmetric`,
+which reads a spectrum along its last axis as eigvalsh returns it).
 
 Log-concavity of F_k along segments inside the cone is a theorem for k = 1
 (any n) and k = n; for 2 <= k <= n-1 it is scanned as a conjecture, with real
@@ -61,20 +62,12 @@ def _check_k(k: int, n: int, n_max: int | None = None) -> None:
 
 
 def newton_chain(r: np.ndarray, k: int):
-    """sigma_0..sigma_k and T_{k-1} of matrices with any leading batch shape, by the Newton recursion.
+    """sigma_0..sigma_k and T_{k-1} of Hermitian R held batch-last, (n, n, ...): sigma (k + 1, ...), T_{k-1} (n, n, ...).
 
-    T_0 = I, sigma_j = tr(R T_{j-1}) / j and T_j = sigma_j I - R T_{j-1}. T_0 (k = 1) is returned as
-    None, which :func:`_form` reads as the identity. An adapter over the batch-last :func:`_chain`.
-    """
-    sig, t = _chain(np.moveaxis(r, (-2, -1), (0, 1)), k)
-    return np.moveaxis(sig, 0, -1), None if t is None else np.moveaxis(t, (0, 1), (-2, -1))
-
-
-def _chain(r: np.ndarray, k: int):
-    """:func:`newton_chain` of Hermitian R held batch-last, (n, n, ...): sigma (k + 1, ...), T_{k-1} (n, n, ...).
-
-    R T_{j-1} is Hermitian, so row i is summed from column i on (the diagonal only at the last step)
-    and T_j mirrors it. Factors get one ndim: numpy rounds a one-element complex product otherwise.
+    T_0 = I, sigma_j = tr(R T_{j-1}) / j and T_j = sigma_j I - R T_{j-1}. T_0 (k = 1) is returned as None,
+    which :func:`_form` reads as the identity. R T_{j-1} is Hermitian, so row i is summed from column i on
+    (the diagonal only at the last step) and T_j mirrors it. Factors get one ndim: numpy rounds a
+    one-element complex product otherwise.
     """
     n = r.shape[0]
     _check_k(k, n)
@@ -107,18 +100,13 @@ def _form(t, z: np.ndarray) -> np.ndarray:
     return np.sum(np.real(z.conj() * tz), axis=0)
 
 
-def _f(r00, r: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
-    """:func:`F_k` of batch-last triples: R of shape (n, n, ...) and z of shape (n, ...)."""
-    sig, t = _chain(r, k)
-    return r00 * sig[k] - _form(t, z)
+def F_k(r00, r: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
+    """F_k of triples held batch-last, R (n, n, ...) and z (n, ...), real for real and Hermitian data.
 
-
-def F_k(r00, r, z, k: int) -> np.ndarray:
-    """F_k of triples with any leading batch shape, real for real and Hermitian data.
-
-    For k = 1 this is r00 Re tr R - |z|^2. An adapter over the batch-last :func:`_f`.
+    For k = 1 this is r00 Re tr R - |z|^2.
     """
-    return _f(r00, np.moveaxis(r, (-2, -1), (0, 1)), np.moveaxis(z, -1, 0), k)
+    sig, t = newton_chain(r, k)
+    return r00 * sig[k] - _form(t, z)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +202,7 @@ def _cone_shift(r: np.ndarray, k: int) -> np.ndarray:
     n = r.shape[0]
     if k == 1:
         return -np.mean(np.real(r[range(n), range(n)]), axis=0)
-    sig = _chain(r, k)[0]
+    sig = newton_chain(r, k)[0]
     coef = [np.array([math.comb(n - i, j - i) * sig[i] for i in range(j + 1)]) for j in range(k + 1)]
     def shifted(j, x, rows=slice(None)):  # sigma_j(R + x I) = sum_i coef[j][i] x^(j - i) on the rows, by Horner
         acc, *rest = coef[j][:, rows] if isinstance(rows, slice) else coef[j].take(rows, axis=1)
@@ -262,7 +250,7 @@ def _sample_cone_batch(rng: np.random.Generator, k: int, n: int, batch: int, her
     if hermitian:
         zdir = (zdir + 1j * rng.standard_normal((n, batch))) / math.sqrt(2.0)
     theta = rng.uniform(0.0, 0.99, batch)
-    sigs, t = _chain(r, k)
+    sigs, t = newton_chain(r, k)
     sig = sigs[k]
     t_form = _form(t, zdir)
     # Only samples inside Gamma_k^+ (sigma_1..sigma_k all positive) are scored.
@@ -382,7 +370,7 @@ def midpoint_concavity_scan(
         r00m = 0.5 * (r00p + r00q)
         rm = 0.5 * (rp + rq)
         zm = 0.5 * (zp + zq)
-        fm = _f(r00m, rm, zm, k)
+        fm = F_k(r00m, rm, zm, k)
         good = goodp & goodq & np.isfinite(fm)
 
         with np.errstate(divide="ignore", invalid="ignore"):

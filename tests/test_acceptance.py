@@ -129,7 +129,7 @@ def test_linearization_identities_and_jacobian_consistency(verdict, manufactured
         dim = 1 if seed < 7 else 2
         n = 10 if dim == 1 else 8
         field, spec = random_admissible_field(seed, dim=dim, n=n, nt=7)
-        system = tg.assemble_dQ(field, spec)
+        system = tg.assemble_dQ(tg.cone_quantities(field.values, spec), spec)
         rng = np.random.default_rng(1000 + seed)
         for _ in range(6):
             h = np.zeros(spec.grid.field_shape)

@@ -555,6 +555,26 @@ def test_solve_refusing_to_refine_a_file_backed_field_writes_nothing(tmp_path, c
     assert not out.exists()
 
 
+# A CSV that is missing or holds no values: one error line naming the file, with a reason
+# (numpy's loadtxt once gave the reason None, and warned before the line on an empty file).
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("via", ["file", "verify"])
+@pytest.mark.parametrize("name, data", [("nothere.csv", None), ("empty.csv", b"")], ids=["missing", "empty"])
+def test_unreadable_csv_exits_2_with_one_line(tmp_path, capsys, monkeypatch, via, name, data):
+    monkeypatch.chdir(tmp_path)
+    if data is not None:
+        (tmp_path / name).write_bytes(data)
+    if via == "file":
+        argv = ["solve", write_cfg(tmp_path, SEPARABLE.replace("f = 2\n", f"f = file:{name}\n")), "--output", "out"]
+    else:
+        argv = ["verify", name, write_cfg(tmp_path, SEPARABLE)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert name in err and "None" not in err, err
+    assert sorted(os.listdir(tmp_path)) == sorted(["run.cfg"] + [name] * (data is not None))
+
+
 # a = 1e308 overflows the linearization's 2 B / ht^2; u0 = 1e300 sin(x) overflows
 # |grad u0|^2, and 0 * inf makes B nan, which the admissibility check must reject.
 @pytest.mark.filterwarnings("error")

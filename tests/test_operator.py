@@ -186,7 +186,7 @@ def _pad_layers(interior):
 @pytest.mark.parametrize("dim,n,nt", [(1, 10, 7), (2, 8, 7)])
 def test_jacobian_matches_finite_differences(dim, n, nt):
     field, spec = random_admissible_field(20 + dim, dim=dim, n=n, nt=nt)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     rng = np.random.default_rng(77)
     for _ in range(4):
         h = np.zeros(spec.grid.field_shape)
@@ -231,13 +231,14 @@ def test_apply_matches_centered_differences_of_q(seed, dim, exponent, h_unit):
     q_plus = apply_Q(ScalarField(grid, field.values + s * h), spec).values[1:-1]
     q_minus = apply_Q(ScalarField(grid, field.values - s * h), spec).values[1:-1]
     fd = (q_plus - q_minus) / (2.0 * s)
-    assert np.max(np.abs(fd - assemble_dQ(field, spec).apply(h))) <= tol
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
+    assert np.max(np.abs(fd - system.apply(h))) <= tol
 
 
 def test_jacobian_boundary_blocks():
     # entries reaching the Dirichlet layers act through the boundary blocks
     field, spec = random_admissible_field(30)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     rng = np.random.default_rng(78)
     h = np.zeros(spec.grid.field_shape)
     h[0] = rng.standard_normal(spec.grid.spatial_shape)
@@ -257,20 +258,20 @@ def test_exact_identities_at_rounding_floor():
     for seed in (1, 2, 3):
         field, spec = random_admissible_field(seed, n=12, nt=9)
         grid = spec.grid
-        system = assemble_dQ(field, spec)
+        cone = cone_quantities(field.values, spec)
+        system = assemble_dQ(cone, spec)
         scale = 1.0 + float(np.max(np.abs(apply_Q(field, spec).values)))
         t = grid.time_column()
         ht = np.broadcast_to(t, grid.field_shape)
         assert np.max(np.abs(system.apply(ht))) <= 1e-10 * scale
         ht2 = np.broadcast_to(t * t, grid.field_shape)
-        cone = cone_quantities(field.values, spec)
         want = 2.0 * cone.b_interior
         assert np.max(np.abs(system.apply(ht2) - want)) <= 1e-10 * scale
 
 
 def test_solve_interior_solves():
     field, spec = random_admissible_field(6)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     rng = np.random.default_rng(60)
     g = rng.standard_normal((spec.grid.interior_layers,) + spec.grid.spatial_shape)
     h = system.solve_interior(g)
@@ -293,7 +294,7 @@ def _dense_jacobian(system, grid):
 @pytest.mark.parametrize("dim,n,nt", [(1, 10, 7), (2, 8, 6)])
 def test_solve_interior_matches_dense_solve(dim, n, nt):
     field, spec = random_admissible_field(40 + dim, dim=dim, n=n, nt=nt)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     dense = _dense_jacobian(system, spec.grid)
     g = np.random.default_rng(61).standard_normal(dense.shape[0])
     want = np.linalg.solve(dense, g)
@@ -305,7 +306,7 @@ def test_solve_interior_matches_dense_solve(dim, n, nt):
 @pytest.mark.parametrize("rtol", [1e-1, 1e-4])
 def test_solve_interior_stops_at_the_requested_tolerance(rtol):
     field, spec = random_admissible_field(42, dim=2, n=8, nt=6)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     g = np.random.default_rng(61).standard_normal(spec.grid.interior_layers * spec.grid.num_spatial)
     system.solve_interior(g)
     tight = system.iterations
@@ -324,7 +325,7 @@ def test_preconditioner_exact_for_layerwise_constant_coefficients(dim):
     f = ScalarField(grid, np.ones(grid.field_shape))
     spec = ProblemSpec(grid=grid, a=a, b=0.4, f=f, u0=zero, u1=zero)
     u = ScalarField.sample(grid, lambda t, *xs: -t * (1.0 - t) - 0.3 * t**3 * (1.0 - t))
-    system = assemble_dQ(u, spec)
+    system = assemble_dQ(cone_quantities(u.values, spec), spec)
     g = np.random.default_rng(62).standard_normal(grid.interior_layers * grid.num_spatial)
     h = system.solve_interior(g)
     assert system.iterations <= 2
@@ -344,7 +345,7 @@ def test_preconditioner_exact_for_row_scaled_layerwise_coefficients(dim):
     f = ScalarField(grid, np.ones(grid.field_shape))
     spec = ProblemSpec(grid=grid, a=a, b=0.4, f=f, u0=zero, u1=zero)
     u = ScalarField.sample(grid, lambda t, *xs: -t * (1.0 - t) - 0.3 * t**3 * (1.0 - t))
-    layered = assemble_dQ(u, spec)
+    layered = assemble_dQ(cone_quantities(u.values, spec), spec)
     c = ScalarField.sample(grid, lambda t, *xs: 1.5 + np.sin(xs[0] + 2.0 * t) * np.cos(xs[-1])).values[1:-1]
     spatial = [(c * 1.2 * plus, c * 0.8 * minus, c * 0.1 * layered.tcoef) for plus, minus, _ in layered.spatial]
     system = operator_module.LinearSystem(grid, c * layered.center, c * layered.tcoef, spatial)
@@ -370,7 +371,7 @@ def _record_calls(system, monkeypatch) -> list:
 
 def test_solve_interior_zero_rhs_returns_zeros(monkeypatch):
     field, spec = random_admissible_field(11, n=8, nt=6)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     calls = _record_calls(system, monkeypatch)
     h = system.solve_interior(np.zeros(spec.grid.interior_layers * spec.grid.num_spatial))
     assert system.iterations == 0 and not calls
@@ -385,7 +386,7 @@ def test_gmres_call_counts(monkeypatch, dim, n, nt, restart):
     # action for the true residual; nothing before the first iteration.
     monkeypatch.setattr(operator_module, "GMRES_RESTART", restart)
     field, spec = random_admissible_field(40 + dim, dim=dim, n=n, nt=nt)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     calls = _record_calls(system, monkeypatch)
     system.solve_interior(np.random.default_rng(61).standard_normal(spec.grid.interior_layers * spec.grid.num_spatial))
     iters = system.iterations
@@ -402,7 +403,7 @@ def test_gmres_call_counts(monkeypatch, dim, n, nt, restart):
 def test_restarted_solve_matches_dense_solve(monkeypatch, dim, n, nt):
     monkeypatch.setattr(operator_module, "GMRES_RESTART", 3)
     field, spec = random_admissible_field(40 + dim, dim=dim, n=n, nt=nt)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     dense = _dense_jacobian(system, spec.grid)
     g = np.random.default_rng(61).standard_normal(dense.shape[0])
     want = np.linalg.solve(dense, g)
@@ -414,7 +415,7 @@ def test_restarted_solve_matches_dense_solve(monkeypatch, dim, n, nt):
 @pytest.mark.filterwarnings("error")
 def test_solve_interior_rejects_bad_answers(monkeypatch):
     field, spec = random_admissible_field(10, n=8, nt=6)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     n = spec.grid.interior_layers * spec.grid.num_spatial
     # a nan right-hand side, or one whose 2-norm overflows, fails before the first iteration
     for bad in (np.full(n, np.nan), np.full(n, 1e200)):
@@ -442,13 +443,13 @@ def test_solve_interior_rejects_bad_answers(monkeypatch):
 
 def test_matrix_pattern_symmetric():
     field, spec = random_admissible_field(8, n=8, nt=6)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     pattern = _dense_jacobian(system, spec.grid) != 0.0
     assert np.array_equal(pattern, pattern.T)
 
 
 def test_apply_requires_full_shape():
     field, spec = random_admissible_field(9, n=8, nt=6)
-    system = assemble_dQ(field, spec)
+    system = assemble_dQ(cone_quantities(field.values, spec), spec)
     with pytest.raises(ValueError):
         system.apply(np.zeros((2, 2)))

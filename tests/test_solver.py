@@ -381,8 +381,8 @@ def test_near_degenerate_solve_gmres_work():
 
 # Memory per unknown: the traced peak of a near-degenerate solve, in interior arrays
 # of (Nt - 2) N^2 float64 values. It read 86.69-86.78 after other solves in the
-# process and 89.27-89.30 as the first solve of a process, which also imports
-# numpy.fft and fills the cache of Fourier factors.
+# process and 89.21-89.30 as the first solve of a process, which also imports
+# numpy.fft.
 def test_near_degenerate_solve_memory():
     spec = _roadmap_spec(24, 13, f=lambda x, y: 1.0 + np.cos(x) + 1e-4)
     interior_bytes = spec.grid.interior_layers * spec.grid.num_spatial * 8

@@ -220,20 +220,19 @@ def test_F_is_dtype_invariant(seed):
             assert abs(real - cplx) <= 1e-12 * scale, (n, k)
 
 
-def batch_first(sample):
-    """A sampler batch (r00, R, z, F, good) with R and z batch-first, as the public kernels take them."""
-    r00, r, z, f, good = sample
-    return r00, np.moveaxis(r, -1, 0), np.moveaxis(z, -1, 0), f, good
+def batch_first(r00, r, z):
+    """Batch-last triples with R and z batch-first, as eigh takes them."""
+    return r00, np.moveaxis(r, -1, 0), np.moveaxis(z, -1, 0)
 
 
 def batch_last(r):
-    """Batch-first matrices in the batch-last layout of the scan's private kernels."""
+    """Batch-first matrices in the batch-last layout of the cone kernels."""
     return np.moveaxis(r, 0, -1)
 
 
 def in_gamma(r, k):
-    """R in Gamma_k^+: sigma_1(R), ..., sigma_k(R) all strictly positive, per matrix of a batch."""
-    return np.all(newton_chain(r, k)[0][..., 1:] > 0.0, axis=-1)
+    """R in Gamma_k^+: sigma_1(R), ..., sigma_k(R) all strictly positive, per matrix of a batch-last batch."""
+    return np.all(newton_chain(r, k)[0][1:] > 0.0, axis=0)
 
 
 def test_gamma_membership():
@@ -241,7 +240,7 @@ def test_gamma_membership():
     assert not in_gamma(np.diag([1.0, -0.5]), 2)
     assert in_gamma(np.eye(3), 3)
     assert not in_gamma(-np.eye(3), 1)
-    batch = np.stack([np.eye(3), -np.eye(3), np.diag([3.0, 1.0, -0.5])])
+    batch = np.stack([np.eye(3), -np.eye(3), np.diag([3.0, 1.0, -0.5])], axis=-1)
     assert np.array_equal(in_gamma(batch, 2), [True, False, True])
 
 
@@ -368,14 +367,14 @@ def test_f_batch_matches_eigen_route(seed, hermitian):
     rng = np.random.default_rng(seed)
     for n in range(1, 7):
         for k in range(1, n + 1):
-            r00p, rp, zp, fp, goodp = batch_first(_sample_cone_batch(rng, k, n, 16, hermitian))
-            r00q, rq, zq, _fq, goodq = batch_first(_sample_cone_batch(rng, k, n, 16, hermitian))
+            r00p, rp, zp, fp, goodp = _sample_cone_batch(rng, k, n, 16, hermitian)
+            r00q, rq, zq, _fq, goodq = _sample_cone_batch(rng, k, n, 16, hermitian)
             assert goodp.all() and goodq.all()
-            want = f_eig_reference(r00p, rp, zp, k)
+            want = f_eig_reference(*batch_first(r00p, rp, zp), k)
             assert np.all(np.abs(F_k(r00p, rp, zp, k) - want) <= 1e-10 * np.abs(want)), (n, k)
             assert np.all(np.abs(fp - want) <= 1e-10 * np.abs(want)), (n, k)
             mid = (0.5 * (r00p + r00q), 0.5 * (rp + rq), 0.5 * (zp + zq))
-            want = f_eig_reference(*mid, k)
+            want = f_eig_reference(*batch_first(*mid), k)
             assert np.all(np.abs(F_k(*mid, k) - want) <= 1e-10 * np.abs(want)), (n, k)
 
 
@@ -394,18 +393,19 @@ def test_newton_chain_is_batch_independent(hermitian):
     for n in range(1, 7):
         r = random_hermitian(rng, (4096, n, n), hermitian) * 10.0 ** rng.uniform(-3.0, 3.0, (4096, 1, 1))
         z = rng.standard_normal((4096, n)) + (1j * rng.standard_normal((4096, n)) if hermitian else 0.0)
+        r, z = np.ascontiguousarray(batch_last(r)), np.ascontiguousarray(z.T)
         r00 = np.exp(rng.normal(0.0, 0.7, 4096))
         for k in range(1, n + 1):
             kernels = {
-                "newton_chain": lambda rows: newton_chain(r[rows], k)[0],
-                "F_k": lambda rows: F_k(r00[rows], r[rows], z[rows], k),
+                "newton_chain": lambda rows: newton_chain(r[..., rows], k)[0],
+                "F_k": lambda rows: F_k(r00[rows], r[..., rows], z[:, rows], k),
             }
             for name, run in kernels.items():
                 full = run(slice(None))
-                sub = np.concatenate([run(slice(i, i + 61)) for i in range(0, 4096, 61)])
+                sub = np.concatenate([run(slice(i, i + 61)) for i in range(0, 4096, 61)], axis=-1)
                 assert np.array_equal(sub, full), (name, n, k)
                 for i in range(0, 4096, 97):
-                    assert np.array_equal(run(i), full[i]), (name, n, k, i)
+                    assert np.array_equal(run(i), full[..., i]), (name, n, k, i)
 
 
 def rotated(rng, lams, hermitian):
@@ -638,19 +638,19 @@ def test_sampler_at_k1_is_the_margin_times_the_identity(hermitian):
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_f1_batch_matches_pointwise_eval(n, hermitian):
     rng = np.random.default_rng(110 + n)
-    r00, r, z, f_sampled, good = batch_first(_sample_cone_batch(rng, 1, n, 200, hermitian))
+    r00, r, z, f_sampled, good = _sample_cone_batch(rng, 1, n, 200, hermitian)
     assert good.all()
     f_batch = F_k(r00, r, z, 1)
     for i in range(200):
-        want = F_k(r00[i], r[i], z[i], 1)
+        want = F_k(r00[i], r[..., i], z[:, i], 1)
         # The reference sums eigenvalues of both signs, so its own rounding is
         # relative to r00 * sum |lam|, not to the trace.
-        scale = r00[i] * float(np.sum(np.abs(np.linalg.eigvalsh(r[i])))) + float(np.sum(np.abs(z[i]) ** 2))
+        scale = r00[i] * float(np.sum(np.abs(np.linalg.eigvalsh(r[..., i])))) + float(np.sum(np.abs(z[:, i]) ** 2))
         assert abs(f_batch[i] - want) <= 1e-12 * scale
         assert abs(f_sampled[i] - want) <= 1e-12 * scale
         # Against exact rational arithmetic the trace form holds to 1e-12 of F itself.
-        exact = Fraction(r00[i]) * sum(Fraction(float(v)) for v in np.real(np.diag(r[i]))) - sum(
-            Fraction(float(v)) ** 2 for v in np.concatenate([np.real(z[i]), np.imag(z[i])])
+        exact = Fraction(r00[i]) * sum(Fraction(float(v)) for v in np.real(np.diag(r[..., i]))) - sum(
+            Fraction(float(v)) ** 2 for v in np.concatenate([np.real(z[:, i]), np.imag(z[:, i])])
         )
         assert abs(Fraction(float(f_batch[i])) - exact) <= Fraction(1e-12) * abs(exact)
 

@@ -11,17 +11,20 @@ solve-2d, sweep-2d and scan configs of seeds 0-3 (written by
 ``perfbench/workloads.prepare``), ``solve`` on the bundled ``separable.cfg``
 once more without ``--output``, from inside ``OUTDIR/default-output``, so
 that the default output directory ``out`` is compared too, ``solve`` and
-two ``sweep`` runs on the near-degenerate 20^2x11 problem, ``sweep`` on the perfbench
-seed-0 problem (f > 0) at 20^2x11 from eps = 1 down to 1e-8, one ``sweep`` that fails and
-two Hermitian ``scan`` runs at 20000 trials, two ``scan`` runs with the
-violation threshold ``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify``
-on every ``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200) writes
+two ``sweep`` runs on the near-degenerate 20^2x11 problem and one on a nearer
+one, ``sweep`` on the perfbench seed-0 problem (f > 0) at 20^2x11 from eps = 1
+down to 1e-8, one ``sweep`` and one ``solve`` that fail, two Hermitian
+``scan`` runs at 20000 trials, two ``scan`` runs with the violation threshold
+``symcone.SCAN_THRESHOLD`` raised to 1.0, then ``verify`` on every
+``solution*`` dump. The failing sweep (1D 8x5 grid, eps = 1e200) writes
 rejection rows and a ``rung_000_error`` summary line, which no passing run
 reaches: its cold continuation accepts a few rungs, but every run past s = 0.392
 stops at a non-finite linear solve, whatever its start, and each failure halves
 the step and retries warm until the step falls below the floor (16 rows). The
-Hermitian scans, (k, n) = (5, 6) and (6, 6) with seed 7, send 459 and 14865
-sampled matrices whose cone shift fails its certificate to eigvalsh:
+failing solve, f = 1e200 on the same grid, is the only run that exits 1 on a
+``solver failure:`` line (its first non-finite linear solve, with its phase and
+param). The Hermitian scans, (k, n) = (5, 6) and (6, 6) with seed 7, send
+459 and 14865 sampled matrices whose cone shift fails its certificate to eigvalsh:
 the first reaches the 1 < k < n root finder on the spectrum, the second the
 k = n closed form. No scan at the shipped threshold finds a violation, so the
 raised threshold is the only way a non-empty ``counterexamples.txt`` is
@@ -34,8 +37,12 @@ do most of their work, so a change there shows in its ``lin_iters``. A second
 sweep of that problem jumps from eps = 1 straight to 1e-6: the full step and
 the half step fail, so the homotopy driver bisects in eps and then reaches
 1e-6 through accepted intermediate rungs. Both secant predictions it makes
-there leave the cone and are dropped, so every rung starts warm. It is the
-only run whose path bisects and then succeeds.
+there leave the cone and are dropped, so every rung starts warm. The same
+jump with f = 1 + cos(x) + 1e-5 accepts the half step, eps = 0.5000005, then
+fails warm from there at 1e-6. The halved step would end at 1e-6 again, so the
+homotopy driver halves it once more rather than repeat that warm run; it is
+the only run that reaches this skip. It reaches 1e-6 after 8 rejected rows.
+These two are the only runs whose path bisects and then succeeds.
 The long f > 0 ladder is almost linear in eps, so most of its rungs start from
 the driver's secant prediction; a change to that predictor shows in its trace.
 Artifacts land under OUTDIR; ``OUTDIR/commands.log`` holds each command with
@@ -206,12 +213,16 @@ def main(argv: list[str]) -> int:
     jump = NEAR_DEGENERATE.replace("1, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6", "1, 1e-6")
     cfg = config("near-degenerate", "bisect.cfg", jump)
     run(["sweep", cfg, "--output", os.path.join(outdir, "near-degenerate", "sweep-bisect")])
+    cfg = config("near-degenerate", "skip.cfg", jump.replace("+ 1e-4\n", "+ 1e-5\n"))
+    run(["sweep", cfg, "--output", os.path.join(outdir, "near-degenerate", "sweep-skip")])
     cfg = config("long-ladder", "problem.cfg", LONG_LADDER)
     made = os.path.join(outdir, "long-ladder", "sweep")
     run(["sweep", cfg, "--output", made])
     verify_dumps(made, cfg)
     cfg = config("failing", "sweep.cfg", FAILING_SWEEP)
     run(["sweep", cfg, "--output", os.path.join(outdir, "failing", "sweep")])
+    cfg = config("failing", "solve.cfg", FAILING_SWEEP.replace("f = 2\n", "f = 1e200\n"))
+    run(["solve", cfg, "--output", os.path.join(outdir, "failing", "solve")])
 
     def scan(group: str, k: int, n: int, **fields) -> None:
         """``scan`` (k, n) from a config written under OUTDIR/``group``."""
